@@ -10,6 +10,7 @@ exit nonzero.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from .clustering import write_cluster_csv
 from .divergence import BicConfig
-from .errors import FeddiarError
+from .errors import FeddiarError, InvalidConfig, InvalidSpec
 from .federated import (
     FederatedConfig,
     aggregate,
@@ -81,12 +82,23 @@ def _get(opts: dict, key: str, cast, default):
     value = opts.get(key)
     if value is None:
         return default
-    return cast(value)
+    try:
+        return cast(value)
+    except ValueError as exc:
+        raise InvalidConfig(f"bad value for {key}: {value!r}") from exc
 
 
-def _opt_get(opts: dict, key: str, cast):
-    value = opts.get(key)
-    return None if value is None else cast(value)
+def _int_tuple(value) -> tuple[int, ...]:
+    return tuple(int(v) for v in str(value).split(","))
+
+
+def _load_truth(path):
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise InvalidSpec(f"{path} is not a JSON ground truth: {exc}") from exc
+    return truth_from_dict(payload)
 
 
 def _pipeline_config(opts: dict) -> PipelineConfig:
@@ -100,14 +112,14 @@ def _pipeline_config(opts: dict) -> PipelineConfig:
         window_frames=_get(opts, "window_frames", int, 125),
         stride_fraction=_get(opts, "stride_fraction", float, 0.6),
         analysis_window_sec=_get(opts, "analysis_window_sec", float, 1.75),
-        slide_frames=_opt_get(opts, "slide_frames", int),
-        grow_frames=_opt_get(opts, "grow_frames", int),
+        slide_frames=_get(opts, "slide_frames", int, None),
+        grow_frames=_get(opts, "grow_frames", int, None),
         method=_get(opts, "method", str, "t2"),
-        t2_threshold=_opt_get(opts, "t2_threshold", float),
+        t2_threshold=_get(opts, "t2_threshold", float, None),
     )
     bic = BicConfig(
         lambda_=_get(opts, "lambda", float, 1.0),
-        delta_k=_opt_get(opts, "delta_k", int),
+        delta_k=_get(opts, "delta_k", int, None),
     )
     return PipelineConfig(
         mfcc=mfcc, silence=silence, seg=seg, bic=bic,
@@ -147,12 +159,9 @@ def _cmd_synth(args) -> int:
 
 def _run(args, with_model: bool):
     cfg = _pipeline_config(_merge_opts(args))
+    truth = _load_truth(args.truth) if getattr(args, "truth", None) else None
     audio = load_wav(args.audio)
     model = load_checkpoint(args.model) if with_model and args.model else None
-    truth = None
-    if getattr(args, "truth", None):
-        with open(args.truth) as fh:
-            truth = truth_from_dict(json.load(fh))
     return audio, cfg, run_pipeline(audio, cfg, model=model, truth=truth)
 
 
@@ -241,8 +250,7 @@ def _cmd_fedsim(args) -> int:
     )
     corpus = speaker_frame_corpus(num_speakers, seed)
     arch = ModelArch(input_dim=12,
-                     hidden_sizes=tuple(
-                         int(h) for h in str(_get(opts, "hidden", str, "64,64")).split(",")),
+                     hidden_sizes=_get(opts, "hidden", _int_tuple, (64, 64)),
                      num_classes=num_speakers)
     state = build_network(corpus, cfg, arch, seed)
     state = run_experiment(state, cfg, seed)
@@ -258,14 +266,12 @@ def _cmd_fedsim(args) -> int:
 
 def _cmd_eval(args) -> int:
     opts = _merge_opts(args)
-    with open(args.truth) as fh:
-        truth = truth_from_dict(json.load(fh))
-    detected: list[float] = []
-    import csv as _csv
-
+    truth = _load_truth(args.truth)
     with open(args.detected) as fh:
-        for row in _csv.DictReader(fh):
-            detected.append(float(row["time_sec"]))
+        try:
+            detected = [float(row["time_sec"]) for row in csv.DictReader(fh)]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidSpec(f"{args.detected} lacks numeric time_sec values") from exc
     match = match_change_points(truth.change_points_sec, sorted(detected),
                                 _get(opts, "collar_sec", float, 0.5))
     seg = seg_scores(match)

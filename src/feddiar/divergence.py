@@ -11,7 +11,9 @@ different speakers:
   why it is the cheap pre-filter.
 
 A ComputeCounter tracks covariance fits and divergence evaluations so the
-relative cost of the two methods can be measured exactly.
+relative cost of the two methods can be measured exactly. Clustering prices
+merges from sufficient statistics with stacked_log_det instead of calling
+the oracles, so its work is counted separately as merge cost evaluations.
 """
 
 from __future__ import annotations
@@ -20,29 +22,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularCovariance, WindowTooSmall
+from .errors import DimensionMismatch, InvalidConfig, SingularCovariance, WindowTooSmall
 
 DEFAULT_REGULARIZATION_EPS = 1e-6
 
 
 @dataclass
 class ComputeCounter:
-    """Monotone counters for divergence cost accounting."""
+    """Monotone counters for divergence cost accounting.
+
+    covariance_count, delta_bic_count and t2_count count calls of
+    gaussian_fit, delta_bic and hotelling_t2; merge_cost_count counts the
+    cluster-pair costs clustering evaluates from sufficient statistics.
+    """
 
     covariance_count: int = 0
     delta_bic_count: int = 0
     t2_count: int = 0
+    merge_cost_count: int = 0
 
     def merge(self, other: "ComputeCounter") -> None:
         self.covariance_count += other.covariance_count
         self.delta_bic_count += other.delta_bic_count
         self.t2_count += other.t2_count
+        self.merge_cost_count += other.merge_cost_count
 
     def snapshot(self) -> dict:
         return {
             "covariance_count": self.covariance_count,
             "delta_bic_count": self.delta_bic_count,
             "t2_count": self.t2_count,
+            "merge_cost_count": self.merge_cost_count,
         }
 
 
@@ -60,9 +70,9 @@ class BicConfig:
 
     def __post_init__(self):
         if self.lambda_ < 0:
-            raise ValueError("lambda_ must be non-negative")
+            raise InvalidConfig("lambda must be non-negative")
         if self.delta_k is not None and self.delta_k <= 0:
-            raise ValueError("delta_k must be positive")
+            raise InvalidConfig("delta_k must be positive")
 
     def resolve_delta_k(self, d: int) -> int:
         if self.delta_k is not None:
@@ -145,6 +155,40 @@ def gaussian_fit(
         estimator=estimator,
         regularized=regularized,
     )
+
+
+def stacked_log_det(
+    n,
+    mean: np.ndarray,
+    scatter: np.ndarray,
+    regularization_eps: float = DEFAULT_REGULARIZATION_EPS,
+) -> np.ndarray:
+    """log|C| of k MLE covariances given as sufficient statistics.
+
+    n has shape (k,), mean (k, d) and scatter (k, d, d), where scatter is
+    the centred sum of outer products sum (x - mean)(x - mean)^T of each
+    window. Applies gaussian_fit's ridge rule to every matrix of the stack,
+    with the mean square of the raw rows recovered as
+    (tr S + n |mean|^2) / (n d), and returns the (k,) log-determinants
+    (-inf where the covariance is not positive definite). Counts nothing:
+    callers account for their own work.
+    """
+    n = np.asarray(n, dtype=np.float64)
+    d = scatter.shape[-1]
+    cov = scatter / n[:, None, None]
+    if regularization_eps > 0.0:
+        trace = np.trace(cov, axis1=1, axis2=2)
+        mean_sq = ((np.trace(scatter, axis1=1, axis2=2)
+                    + n * np.einsum("ki,ki->k", mean, mean)) / (n * d))
+        dust = 1e-24 * np.maximum(mean_sq, 1e-30) * d
+        min_eig = np.linalg.eigvalsh(cov)[:, 0]
+        ridge = np.where(
+            trace <= dust, regularization_eps,
+            np.where(min_eig <= regularization_eps * (trace / d),
+                     regularization_eps * trace / d, 0.0))
+        cov = cov + ridge[:, None, None] * np.eye(d)
+    sign, log_det = np.linalg.slogdet(cov)
+    return np.where((sign > 0) & np.isfinite(log_det), log_det, -np.inf)
 
 
 def gaussian_log_likelihood(window, stats: GaussianStats) -> float:

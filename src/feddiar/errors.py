@@ -9,6 +9,10 @@ class FeddiarError(Exception):
     pass
 
 
+class InvalidConfig(FeddiarError, ValueError):
+    """A configuration value is malformed or out of range."""
+
+
 # -- audio frontend --------------------------------------------------------
 
 class MalformedWav(FeddiarError):

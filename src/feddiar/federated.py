@@ -24,6 +24,7 @@ from .errors import (
     ArchMismatch,
     BadGroupSize,
     InsufficientData,
+    InvalidConfig,
     TooManyClients,
 )
 from .identifier import (
@@ -77,12 +78,14 @@ class FederatedConfig:
     def __post_init__(self):
         if self.group_size < 1:
             raise BadGroupSize("group_size must be at least 1")
+        if self.rounds < 1:
+            raise InvalidConfig("rounds must be at least 1")
         if self.lr0 <= 0.0:
-            raise ValueError("lr0 must be positive")
+            raise InvalidConfig("lr0 must be positive")
         if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError("lr_decay must lie in (0, 1]")
+            raise InvalidConfig("lr_decay must lie in (0, 1]")
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode '{self.mode}'")
+            raise InvalidConfig(f"unknown mode '{self.mode}'")
 
 
 @dataclass(frozen=True)

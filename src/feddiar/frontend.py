@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import dct
 
-from .errors import MalformedWav, SignalTooShort, UnsupportedEncoding
+from .errors import InvalidConfig, MalformedWav, SignalTooShort, UnsupportedEncoding
 
 PCM16_FULL_SCALE = 32768.0
 
@@ -80,13 +80,13 @@ class MfccConfig:
 
     def validate(self, sample_rate_hz: int) -> None:
         if self.num_coefficients > self.num_mel_filters:
-            raise ValueError("num_coefficients must not exceed num_mel_filters")
+            raise InvalidConfig("num_coefficients must not exceed num_mel_filters")
         if self.resolve_fft_size(sample_rate_hz) < self.frame_len(sample_rate_hz):
-            raise ValueError("fft_size smaller than frame length")
+            raise InvalidConfig("fft_size smaller than frame length")
         if not 0.0 <= self.pre_emphasis < 1.0:
-            raise ValueError("pre_emphasis must lie in [0, 1)")
+            raise InvalidConfig("pre_emphasis must lie in [0, 1)")
         if self.log_floor <= 0.0:
-            raise ValueError("log_floor must be positive")
+            raise InvalidConfig("log_floor must be positive")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EmptyCorpus, LengthMismatch, UnsortedInput
+from .errors import EmptyCorpus, InvalidConfig, LengthMismatch, UnsortedInput
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,8 @@ def _require_sorted(values, name: str) -> list[float]:
 
 def match_change_points(true_points, detected_points, collar_sec: float = 0.5) -> MatchResult:
     """Greedy one-to-one matching of detections to true change points."""
+    if not collar_sec >= 0.0:
+        raise InvalidConfig("collar_sec must be non-negative")
     true_sorted = _require_sorted(true_points, "true")
     detected_sorted = _require_sorted(detected_points, "detected")
     unmatched = list(enumerate(true_sorted))

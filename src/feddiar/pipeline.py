@@ -16,7 +16,7 @@ import numpy as np
 
 from .clustering import ClusterSet, Segment, cluster_rows, cluster_segments
 from .divergence import BicConfig, ComputeCounter
-from .errors import IoFailure, StageError
+from .errors import InvalidConfig, InvalidSpec, IoFailure, StageError
 from .frontend import (
     AudioSignal,
     FeatureMatrix,
@@ -60,6 +60,10 @@ class PipelineConfig:
     min_segment_frames: int = 25
     collar_sec: float = 0.5
     tau: float = 0.5
+
+    def __post_init__(self):
+        if not self.collar_sec >= 0.0:
+            raise InvalidConfig("collar_sec must be non-negative")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -182,6 +186,7 @@ def _build_report(
         "delta_bic_count": counter.delta_bic_count,
         "t2_count": counter.t2_count,
         "covariance_count": counter.covariance_count,
+        "merge_cost_count": counter.merge_cost_count,
         "config": cfg.to_dict(),
     }
 
@@ -296,11 +301,14 @@ def truth_to_dict(truth: GroundTruth) -> dict:
 
 
 def truth_from_dict(d: dict) -> GroundTruth:
-    return GroundTruth(
-        change_points_sec=[float(x) for x in d["change_points_sec"]],
-        turns=[TurnInterval(speaker_id=int(s), start_sec=float(a), end_sec=float(b))
-               for s, a, b in d["turns"]],
-    )
+    try:
+        return GroundTruth(
+            change_points_sec=[float(x) for x in d["change_points_sec"]],
+            turns=[TurnInterval(speaker_id=int(s), start_sec=float(a), end_sec=float(b))
+                   for s, a, b in d["turns"]],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidSpec(f"malformed ground truth: {type(exc).__name__} {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .divergence import BicConfig, ComputeCounter, delta_bic, hotelling_t2
-from .errors import WindowTooSmall
+from .errors import InvalidConfig, WindowTooSmall
 from .frontend import FeatureMatrix
 from .silence import QuasiSilenceRegion
 
@@ -42,11 +42,11 @@ class SegConfig:
 
     def __post_init__(self):
         if self.window_frames < 4:
-            raise ValueError("window_frames too small")
+            raise InvalidConfig("window_frames must be at least 4")
         if not 0.0 < self.stride_fraction <= 1.0:
-            raise ValueError("stride_fraction must lie in (0, 1]")
+            raise InvalidConfig("stride_fraction must lie in (0, 1]")
         if self.method not in (METHOD_BIC, METHOD_T2):
-            raise ValueError(f"unknown method '{self.method}'")
+            raise InvalidConfig(f"unknown method '{self.method}'")
 
     @property
     def slide(self) -> int:

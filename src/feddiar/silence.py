@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooFewFrames
+from .errors import DimensionMismatch, InvalidConfig, TooFewFrames
 from .frontend import FrameSequence, MfccConfig
 
 ENERGY_FLOOR = 1e-12
@@ -28,9 +28,9 @@ class SilenceConfig:
 
     def __post_init__(self):
         if self.threshold_db <= 0:
-            raise ValueError("threshold_db must be positive")
+            raise InvalidConfig("threshold_db must be positive")
         if not 0.0 < self.noise_percentile < 1.0:
-            raise ValueError("noise_percentile must lie in (0, 1)")
+            raise InvalidConfig("noise_percentile must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import feddiar
 from feddiar.cli import load_config_file, main
+from feddiar.frontend import AudioSignal, save_wav
 
 
 def run_cli(*argv):
@@ -139,3 +148,48 @@ def test_bad_config_value_reports_error(tmp_path, capsys) -> None:
     rc = run_cli("synth", "--out-dir", str(tmp_path), "--config", str(cfg))
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bad")
+    save_wav(root / "a.wav", AudioSignal(
+        0.1 * np.random.default_rng(0).standard_normal(16000), 16000))
+    (root / "not_json.json").write_text("change_points_sec: [1.0]\n")
+    (root / "empty.json").write_text("{}")
+    (root / "truth.json").write_text(json.dumps(
+        {"change_points_sec": [0.5], "turns": [[0, 0.0, 0.5], [1, 0.5, 1.0]]}))
+    (root / "points.csv").write_text("time_sec,frame_index\n0.5,50\n")
+    (root / "bad_value.cfg").write_text("window_frames = many\n")
+    (root / "bad_hidden.cfg").write_text("hidden = 64,wide\n")
+    return root
+
+
+BAD_INVOCATIONS = {
+    "window too small": ["segment", "--audio", "{root}/a.wav", "--window-frames", "2"],
+    "zero rounds": ["fedsim", "--rounds", "0"],
+    "truth not json": ["diarize", "--audio", "{root}/a.wav",
+                       "--truth", "{root}/not_json.json"],
+    "truth without keys": ["diarize", "--audio", "{root}/a.wav",
+                           "--truth", "{root}/empty.json"],
+    "negative collar": ["eval", "--truth", "{root}/truth.json",
+                        "--detected", "{root}/points.csv", "--collar-sec", "-1"],
+    "config value not a number": ["segment", "--audio", "{root}/a.wav",
+                                  "--config", "{root}/bad_value.cfg"],
+    "hidden sizes not numbers": ["fedsim", "--rounds", "1",
+                                 "--config", "{root}/bad_hidden.cfg"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INVOCATIONS))
+def test_bad_input_exits_1_without_traceback(case, bad_inputs, tmp_path) -> None:
+    argv = [a.format(root=bad_inputs) for a in BAD_INVOCATIONS[case]]
+    src = str(Path(feddiar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "feddiar.cli", *argv, "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr

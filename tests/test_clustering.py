@@ -1,14 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feddiar.clustering import (
+    ClusterSet,
     Segment,
     cluster_rows,
     cluster_segments,
     merge_cost,
     write_cluster_csv,
 )
-from feddiar.errors import NoSegments
+from feddiar.divergence import BicConfig, ComputeCounter
+from feddiar.errors import DimensionMismatch, NoSegments, WindowTooSmall
 
 
 def make_segment(start, rows):
@@ -124,3 +130,115 @@ def test_cluster_csv_includes_noise_rows(tmp_path) -> None:
     assert lines[0] == "segment_start_sec,segment_end_sec,cluster_id"
     assert len(lines) == 3
     assert lines[2].endswith(",noise")
+
+
+def reference_cluster_segments(segments, cfg=None, min_segment_frames=25,
+                               counter=None) -> ClusterSet:
+    """The greedy loop on stacked rows: every pair cost is a merge_cost
+    (delta BIC) of the concatenated member rows. Oracle for cluster_segments."""
+    cfg = cfg or BicConfig()
+    eligible = [i for i, s in enumerate(segments) if s.n_frames >= min_segment_frames]
+    assignments = [None] * len(segments)
+    members = {cid: [seg] for cid, seg in enumerate(eligible)}
+    rows = {cid: np.asarray(segments[seg].rows, dtype=np.float64)
+            for cid, seg in enumerate(eligible)}
+    costs = {}
+    trace = []
+    while len(members) >= 2:
+        ids = sorted(members)
+        best_pair = None
+        best_cost = np.inf
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:]:
+                if (a, b) not in costs:
+                    costs[(a, b)] = merge_cost(rows[a], rows[b], cfg, counter)
+                if costs[(a, b)] < best_cost:
+                    best_cost, best_pair = costs[(a, b)], (a, b)
+        if best_cost >= 0.0 or best_pair is None:
+            break
+        a, b = best_pair
+        members[a] = members[a] + members[b]
+        rows[a] = np.vstack([rows[a], rows[b]])
+        del members[b], rows[b]
+        costs = {k: v for k, v in costs.items() if a not in k and b not in k}
+        trace.append((a, b, best_cost))
+    clusters = [sorted(m) for m in sorted(members.values(), key=min)]
+    for label, m in enumerate(clusters):
+        for seg in m:
+            assignments[seg] = label
+    return ClusterSet(clusters=clusters, assignments=assignments, merge_trace=trace)
+
+
+MIN_FRAMES = 12
+KINDS = ("speaker", "speaker", "short", "collinear", "constant")
+
+
+def draw_segments(seed, kinds):
+    """Segments of mixed speakers, too-short runs, rank-one rows (ridge) and
+    all-equal rows (zero covariance), all of one feature dimension."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 6))
+    segs, cursor = [], 0
+    for kind in kinds:
+        n = int(rng.integers(MIN_FRAMES, 45))
+        if kind == "speaker":
+            rows = rng.choice([0.0, 2.0, 6.0]) + rng.standard_normal((n, d))
+        elif kind == "short":
+            n = int(rng.integers(1, MIN_FRAMES))
+            rows = rng.standard_normal((n, d))
+        elif kind == "collinear":
+            rows = rng.standard_normal((n, 1)) * rng.standard_normal(d) + rng.uniform(-3, 3)
+        else:
+            rows = np.full((n, d), rng.uniform(-5, 5))
+        segs.append(make_segment(cursor, rows))
+        cursor += n + 5
+    return segs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.lists(st.sampled_from(KINDS), min_size=1, max_size=9))
+def test_statistics_clustering_matches_row_oracle(seed, kinds) -> None:
+    segs = draw_segments(seed, kinds)
+    got = cluster_segments(segs, min_segment_frames=MIN_FRAMES)
+    ref = reference_cluster_segments(segs, min_segment_frames=MIN_FRAMES)
+    assert got.clusters == ref.clusters
+    assert got.assignments == ref.assignments
+    assert [m[:2] for m in got.merge_trace] == [m[:2] for m in ref.merge_trace]
+    # A ridged covariance leaves rounding of a few 1e-9 per row on a cost
+    # (the row oracle itself moves that much when its two inputs swap
+    # places), hence the absolute floor per row of the merged pair.
+    sizes = [s.n_frames for s in segs if s.n_frames >= MIN_FRAMES]
+    for (a, b, cost), (_, _, ref_cost) in zip(got.merge_trace, ref.merge_trace):
+        sizes[a] += sizes[b]
+        assert math.isclose(cost, ref_cost, rel_tol=1e-9, abs_tol=1e-8 * sizes[a])
+
+
+def test_merge_cost_count_is_pairs_evaluated() -> None:
+    means = [0.0 if i % 2 == 0 else 6.0 for i in range(8)]
+    segs = gaussian_segments(means, seed=2)
+    counter = ComputeCounter()
+    result = cluster_segments(segs, counter=counter)
+    k, merges = 8, len(result.merge_trace)
+    assert merges == 6
+    # the initial upper triangle, then the merged cluster's row against the
+    # alive - 1 others after each merge
+    expected = k * (k - 1) // 2 + sum(k - 1 - m - 1 for m in range(merges))
+    assert counter.merge_cost_count == expected == 49
+    assert (counter.covariance_count, counter.delta_bic_count, counter.t2_count) == (0, 0, 0)
+    oracle = ComputeCounter()
+    reference_cluster_segments(segs, counter=oracle)
+    assert oracle.delta_bic_count == expected
+
+
+def test_unpriceable_segments_rejected() -> None:
+    rng = np.random.default_rng(9)
+    segs = [make_segment(0, rng.standard_normal((1, 3))),
+            make_segment(5, rng.standard_normal((30, 3)))]
+    with pytest.raises(WindowTooSmall):
+        cluster_segments(segs, min_segment_frames=1)
+    assert cluster_segments(segs[:1], min_segment_frames=1).clusters == [[0]]
+    mixed = [make_segment(0, rng.standard_normal((30, 3))),
+             make_segment(40, rng.standard_normal((30, 4)))]
+    with pytest.raises(DimensionMismatch):
+        cluster_segments(mixed)

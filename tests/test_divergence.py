@@ -9,6 +9,7 @@ from feddiar.divergence import (
     gaussian_fit,
     gaussian_log_likelihood,
     hotelling_t2,
+    stacked_log_det,
 )
 from feddiar.errors import SingularCovariance, WindowTooSmall
 
@@ -51,6 +52,34 @@ def test_fit_constant_column_regularized() -> None:
     stats = gaussian_fit(w)
     assert stats.regularized
     assert np.isfinite(stats.log_det)
+
+
+def test_stacked_log_det_matches_fit_on_every_branch() -> None:
+    rng = np.random.default_rng(2)
+    plain = rng.standard_normal((40, 4))
+    rank_one = rng.standard_normal((30, 1)) * rng.standard_normal(4) + 2.0
+    constant_column = plain.copy()
+    constant_column[:, 2] = -3.0
+    all_equal = np.full((25, 4), 7.5)
+    windows = [plain, rank_one, constant_column, all_equal]
+    n = np.array([len(w) for w in windows])
+    mean = np.stack([w.mean(axis=0) for w in windows])
+    scatter = np.stack([(w - m).T @ (w - m) for w, m in zip(windows, mean)])
+    counter = ComputeCounter()
+    fits = [gaussian_fit(w, counter=counter) for w in windows]
+    assert [f.regularized for f in fits] == [False, True, True, True]
+    # all-equal rows take the zero-variance branch: eps * I
+    assert fits[3].log_det == pytest.approx(4 * np.log(1e-6))
+    got = stacked_log_det(n, mean, scatter)
+    assert got == pytest.approx([f.log_det for f in fits], rel=1e-12, abs=1e-12)
+    assert counter.covariance_count == 4
+
+
+def test_stacked_log_det_without_ridge_reports_singular() -> None:
+    w = np.full((10, 2), 1.0)
+    got = stacked_log_det(np.array([10]), w.mean(axis=0)[None], np.zeros((1, 2, 2)),
+                          regularization_eps=0.0)
+    assert got[0] == -np.inf == gaussian_fit(w, regularization_eps=0.0).log_det
 
 
 def test_fit_counts_one_covariance() -> None:
@@ -164,6 +193,7 @@ def test_counter_accounting_exact() -> None:
 
 def test_counter_merge_and_snapshot() -> None:
     a = ComputeCounter(covariance_count=3, delta_bic_count=1)
-    b = ComputeCounter(covariance_count=1, t2_count=1)
+    b = ComputeCounter(covariance_count=1, t2_count=1, merge_cost_count=5)
     a.merge(b)
-    assert a.snapshot() == {"covariance_count": 4, "delta_bic_count": 1, "t2_count": 1}
+    assert a.snapshot() == {"covariance_count": 4, "delta_bic_count": 1, "t2_count": 1,
+                            "merge_cost_count": 5}

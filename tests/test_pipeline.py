@@ -37,7 +37,7 @@ from feddiar.synth import (
 
 REPORT_KEYS = {"fdr", "mdr", "f_seg", "purity", "coverage", "far", "frr",
                "f_id", "delta_bic_count", "t2_count", "covariance_count",
-               "config"}
+               "merge_cost_count", "config"}
 
 
 def feature_matrix(n, d=12, hop_sec=0.010):
