@@ -61,6 +61,7 @@ from .pipeline import (
     DiarizationResult,
     PipelineConfig,
     export_rttm,
+    frontend_and_silence,
     run_pipeline,
     sweep,
 )

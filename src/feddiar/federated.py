@@ -230,11 +230,13 @@ def run_round(state: FederatedNetworkState, cfg: FederatedConfig, seed: int) -> 
 def _evaluate_round(clients, state, cfg, lr) -> RoundRecord | None:
     if state.eval_frames is None or state.eval_labels is None:
         return None
-    losses, accs = [], []
+    # Group members share one aggregated model object: evaluate it once.
+    scores: dict[int, tuple[float, float]] = {}
     for client in clients:
-        loss, acc = evaluate(client.model, state.eval_frames, state.eval_labels)
-        losses.append(loss)
-        accs.append(acc)
+        if id(client.model) not in scores:
+            scores[id(client.model)] = evaluate(client.model, state.eval_frames,
+                                                state.eval_labels)
+    losses, accs = zip(*(scores[id(client.model)] for client in clients))
     return RoundRecord(round=state.round, mode=cfg.mode,
                        group_size=cfg.group_size,
                        accuracy=float(np.mean(accs)),

@@ -4,6 +4,21 @@ The feature pipeline is: pre-emphasis -> Hamming window -> magnitude
 spectrum -> mel filterbank -> log (floored) -> DCT-II, keeping cepstral
 coefficients 1..12. Coefficient 0 carries frame energy and is dropped;
 energy handling lives in the silence module.
+
+Memory does not grow with audio length beyond the outputs. `frame_signal`
+returns a read-only strided view of the samples, not a frame matrix, and
+every spectral pass (`spectrum_chunks`, used here and by the silence
+module) walks the frames in chunks through work buffers that each call
+allocates once and overwrites with `out=` for every chunk. A chunk holds
+CHUNK_FRAMES frames; the last one also takes the remainder, so that no
+chunk is a small matrix unless the whole input is: BLAS multiplies small
+matrices with other kernels, whose rounding differs. The results are then
+bit-identical to one pass over the whole frame matrix. Holding the
+buffers for a whole call also keeps the number of large allocations, and
+with them page faults, independent of the audio length. Since no large
+block is freed here, glibc's dynamic mmap threshold is left at its
+default; code that runs later must not count on a frontend pass having
+raised it (identifier training keeps its own workspace for that reason).
 """
 
 from __future__ import annotations
@@ -14,11 +29,16 @@ import wave
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 
 from .errors import InvalidConfig, MalformedWav, SignalTooShort, UnsupportedEncoding
 
 PCM16_FULL_SCALE = 32768.0
+
+# Frames per chunk of every spectral pass (the last chunk holds up to twice
+# as many, see above).
+CHUNK_FRAMES = 256
 
 
 @dataclass(frozen=True)
@@ -38,7 +58,7 @@ class AudioSignal:
 class FrameSequence:
     """Fixed-length sample windows; frame i starts at i * hop_samples."""
 
-    frames: np.ndarray          # shape (num_frames, frame_len_samples)
+    frames: np.ndarray          # shape (num_frames, frame_len_samples); may be a view
     frame_len_samples: int
     hop_samples: int
     sample_rate_hz: int
@@ -154,16 +174,17 @@ def save_wav(path, signal: AudioSignal) -> None:
 
 
 def frame_signal(signal: AudioSignal, cfg: MfccConfig) -> FrameSequence:
-    """Slice the signal into fixed frames; a trailing partial frame is dropped."""
+    """Slice the signal into fixed frames; a trailing partial frame is dropped.
+
+    The frames are a read-only strided view of the samples: no copy is made.
+    """
     frame_len = cfg.frame_len(signal.sample_rate_hz)
     hop = cfg.hop_len(signal.sample_rate_hz)
     n = len(signal.samples)
     if n < frame_len:
         raise SignalTooShort(f"{n} samples < one {frame_len}-sample frame")
-    num_frames = (n - frame_len) // hop + 1
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(num_frames)[:, None]
     return FrameSequence(
-        frames=signal.samples[idx],
+        frames=sliding_window_view(signal.samples, frame_len)[::hop],
         frame_len_samples=frame_len,
         hop_samples=hop,
         sample_rate_hz=signal.sample_rate_hz,
@@ -188,28 +209,65 @@ def mel_filterbank(num_filters: int, fft_size: int, sample_rate_hz: int) -> np.n
     return fb
 
 
+def chunk_bounds(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of each chunk of n frames; the last takes the remainder."""
+    cuts = list(range(0, n - CHUNK_FRAMES + 1, CHUNK_FRAMES)) or [0]
+    return list(zip(cuts, cuts[1:] + [n])) if n else []
+
+
+def spectrum_chunks(
+    frames: FrameSequence,
+    fft_size: int,
+    pre_emphasis: float = 0.0,
+    index: np.ndarray | None = None,
+):
+    """Magnitude spectra of Hamming-windowed frames, chunk by chunk.
+
+    Yields (start, mag) where row j of mag is |rfft| (n = fft_size) of frame
+    start + j, or of frame index[start + j] when an index is given. With
+    pre_emphasis > 0 each frame is first pre-emphasised, keeping its first
+    sample as-is. mag is a view of a buffer that the next chunk overwrites.
+    """
+    n = len(frames) if index is None else len(index)
+    bounds = chunk_bounds(n)
+    rows = max((stop - start for start, stop in bounds), default=0)
+    window = np.hamming(frames.frame_len_samples)
+    x = np.empty((rows, frames.frame_len_samples))
+    spectrum = np.empty((rows, fft_size // 2 + 1), dtype=np.complex128)
+    mag = np.empty((rows, fft_size // 2 + 1))
+    for start, stop in bounds:
+        xc = x[:stop - start]
+        if index is None:
+            block = frames.frames[start:stop]
+        else:   # not np.take: it would first copy a strided view whole
+            block = frames.frames[index[start:stop]]
+        if pre_emphasis > 0.0:
+            np.multiply(block[:, :-1], pre_emphasis, out=xc[:, 1:])
+            np.subtract(block[:, 1:], xc[:, 1:], out=xc[:, 1:])
+            xc[:, 0] = block[:, 0]
+            xc *= window
+        else:
+            np.multiply(block, window, out=xc)
+        sc = np.fft.rfft(xc, n=fft_size, axis=1, out=spectrum[:stop - start])
+        yield start, np.abs(sc, out=mag[:stop - start])
+
+
 def compute_mfcc(frames: FrameSequence, cfg: MfccConfig) -> FeatureMatrix:
     """Extract one MFCC row per frame (coefficients 1..num_coefficients)."""
     cfg.validate(frames.sample_rate_hz)
     fft_size = cfg.resolve_fft_size(frames.sample_rate_hz)
-
-    x = frames.frames
-    if cfg.pre_emphasis > 0.0:
-        # first sample of each frame is kept as-is
-        x = np.concatenate([x[:, :1], x[:, 1:] - cfg.pre_emphasis * x[:, :-1]], axis=1)
-    x = x * np.hamming(frames.frame_len_samples)
-
-    spectrum = np.abs(np.fft.rfft(x, n=fft_size, axis=1))
     fb = mel_filterbank(cfg.num_mel_filters, fft_size, frames.sample_rate_hz)
-    mel_energies = spectrum @ fb.T
-    log_mel = np.log(np.maximum(mel_energies, cfg.log_floor))
-    cepstra = dct(log_mel, type=2, axis=1, norm="ortho")
-    rows = cepstra[:, 1:cfg.num_coefficients + 1]
 
-    return FeatureMatrix(
-        rows=np.ascontiguousarray(rows),
-        frame_times_sec=frames.frame_onsets_sec(),
-    )
+    rows = np.empty((len(frames), cfg.num_coefficients))
+    mel = np.empty((min(2 * CHUNK_FRAMES - 1, len(frames)), cfg.num_mel_filters))
+    for start, spectrum in spectrum_chunks(frames, fft_size, cfg.pre_emphasis):
+        log_mel = np.matmul(spectrum, fb.T, out=mel[:len(spectrum)])
+        np.maximum(log_mel, cfg.log_floor, out=log_mel)
+        np.log(log_mel, out=log_mel)
+        cepstra = dct(log_mel, type=2, axis=1, norm="ortho")
+        rows[start:start + len(spectrum)] = cepstra[:, 1:cfg.num_coefficients + 1]
+
+    return FeatureMatrix(rows=rows, frame_times_sec=frames.frame_onsets_sec())
 
 
 def write_feature_csv(path, features: FeatureMatrix) -> None:

@@ -7,13 +7,15 @@ cluster as one candidate epoch, gated by the normalized cosine similarity
 between the cluster's embeddings and the banked embeddings of the predicted
 speaker.
 
-All math is numpy; weights are treated as immutable (updates return new
-arrays) so callers can hold references across rounds safely.
+All math is numpy; weights are treated as immutable (training updates
+copies it owns and returns them in a new ModelWeights) so callers can hold
+references across rounds safely.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,32 +212,109 @@ def _check_training_data(model: ModelWeights, frames, labels):
     return frames, labels.astype(np.int64)
 
 
+class _Workspace:
+    """Buffers for batched forward and backward passes, allocated once.
+
+    Sized for batches of up to `rows` frames; a shorter batch uses leading
+    row slices. Each pass writes every intermediate with `out=` or in place,
+    in the same operation order as the plain expressions (z = a @ w + b,
+    softmax, delta = (delta @ w.T) * (z > 0)), so the results are
+    bit-identical to them while a training step allocates only small index
+    arrays.
+
+    All buffers are views of one block. A single large block, once freed,
+    raises glibc's dynamic mmap and trim thresholds above its own size, so
+    the next call reuses heap pages. As many separate buffers, each under
+    the threshold, they would be trimmed and faulted in afresh on every
+    call unless earlier, unrelated code had happened to raise it.
+    """
+
+    def __init__(self, arch: ModelArch, rows: int):
+        hidden = [(rows, h) for h in arch.hidden_sizes]
+        sizes = arch.layer_sizes
+        weights = list(zip(sizes, sizes[1:]))
+        biases = [(o,) for o in sizes[1:]]
+        params = weights + biases
+        (x, logits, row_stat, self.pres, self.acts, self.deltas, self.masks,
+         self.grad_w, self.grad_b, scratch_a, scratch_b) = _carve(
+            [(rows, arch.input_dim)], [(rows, arch.num_classes)], [(rows, 1)],
+            hidden, hidden, hidden, hidden, weights, biases, params, params)
+        self.x, self.logits, self.row_stat = x[0], logits[0], row_stat[0]
+        self.scratch = list(zip(scratch_a, scratch_b))   # Adam temporaries per parameter
+        self.row_ids = np.arange(rows)
+
+    def gradients(self, weights, biases, x: np.ndarray, labels: np.ndarray):
+        """Mean cross-entropy gradients on (x, labels), in the grad buffers."""
+        n = x.shape[0]
+        a = x
+        for layer, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
+            z = np.matmul(a, w, out=self.pres[layer][:n])
+            z += b
+            a = np.maximum(z, 0.0, out=self.acts[layer][:n])
+        delta = np.matmul(a, weights[-1], out=self.logits[:n])
+        delta += biases[-1]
+
+        # softmax in place, then its cross-entropy gradient
+        delta -= np.max(delta, axis=-1, keepdims=True, out=self.row_stat[:n])
+        np.exp(delta, out=delta)
+        delta /= np.sum(delta, axis=-1, keepdims=True, out=self.row_stat[:n])
+        delta[self.row_ids[:n], labels] -= 1.0
+        delta /= n
+
+        for layer in range(len(weights) - 1, -1, -1):
+            a = self.acts[layer - 1][:n] if layer > 0 else x
+            np.matmul(a.T, delta, out=self.grad_w[layer])
+            np.sum(delta, axis=0, out=self.grad_b[layer])
+            if layer > 0:
+                prev = np.matmul(delta, weights[layer].T, out=self.deltas[layer - 1][:n])
+                # a 0/1 float mask multiplies exactly as a cast boolean one
+                prev *= np.greater(self.pres[layer - 1][:n], 0.0,
+                                   out=self.masks[layer - 1][:n])
+                delta = prev
+        return self.grad_w, self.grad_b
+
+
+def _carve(*groups) -> list[list[np.ndarray]]:
+    """Float64 arrays of the shapes in each group, as views of one block."""
+    counts = [[math.prod(shape) for shape in group] for group in groups]
+    block = np.empty(sum(map(sum, counts)))
+    out, start = [], 0
+    for group, group_counts in zip(groups, counts):
+        out.append([])
+        for shape, count in zip(group, group_counts):
+            out[-1].append(block[start:start + count].reshape(shape))
+            start += count
+    return out
+
+
 def gradients(model: ModelWeights, frames: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy gradients for every weight matrix and bias."""
     frames, labels = _check_training_data(model, frames, labels)
-    n = frames.shape[0]
-    acts, pres, logits = _forward_batch(model, frames)
-    probs = softmax(logits)
-    delta = probs
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
-
-    grad_w = [np.empty(0)] * len(model.weights)
-    grad_b = [np.empty(0)] * len(model.biases)
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grad_w[layer] = acts[layer].T @ delta
-        grad_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ model.weights[layer].T) * (pres[layer - 1] > 0.0)
-    return grad_w, grad_b
+    work = _Workspace(model.arch, frames.shape[0])
+    grad_w, grad_b = work.gradients(model.weights, model.biases, frames, labels)
+    # copies, so that holding the gradients does not hold the workspace
+    return [g.copy() for g in grad_w], [g.copy() for g in grad_b]
 
 
-def _adam_step(value, grad, m, v, step, lr):
-    m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-    v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1 ** step)
-    v_hat = v / (1.0 - ADAM_BETA2 ** step)
-    return value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+def _adam_step(value, grad, m, v, step, lr, t1, t2):
+    """Adam update of value, m and v in place; t1 and t2 are scratch.
+
+    Same operation order as m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    value - lr m_hat / (sqrt(v_hat) + eps).
+    """
+    m *= ADAM_BETA1
+    m += np.multiply(grad, 1.0 - ADAM_BETA1, out=t1)
+    v *= ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=t1)
+    t1 *= grad
+    v += t1
+    np.divide(m, 1.0 - ADAM_BETA1 ** step, out=t1)
+    t1 *= lr
+    np.divide(v, 1.0 - ADAM_BETA2 ** step, out=t2)
+    np.sqrt(t2, out=t2)
+    t2 += ADAM_EPS
+    t1 /= t2
+    value -= t1
 
 
 def train_local(
@@ -251,29 +330,31 @@ def train_local(
     """Adam on batched cross-entropy. Full-batch when batch_size is None.
 
     Batch order is shuffled only when an rng is supplied, so the default
-    call is bit-reproducible.
+    call is bit-reproducible. The parameters are updated in copies owned by
+    this call, and every per-step array lives in one workspace allocated up
+    front, so the number of allocations does not grow with steps.
     """
     frames, labels = _check_training_data(model, frames, labels)
+    frames = np.ascontiguousarray(frames)
     opt = opt or AdamState.for_model(model)
     n = frames.shape[0]
     if batch_size is None or batch_size >= n:
         batch_size = n
 
-    new_w = [w.copy() for w in model.weights]
-    new_b = [b.copy() for b in model.biases]
-    work = model
+    params = [p.copy() for p in (*model.weights, *model.biases)]
+    new_w, new_b = params[:len(model.weights)], params[len(model.weights):]
+    moments = list(zip(opt.m_w + opt.m_b, opt.v_w + opt.v_b))
+    work = _Workspace(model.arch, batch_size)
     for _ in range(epochs):
         order = rng.permutation(n) if rng is not None else np.arange(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            work = ModelWeights(model.arch, tuple(new_w), tuple(new_b), model.version)
-            grad_w, grad_b = gradients(work, frames[idx], labels[idx])
+            x = np.take(frames, idx, axis=0, out=work.x[:len(idx)], mode="clip")
+            grad_w, grad_b = work.gradients(new_w, new_b, x, labels[idx])
             opt.step += 1
-            for i in range(len(new_w)):
-                new_w[i] = _adam_step(new_w[i], grad_w[i], opt.m_w[i], opt.v_w[i],
-                                      opt.step, lr)
-                new_b[i] = _adam_step(new_b[i], grad_b[i], opt.m_b[i], opt.v_b[i],
-                                      opt.step, lr)
+            for p, g, (m, v), (t1, t2) in zip(params, grad_w + grad_b, moments,
+                                              work.scratch):
+                _adam_step(p, g, m, v, opt.step, lr, t1, t2)
     return model.bumped(new_w, new_b), opt
 
 

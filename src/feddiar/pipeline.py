@@ -98,6 +98,30 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
+def frontend_and_silence(
+    audio: AudioSignal,
+    cfg: PipelineConfig,
+) -> tuple[FeatureMatrix, list[QuasiSilenceRegion]]:
+    """MFCC features and quasi-silences of one recording.
+
+    Failures are raised as StageError of stage 'frontend' or 'silence'. The
+    frames are a view of the samples and every spectral pass is chunked, so
+    memory beyond the outputs does not grow with the audio length.
+    """
+    def frontend():
+        frames = frame_signal(audio, cfg.mfcc)
+        return frames, compute_mfcc(frames, cfg.mfcc)
+
+    frames, features = _stage("frontend", frontend)
+
+    def silence():
+        noise = estimate_noise_profile(frames, cfg.silence, cfg.mfcc)
+        energy = spectral_subtract(frames, noise, cfg.mfcc)
+        return detect_quasi_silences(energy, cfg.silence)
+
+    return features, _stage("silence", silence)
+
+
 def build_segments(
     features: FeatureMatrix,
     silences: list[QuasiSilenceRegion],
@@ -199,19 +223,7 @@ def run_pipeline(
 ) -> DiarizationResult:
     """Fixed-order diarization run; scoring only happens when truth is given."""
     counter = ComputeCounter()
-
-    def frontend_stage():
-        frames = frame_signal(audio, cfg.mfcc)
-        return frames, compute_mfcc(frames, cfg.mfcc)
-
-    frames, features = _stage("frontend", frontend_stage)
-
-    def silence_stage():
-        noise = estimate_noise_profile(frames, cfg.silence, cfg.mfcc)
-        energy = spectral_subtract(frames, noise, cfg.mfcc)
-        return detect_quasi_silences(energy, cfg.silence)
-
-    silences = _stage("silence", silence_stage)
+    features, silences = frontend_and_silence(audio, cfg)
 
     segmenter = segment_bic if cfg.seg.method == METHOD_BIC else segment_t2
     change_points = _stage("segmentation", segmenter, features, silences,
@@ -327,15 +339,7 @@ class SweepRow:
 
 def prepare_conversations(corpus, cfg: PipelineConfig):
     """Shared frontend/silence pass so every sweep cell sees identical inputs."""
-    prepared = []
-    for audio, truth in corpus:
-        frames = frame_signal(audio, cfg.mfcc)
-        features = compute_mfcc(frames, cfg.mfcc)
-        noise = estimate_noise_profile(frames, cfg.silence, cfg.mfcc)
-        energy = spectral_subtract(frames, noise, cfg.mfcc)
-        silences = detect_quasi_silences(energy, cfg.silence)
-        prepared.append((features, silences, truth))
-    return prepared
+    return [(*frontend_and_silence(audio, cfg), truth) for audio, truth in corpus]
 
 
 def sweep(

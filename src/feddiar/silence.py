@@ -3,6 +3,13 @@
 A quasi-silence is any sustained low-energy pause, whether or not it
 coincides with a speaker switch. Detected regions anchor the change-point
 search windows in the segmentation module.
+
+Spectra come from `frontend.spectrum_chunks`, CHUNK_FRAMES frames at a
+time through buffers allocated once per call, so memory stays flat in the
+audio length and results equal a whole-matrix pass bit for bit. The noise
+profile takes per-frame energies from one chunked pass and then
+recomputes the spectra of only the quietest noise_percentile of the
+frames; spectral subtraction is a second chunked pass.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, TooFewFrames
-from .frontend import FrameSequence, MfccConfig
+from .frontend import FrameSequence, MfccConfig, spectrum_chunks
 
 ENERGY_FLOOR = 1e-12
 
@@ -49,11 +56,6 @@ class QuasiSilenceRegion:
         return self.end_frame - self.start_frame + 1
 
 
-def _magnitude_spectra(frames: FrameSequence, fft_size: int) -> np.ndarray:
-    windowed = frames.frames * np.hamming(frames.frame_len_samples)
-    return np.abs(np.fft.rfft(windowed, n=fft_size, axis=1))
-
-
 def estimate_noise_profile(
     frames: FrameSequence,
     cfg: SilenceConfig,
@@ -64,13 +66,19 @@ def estimate_noise_profile(
         raise TooFewFrames(f"need >= {MIN_FRAMES_FOR_NOISE} frames, got {len(frames)}")
 
     fft_size = (mfcc_cfg or MfccConfig()).resolve_fft_size(frames.sample_rate_hz)
-    spectra = _magnitude_spectra(frames, fft_size)
-    energies = np.mean(spectra ** 2, axis=1)
+    energies = np.empty(len(frames))
+    for start, spectra in spectrum_chunks(frames, fft_size):
+        np.square(spectra, out=spectra)
+        np.mean(spectra, axis=1, out=energies[start:start + len(spectra)])
 
     k = max(1, int(np.floor(cfg.noise_percentile * len(frames))))
     quietest = np.argsort(energies, kind="stable")[:k]
-    profile = spectra[quietest].mean(axis=0)
-    return NoiseProfile(magnitude_spectrum_estimate=profile, frames_used=k)
+    # Summed row by row in `quietest` order, as a mean over axis 0 would be.
+    total = np.zeros(fft_size // 2 + 1)
+    for _, spectra in spectrum_chunks(frames, fft_size, index=quietest):
+        for row in spectra:
+            total += row
+    return NoiseProfile(magnitude_spectrum_estimate=total / k, frames_used=k)
 
 
 def spectral_subtract(
@@ -84,14 +92,17 @@ def spectral_subtract(
     magnitude of each frame.
     """
     fft_size = (mfcc_cfg or MfccConfig()).resolve_fft_size(frames.sample_rate_hz)
-    spectra = _magnitude_spectra(frames, fft_size)
-    if spectra.shape[1] != noise.magnitude_spectrum_estimate.shape[0]:
-        raise DimensionMismatch(
-            f"profile has {noise.magnitude_spectrum_estimate.shape[0]} bins, "
-            f"frames have {spectra.shape[1]}"
-        )
-    residual = np.maximum(spectra - noise.magnitude_spectrum_estimate, 0.0)
-    return np.mean(residual ** 2, axis=1)
+    profile = noise.magnitude_spectrum_estimate
+    bins = fft_size // 2 + 1
+    if profile.shape[0] != bins:
+        raise DimensionMismatch(f"profile has {profile.shape[0]} bins, frames have {bins}")
+    energy = np.empty(len(frames))
+    for start, spectra in spectrum_chunks(frames, fft_size):
+        np.subtract(spectra, profile, out=spectra)
+        np.maximum(spectra, 0.0, out=spectra)
+        np.square(spectra, out=spectra)
+        np.mean(spectra, axis=1, out=energy[start:start + len(spectra)])
+    return energy
 
 
 def detect_quasi_silences(energy_track: np.ndarray, cfg: SilenceConfig) -> list[QuasiSilenceRegion]:
@@ -113,20 +124,17 @@ def detect_quasi_silences(energy_track: np.ndarray, cfg: SilenceConfig) -> list[
         snr_db = 10.0 * np.log10(peak / np.maximum(energy, ENERGY_FLOOR))
         silent = snr_db >= cfg.threshold_db
 
+    # Edges of the silent runs: starts at even, (exclusive) ends at odd positions.
+    edges = np.flatnonzero(np.diff(silent, prepend=False, append=False))
     regions: list[QuasiSilenceRegion] = []
-    start = None
-    for i, flag in enumerate(np.append(silent, False)):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            if i - start >= cfg.min_region_frames:
-                mean_e = float(np.mean(energy[start:i]))
-                regions.append(QuasiSilenceRegion(
-                    start_frame=start,
-                    end_frame=i - 1,
-                    mean_energy_db=10.0 * np.log10(max(mean_e, ENERGY_FLOOR)),
-                ))
-            start = None
+    for start, stop in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        if stop - start >= cfg.min_region_frames:
+            mean_e = float(np.mean(energy[start:stop]))
+            regions.append(QuasiSilenceRegion(
+                start_frame=start,
+                end_frame=stop - 1,
+                mean_energy_db=10.0 * np.log10(max(mean_e, ENERGY_FLOOR)),
+            ))
     return regions
 
 

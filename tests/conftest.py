@@ -6,8 +6,7 @@ slowest part of the suite.
 import numpy as np
 import pytest
 
-from feddiar.frontend import MfccConfig, compute_mfcc, frame_signal
-from feddiar.silence import SilenceConfig, detect_quasi_silences, estimate_noise_profile, spectral_subtract
+from feddiar.pipeline import PipelineConfig, frontend_and_silence
 from feddiar.synth import random_conversation_spec, synth_conversation
 
 
@@ -21,14 +20,7 @@ def small_conv():
 @pytest.fixture(scope="session")
 def small_conv_frontend(small_conv):
     audio, _ = small_conv
-    mfcc_cfg = MfccConfig()
-    frames = frame_signal(audio, mfcc_cfg)
-    features = compute_mfcc(frames, mfcc_cfg)
-    silence_cfg = SilenceConfig()
-    noise = estimate_noise_profile(frames, silence_cfg, mfcc_cfg)
-    energy = spectral_subtract(frames, noise, mfcc_cfg)
-    silences = detect_quasi_silences(energy, silence_cfg)
-    return features, silences
+    return frontend_and_silence(audio, PipelineConfig())
 
 
 @pytest.fixture

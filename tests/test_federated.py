@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from feddiar import federated
 from feddiar.errors import ArchMismatch, BadGroupSize, InsufficientData, TooManyClients
 from feddiar.federated import (
     FederatedConfig,
@@ -234,3 +235,36 @@ def test_experiment_deterministic() -> None:
         for w1, w2 in zip(c1.model.weights, c2.model.weights):
             assert np.array_equal(w1, w2)
     assert [r.accuracy for r in o1.history] == [r.accuracy for r in o2.history]
+
+
+@pytest.mark.parametrize("mode, num_clients, group_size", [
+    ("non_iid", 4, 2),
+    ("iid", 3, 2),          # clients of uneven size, all in one group
+    ("iid", 3, 1),
+    ("centralized", 1, 1),
+])
+def test_history_equals_per_client_evaluation(monkeypatch, mode, num_clients, group_size) -> None:
+    corpus = small_corpus()
+    cfg = FederatedConfig(num_clients=num_clients, group_size=group_size, rounds=3,
+                          local_epochs=2, lr0=0.1, mode=mode)
+    state = build_network(corpus, cfg, ModelArch(12, (16,), 4), seed=2)
+    if mode == "iid":
+        assert len({c.n_i for c in state.clients}) > 1
+    calls = []
+
+    def counted_evaluate(model, frames, labels):
+        calls.append(model)
+        return evaluate(model, frames, labels)
+
+    monkeypatch.setattr(federated, "evaluate", counted_evaluate)
+    for _ in range(cfg.rounds):
+        calls.clear()
+        state = run_round(state, cfg, seed=2)
+        per_client = [evaluate(c.model, state.eval_frames, state.eval_labels)
+                      for c in state.clients]
+        record = state.history[-1]
+        assert record.loss == float(np.mean([loss for loss, _ in per_client]))
+        assert record.accuracy == float(np.mean([acc for _, acc in per_client]))
+        # one evaluation per group model
+        assert len(calls) == len({id(c.model) for c in state.clients})
+        assert len(calls) == num_clients // group_size

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
+from scipy.fft import dct
+
 from feddiar.errors import MalformedWav, SignalTooShort, UnsupportedEncoding
 from feddiar.frontend import (
+    CHUNK_FRAMES,
     AudioSignal,
+    FeatureMatrix,
+    FrameSequence,
     MfccConfig,
+    chunk_bounds,
     compute_mfcc,
     frame_signal,
     load_wav,
@@ -152,3 +158,89 @@ def test_feature_csv_header(tmp_path) -> None:
     lines = path.read_text().splitlines()
     assert lines[0] == "time_sec," + ",".join(f"c{i}" for i in range(1, 13))
     assert len(lines) == len(feats) + 1
+
+
+# -- chunked passes against the whole-matrix oracle --------------------------
+
+# Frame counts around the chunk size, including a short remainder that the
+# last chunk takes over.
+CHUNK_EDGE_COUNTS = (1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1,
+                     2 * CHUNK_FRAMES + 40, 3 * CHUNK_FRAMES + 7)
+
+
+def reference_frame_signal(signal: AudioSignal, cfg: MfccConfig) -> FrameSequence:
+    """The materialised frame matrix: one gathered copy of every frame."""
+    frame_len = cfg.frame_len(signal.sample_rate_hz)
+    hop = cfg.hop_len(signal.sample_rate_hz)
+    num_frames = (len(signal.samples) - frame_len) // hop + 1
+    idx = np.arange(frame_len)[None, :] + hop * np.arange(num_frames)[:, None]
+    return FrameSequence(signal.samples[idx], frame_len, hop, signal.sample_rate_hz)
+
+
+def reference_compute_mfcc(frames: FrameSequence, cfg: MfccConfig) -> FeatureMatrix:
+    """MFCC in one pass over the whole frame matrix."""
+    fft_size = cfg.resolve_fft_size(frames.sample_rate_hz)
+    x = frames.frames
+    if cfg.pre_emphasis > 0.0:
+        x = np.concatenate([x[:, :1], x[:, 1:] - cfg.pre_emphasis * x[:, :-1]], axis=1)
+    x = x * np.hamming(frames.frame_len_samples)
+    spectrum = np.abs(np.fft.rfft(x, n=fft_size, axis=1))
+    fb = mel_filterbank(cfg.num_mel_filters, fft_size, frames.sample_rate_hz)
+    log_mel = np.log(np.maximum(spectrum @ fb.T, cfg.log_floor))
+    rows = dct(log_mel, type=2, axis=1, norm="ortho")[:, 1:cfg.num_coefficients + 1]
+    return FeatureMatrix(rows=np.ascontiguousarray(rows),
+                         frame_times_sec=frames.frame_onsets_sec())
+
+
+def bursty_signal(num_frames: int, seed: int = 0, sr: int = 16000) -> AudioSignal:
+    """Noise whose loudness changes every 10 ms, with near-silent stretches."""
+    rng = np.random.default_rng(seed)
+    n = 400 + 160 * (num_frames - 1) + int(rng.integers(0, 160))
+    envelope = np.repeat(rng.uniform(0.0, 1.0, size=n // 160 + 1) ** 4, 160)[:n]
+    return AudioSignal(rng.standard_normal(n) * envelope, sr)
+
+
+def assert_bits_equal(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def test_chunk_bounds_cover_frames_in_order() -> None:
+    for n in (0, *CHUNK_EDGE_COUNTS, 4 * CHUNK_FRAMES):
+        bounds = chunk_bounds(n)
+        assert [a for a, _ in bounds[1:]] == [b for _, b in bounds[:-1]]
+        if n:
+            assert bounds[0][0] == 0 and bounds[-1][1] == n
+            assert all(min(n, CHUNK_FRAMES) <= b - a < 2 * CHUNK_FRAMES for a, b in bounds)
+
+
+@pytest.mark.parametrize("num_frames", CHUNK_EDGE_COUNTS)
+def test_frame_signal_is_read_only_view_of_gathered_frames(num_frames) -> None:
+    cfg = MfccConfig()
+    sig = bursty_signal(num_frames)
+    frames = frame_signal(sig, cfg)
+    assert len(frames) == num_frames
+    assert np.shares_memory(frames.frames, sig.samples)
+    assert not frames.frames.flags.writeable
+    assert_bits_equal(np.ascontiguousarray(frames.frames),
+                      reference_frame_signal(sig, cfg).frames)
+
+
+@pytest.mark.parametrize("pre_emphasis", [0.0, 0.97])
+@pytest.mark.parametrize("num_frames", CHUNK_EDGE_COUNTS)
+def test_chunked_mfcc_bit_equal_to_whole_matrix(num_frames, pre_emphasis) -> None:
+    cfg = MfccConfig(pre_emphasis=pre_emphasis)
+    sig = bursty_signal(num_frames, seed=num_frames)
+    got = compute_mfcc(frame_signal(sig, cfg), cfg)
+    want = reference_compute_mfcc(reference_frame_signal(sig, cfg), cfg)
+    assert_bits_equal(got.rows, want.rows)
+    assert_bits_equal(got.frame_times_sec, want.frame_times_sec)
+
+
+@pytest.mark.parametrize("pre_emphasis", [0.0, 0.97])
+def test_chunked_mfcc_bit_equal_on_dense_frame_sequence(pre_emphasis) -> None:
+    rng = np.random.default_rng(8)
+    frames = FrameSequence(rng.standard_normal((3 * CHUNK_FRAMES + 7, 400)), 400, 160, 16000)
+    cfg = MfccConfig(pre_emphasis=pre_emphasis)
+    assert_bits_equal(compute_mfcc(frames, cfg).rows,
+                      reference_compute_mfcc(frames, cfg).rows)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,9 @@ from feddiar.errors import (
     ZeroNormEmbedding,
 )
 from feddiar.identifier import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     Embedding,
     EmbeddingBank,
@@ -284,3 +289,122 @@ def test_adam_state_shapes() -> None:
     assert opt.step == 0
     assert [m.shape for m in opt.m_w] == [w.shape for w in model.weights]
     assert [v.shape for v in opt.v_b] == [b.shape for b in model.biases]
+
+
+# -- allocation-stable training against the allocating oracle ---------------
+
+def reference_forward_batch(model: ModelWeights, x: np.ndarray):
+    acts, pres, a = [x], [], x
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        z = a @ w + b
+        pres.append(z)
+        a = np.maximum(z, 0.0)
+        acts.append(a)
+    return acts, pres, a @ model.weights[-1] + model.biases[-1]
+
+
+def reference_gradients(model: ModelWeights, frames: np.ndarray, labels: np.ndarray):
+    """Backprop with fresh arrays for every intermediate."""
+    n = frames.shape[0]
+    acts, pres, logits = reference_forward_batch(model, frames)
+    delta = softmax(logits)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    grad_w = [np.empty(0)] * len(model.weights)
+    grad_b = [np.empty(0)] * len(model.biases)
+    for layer in range(len(model.weights) - 1, -1, -1):
+        grad_w[layer] = acts[layer].T @ delta
+        grad_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ model.weights[layer].T) * (pres[layer - 1] > 0.0)
+    return grad_w, grad_b
+
+
+def reference_adam_step(value, grad, m, v, step, lr):
+    m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** step)
+    v_hat = v / (1.0 - ADAM_BETA2 ** step)
+    return value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def reference_train_local(model, frames, labels, opt, lr, epochs, batch_size=None, rng=None):
+    """Adam training that builds new parameter arrays at every step."""
+    n = frames.shape[0]
+    if batch_size is None or batch_size >= n:
+        batch_size = n
+    new_w, new_b = list(model.weights), list(model.biases)
+    for _ in range(epochs):
+        order = rng.permutation(n) if rng is not None else np.arange(n)
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            work = ModelWeights(model.arch, tuple(new_w), tuple(new_b))
+            grad_w, grad_b = reference_gradients(work, frames[idx], labels[idx])
+            opt.step += 1
+            for i in range(len(new_w)):
+                new_w[i] = reference_adam_step(new_w[i], grad_w[i], opt.m_w[i], opt.v_w[i],
+                                               opt.step, lr)
+                new_b[i] = reference_adam_step(new_b[i], grad_b[i], opt.m_b[i], opt.v_b[i],
+                                               opt.step, lr)
+    return model.bumped(new_w, new_b), opt
+
+
+def assert_arrays_bit_equal(got, want) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def multi_class_data(n, arch, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, arch.num_classes, size=n)
+    frames = rng.standard_normal((n, arch.input_dim)) + labels[:, None]
+    return frames, labels
+
+
+@pytest.mark.parametrize("hidden", [(8,), (64, 64), (16, 12, 8)])
+def test_gradients_bit_equal_to_reference(hidden) -> None:
+    arch = ModelArch(12, hidden, 4)
+    model = init_model(arch, seed=21)
+    frames, labels = multi_class_data(37, arch, seed=22)
+    assert_arrays_bit_equal(sum(gradients(model, frames, labels), []),
+                            sum(reference_gradients(model, frames, labels), []))
+
+
+@pytest.mark.parametrize("n, batch_size, shuffle", [
+    (90, None, False),     # full batch
+    (50, 16, False),       # three batches of 16 and a last batch of 2
+    (50, 16, True),
+    (1, None, False),
+])
+@pytest.mark.parametrize("hidden", [(8,), (64, 64)])
+def test_train_local_bit_equal_to_reference(n, batch_size, shuffle, hidden) -> None:
+    arch = ModelArch(12, hidden, 3)
+    model = init_model(arch, seed=23)
+    frames, labels = multi_class_data(n, arch, seed=24)
+    # start from a non-fresh optimizer state, as in federated rounds
+    warm_model, warm_opt = train_local(model, frames, labels, lr=0.05, epochs=1)
+    ref_opt = copy.deepcopy(warm_opt)
+
+    got, opt = train_local(warm_model, frames, labels, opt=warm_opt, lr=0.05, epochs=3,
+                           batch_size=batch_size,
+                           rng=np.random.default_rng(25) if shuffle else None)
+    want, want_opt = reference_train_local(warm_model, frames, labels, ref_opt, lr=0.05,
+                                           epochs=3, batch_size=batch_size,
+                                           rng=np.random.default_rng(25) if shuffle else None)
+    assert_arrays_bit_equal(got.weights + got.biases, want.weights + want.biases)
+    assert opt.step == want_opt.step
+    for name in ("m_w", "v_w", "m_b", "v_b"):
+        assert_arrays_bit_equal(getattr(opt, name), getattr(want_opt, name))
+    assert got.version == want.version
+
+
+def test_train_local_leaves_input_model_untouched() -> None:
+    arch = ModelArch(12, (8,), 2)
+    model = init_model(arch, seed=26)
+    before = [p.copy() for p in model.weights + model.biases]
+    frames, labels = two_blob_data(n_per=10, seed=26)
+    trained, _ = train_local(model, frames, labels, lr=0.1, epochs=2, batch_size=7)
+    assert_arrays_bit_equal(model.weights + model.biases, before)
+    for p in trained.weights + trained.biases:
+        assert not any(np.shares_memory(p, q) for q in model.weights + model.biases)

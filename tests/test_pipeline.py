@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from feddiar.pipeline import (
     PipelineConfig,
     build_segments,
     export_rttm,
+    frontend_and_silence,
     parse_rttm,
     prepare_conversations,
     report_json,
@@ -153,6 +155,43 @@ def test_stage_error_names_failing_stage() -> None:
     with pytest.raises(StageError) as err:
         run_pipeline(audio, PipelineConfig())
     assert err.value.stage == "frontend"
+
+
+def test_frontend_and_silence_names_failing_stage() -> None:
+    with pytest.raises(StageError) as err:
+        frontend_and_silence(AudioSignal(np.zeros(100), 16000), PipelineConfig())
+    assert err.value.stage == "frontend"
+    with pytest.raises(StageError) as err:   # 9 frames: too few for a noise profile
+        frontend_and_silence(AudioSignal(np.zeros(400 + 8 * 160), 16000), PipelineConfig())
+    assert err.value.stage == "silence"
+
+
+def traced_peak_and_outputs(seconds: float) -> tuple[int, int]:
+    """(peak traced bytes of frontend_and_silence, bytes of its outputs)."""
+    rng = np.random.default_rng(0)
+    n = int(seconds * 16000)
+    loudness = np.repeat(rng.uniform(0.0, 1.0, size=n // 1600 + 1) ** 4, 1600)[:n]
+    audio = AudioSignal(rng.standard_normal(n) * loudness, 16000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        features, silences = frontend_and_silence(audio, PipelineConfig())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert silences
+    return peak, features.rows.nbytes + features.frame_times_sec.nbytes
+
+
+def test_frontend_and_silence_memory_bounded_in_audio_length() -> None:
+    # A frames x frame_len matrix would be 19 MB at 60 s and 77 MB at 240 s;
+    # one full magnitude spectrum 12 and 49 MB. The chunk buffers take ~5 MB.
+    peak_short, out_short = traced_peak_and_outputs(60.0)
+    peak_long, out_long = traced_peak_and_outputs(240.0)
+    assert peak_short - out_short < 8e6
+    assert peak_long - out_long < 8e6
+    # what grows beyond the outputs is a few per-frame vectors (8 bytes each)
+    assert peak_long - peak_short < out_long - out_short + 1e6
 
 
 def test_rttm_export_hand_case(tmp_path) -> None:

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_frontend import (
+    CHUNK_EDGE_COUNTS,
+    assert_bits_equal,
+    bursty_signal,
+    reference_frame_signal,
+)
 
 from feddiar.errors import DimensionMismatch, TooFewFrames
-from feddiar.frontend import AudioSignal, FrameSequence, MfccConfig, frame_signal
+from feddiar.frontend import CHUNK_FRAMES, AudioSignal, FrameSequence, MfccConfig, frame_signal
 from feddiar.silence import (
+    ENERGY_FLOOR,
     NoiseProfile,
+    QuasiSilenceRegion,
     SilenceConfig,
     detect_quasi_silences,
     estimate_noise_profile,
@@ -110,3 +120,98 @@ def test_region_csv(tmp_path) -> None:
     start, end, _ = lines[1].split(",")
     assert float(start) == pytest.approx(0.20)
     assert float(end) == pytest.approx(0.35)
+
+
+# -- chunked passes and vectorised run finding against the old code ---------
+
+def reference_magnitude_spectra(frames: FrameSequence, fft_size: int) -> np.ndarray:
+    windowed = frames.frames * np.hamming(frames.frame_len_samples)
+    return np.abs(np.fft.rfft(windowed, n=fft_size, axis=1))
+
+
+def reference_noise_profile(frames: FrameSequence, cfg: SilenceConfig) -> NoiseProfile:
+    """Noise profile from the full (frames x bins) spectra."""
+    spectra = reference_magnitude_spectra(frames, MfccConfig().resolve_fft_size(16000))
+    energies = np.mean(spectra ** 2, axis=1)
+    k = max(1, int(np.floor(cfg.noise_percentile * len(frames))))
+    quietest = np.argsort(energies, kind="stable")[:k]
+    return NoiseProfile(spectra[quietest].mean(axis=0), k)
+
+
+def reference_spectral_subtract(frames: FrameSequence, noise: NoiseProfile) -> np.ndarray:
+    spectra = reference_magnitude_spectra(frames, MfccConfig().resolve_fft_size(16000))
+    residual = np.maximum(spectra - noise.magnitude_spectrum_estimate, 0.0)
+    return np.mean(residual ** 2, axis=1)
+
+
+def reference_detect_quasi_silences(energy_track, cfg: SilenceConfig):
+    """Run finding by a Python loop over every frame."""
+    energy = np.asarray(energy_track, dtype=np.float64)
+    peak = np.percentile(energy, 95.0)
+    if peak <= ENERGY_FLOOR:
+        silent = np.ones(energy.size, dtype=bool)
+    else:
+        snr_db = 10.0 * np.log10(peak / np.maximum(energy, ENERGY_FLOOR))
+        silent = snr_db >= cfg.threshold_db
+    regions = []
+    start = None
+    for i, flag in enumerate(np.append(silent, False)):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            if i - start >= cfg.min_region_frames:
+                mean_e = float(np.mean(energy[start:i]))
+                regions.append(QuasiSilenceRegion(
+                    start_frame=start,
+                    end_frame=i - 1,
+                    mean_energy_db=10.0 * np.log10(max(mean_e, ENERGY_FLOOR)),
+                ))
+            start = None
+    return regions
+
+
+def check_silence_stage_bit_equal(chunked: FrameSequence, dense: FrameSequence,
+                                  cfg: SilenceConfig = SilenceConfig()) -> None:
+    noise = estimate_noise_profile(chunked, cfg)
+    want_noise = reference_noise_profile(dense, cfg)
+    assert noise.frames_used == want_noise.frames_used
+    assert_bits_equal(noise.magnitude_spectrum_estimate, want_noise.magnitude_spectrum_estimate)
+    energy = spectral_subtract(chunked, noise)
+    assert_bits_equal(energy, reference_spectral_subtract(dense, want_noise))
+    assert detect_quasi_silences(energy, cfg) == reference_detect_quasi_silences(energy, cfg)
+
+
+@pytest.mark.parametrize("num_frames", [n for n in CHUNK_EDGE_COUNTS if n >= 10])
+def test_chunked_silence_stage_bit_equal_to_whole_matrix(num_frames) -> None:
+    sig = bursty_signal(num_frames, seed=num_frames)
+    check_silence_stage_bit_equal(frame_signal(sig, MfccConfig()),
+                                  reference_frame_signal(sig, MfccConfig()))
+
+
+@pytest.mark.parametrize("noise_percentile", [0.1, 0.9])   # 0.9: quietest in 2 chunks
+def test_chunked_silence_stage_bit_equal_on_dense_frame_sequence(noise_percentile) -> None:
+    rng = np.random.default_rng(9)
+    loudness = rng.uniform(0.0, 1.0, size=(3 * CHUNK_FRAMES + 7, 1)) ** 4
+    frames = FrameSequence(rng.standard_normal((3 * CHUNK_FRAMES + 7, 400)) * loudness,
+                           400, 160, 16000)
+    check_silence_stage_bit_equal(frames, frames,
+                                  SilenceConfig(noise_percentile=noise_percentile))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    runs=st.lists(st.tuples(st.booleans(), st.integers(1, 30)), min_size=1, max_size=30),
+    seed=st.integers(0, 2**32 - 1),
+    min_region_frames=st.integers(1, 15),
+    threshold_db=st.sampled_from([10.0, 40.0, 60.0]),
+)
+def test_vectorised_run_finding_matches_loop(runs, seed, min_region_frames, threshold_db) -> None:
+    rng = np.random.default_rng(seed)
+    quiet = np.concatenate([np.full(length, flag) for flag, length in runs])
+    # loud frames near 1, quiet ones spread over many decades around the threshold
+    energy = np.where(quiet, 10.0 ** rng.uniform(-12.0, -2.0, quiet.size),
+                      rng.uniform(0.5, 2.0, quiet.size))
+    if rng.random() < 0.1:
+        energy[:] = 0.0
+    cfg = SilenceConfig(threshold_db=threshold_db, min_region_frames=min_region_frames)
+    assert detect_quasi_silences(energy, cfg) == reference_detect_quasi_silences(energy, cfg)
