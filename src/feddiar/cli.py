@@ -349,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--local-epochs", dest="local_epochs", type=int)
     p.add_argument("--lr0", type=float)
     p.add_argument("--lr-decay", dest="lr_decay", type=float)
+    p.add_argument("--hidden", help="hidden layer sizes, comma separated (64,64)")
     p.set_defaults(func=_cmd_fedsim)
 
     p = sub.add_parser("eval", help="score detected change points against truth")

@@ -10,19 +10,34 @@ different speakers:
   under the pooled covariance. Needs a single covariance fit, which is
   why it is the cheap pre-filter.
 
+A covariance fit is built on Cholesky factorisations (LAPACK dpotrf), not
+on an eigenvalue decomposition and an LU determinant: the ridge rule
+"smallest eigenvalue <= eps * trace / d" is tested as "C - (eps * trace / d)
+* I does not factor", and log|C| is 2 sum log diag(L) of the factor of the
+(ridged) covariance, -inf when it does not factor.
+
 A ComputeCounter tracks covariance fits and divergence evaluations so the
-relative cost of the two methods can be measured exactly. Clustering prices
-merges from sufficient statistics with stacked_log_det instead of calling
-the oracles, so its work is counted separately as merge cost evaluations.
+relative cost of the two methods can be measured exactly; one fit counts one
+covariance computation. Clustering prices merges from sufficient statistics
+with stacked_log_det instead of calling the oracles, so its work is counted
+separately as merge cost evaluations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
-from .errors import DimensionMismatch, InvalidConfig, SingularCovariance, WindowTooSmall
+from .errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    NonFiniteInput,
+    SingularCovariance,
+    WindowTooSmall,
+)
 
 DEFAULT_REGULARIZATION_EPS = 1e-6
 
@@ -99,6 +114,14 @@ def _as_window(rows) -> np.ndarray:
     return w
 
 
+def _cholesky_log_det(matrix: np.ndarray) -> float:
+    """log|matrix| as 2 sum log diag(L), or -inf if it does not factor."""
+    factor, info = dpotrf(matrix, lower=1, clean=0)
+    if info != 0:
+        return -np.inf
+    return 2.0 * float(np.log(factor.diagonal()).sum())
+
+
 def gaussian_fit(
     window,
     estimator: str = "mle",
@@ -107,9 +130,13 @@ def gaussian_fit(
 ) -> GaussianStats:
     """Fit mean and covariance to a window of shape (n, d).
 
-    Near-singular covariances get a ridge of (eps * trace / d) * I so the
-    log-determinant stays finite; a zero covariance (all rows equal) falls
-    back to eps * I. Counts one covariance computation.
+    A covariance whose smallest eigenvalue is at most eps * trace / d gets a
+    ridge of (eps * trace / d) * I so the log-determinant stays finite; a
+    zero covariance (all rows equal) falls back to eps * I. The eigenvalue
+    test is made as "C - (eps * trace / d) * I has no Cholesky factor", and
+    log|C| comes from the Cholesky factor of the (ridged) covariance, -inf
+    when it does not factor. Raises NonFiniteInput on NaN or inf rows.
+    Counts one covariance computation.
     """
     w = _as_window(window)
     n, d = w.shape
@@ -118,31 +145,36 @@ def gaussian_fit(
     if estimator not in ("mle", "unbiased"):
         raise ValueError(f"unknown estimator '{estimator}'")
 
-    mean = w.mean(axis=0)
+    # add.reduce / n is w.mean(axis=0) without its Python-level overhead
+    mean = np.add.reduce(w, axis=0) / n
     centered = w - mean
     divisor = n if estimator == "mle" else n - 1
     cov = (centered.T @ centered) / divisor
+    trace = float(cov.trace())
+    # a NaN or inf anywhere in the window reaches the diagonal through the centring
+    if not math.isfinite(trace):
+        raise NonFiniteInput("covariance fit of a window holding NaN or inf")
 
     regularized = False
     if regularization_eps > 0.0:
-        trace = float(np.trace(cov))
         # rounding dust from centering identical rows is O(eps_mach^2 * |x|^2)
         # per dimension; anything at that level is a zero variance, and the
-        # proportional ridge below would be dust too
-        dust = 1e-24 * max(float(np.mean(w * w)), 1e-30) * d
+        # proportional ridge below would be dust too. The mean square of the
+        # raw rows is (tr S + n |mean|^2) / (n d), S the centred scatter.
+        mean_sq = (trace * divisor + n * float(mean @ mean)) / (n * d)
+        dust = 1e-24 * max(mean_sq, 1e-30) * d
         if trace <= dust:
             cov = cov + regularization_eps * np.eye(d)
             regularized = True
         else:
-            # ridge when the smallest eigenvalue collapses relative to the mean one
-            min_eig = float(np.linalg.eigvalsh(cov)[0])
-            if min_eig <= regularization_eps * (trace / d):
-                cov = cov + (regularization_eps * trace / d) * np.eye(d)
+            # the smallest eigenvalue is at most the ridge exactly when
+            # C - ridge * I is not positive definite (dpotrf info != 0)
+            ridge = regularization_eps * trace / d
+            if dpotrf(cov - ridge * np.eye(d), lower=1, clean=0)[1] != 0:
+                cov = cov + ridge * np.eye(d)
                 regularized = True
 
-    sign, log_det = np.linalg.slogdet(cov)
-    if sign <= 0 or not np.isfinite(log_det):
-        log_det = -np.inf
+    log_det = _cholesky_log_det(cov)
 
     if counter is not None:
         counter.covariance_count += 1
@@ -150,11 +182,21 @@ def gaussian_fit(
     return GaussianStats(
         mean=mean,
         covariance=cov,
-        log_det=float(log_det),
+        log_det=log_det,
         n=n,
         estimator=estimator,
         regularized=regularized,
     )
+
+
+def _stacked_cholesky_log_det(stack: np.ndarray) -> np.ndarray:
+    """(k,) log-determinants of a (k, d, d) stack, -inf where one does not factor."""
+    try:
+        factor = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        # the batched factorisation fails as a whole: factor one at a time
+        return np.array([_cholesky_log_det(m) for m in stack])
+    return 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
 
 
 def stacked_log_det(
@@ -169,26 +211,31 @@ def stacked_log_det(
     the centred sum of outer products sum (x - mean)(x - mean)^T of each
     window. Applies gaussian_fit's ridge rule to every matrix of the stack,
     with the mean square of the raw rows recovered as
-    (tr S + n |mean|^2) / (n d), and returns the (k,) log-determinants
-    (-inf where the covariance is not positive definite). Counts nothing:
-    callers account for their own work.
+    (tr S + n |mean|^2) / (n d), and returns the (k,) log-determinants from
+    batched Cholesky factors (-inf where the covariance is not positive
+    definite). Raises NonFiniteInput when a mean or scatter trace is NaN or
+    inf. Counts nothing: callers account for their own work.
     """
     n = np.asarray(n, dtype=np.float64)
     d = scatter.shape[-1]
     cov = scatter / n[:, None, None]
+    trace = np.trace(cov, axis1=1, axis2=2)
+    mean_sq = ((np.trace(scatter, axis1=1, axis2=2)
+                + n * np.einsum("ki,ki->k", mean, mean)) / (n * d))
+    if not np.isfinite(mean_sq).all():
+        raise NonFiniteInput("sufficient statistics hold NaN or inf")
     if regularization_eps > 0.0:
-        trace = np.trace(cov, axis1=1, axis2=2)
-        mean_sq = ((np.trace(scatter, axis1=1, axis2=2)
-                    + n * np.einsum("ki,ki->k", mean, mean)) / (n * d))
-        dust = 1e-24 * np.maximum(mean_sq, 1e-30) * d
-        min_eig = np.linalg.eigvalsh(cov)[:, 0]
-        ridge = np.where(
-            trace <= dust, regularization_eps,
-            np.where(min_eig <= regularization_eps * (trace / d),
-                     regularization_eps * trace / d, 0.0))
-        cov = cov + ridge[:, None, None] * np.eye(d)
-    sign, log_det = np.linalg.slogdet(cov)
-    return np.where((sign > 0) & np.isfinite(log_det), log_det, -np.inf)
+        eye = np.eye(d)
+        zero_variance = trace <= 1e-24 * np.maximum(mean_sq, 1e-30) * d
+        ridge = np.where(zero_variance, regularization_eps, regularization_eps * trace / d)
+        # the smallest eigenvalue is above the proportional ridge exactly
+        # where C - ridge * I factors; those covariances are left as they are
+        clear = np.zeros(len(cov), dtype=bool)
+        test = ~zero_variance
+        clear[test] = np.isfinite(
+            _stacked_cholesky_log_det(cov[test] - ridge[test, None, None] * eye))
+        cov = cov + np.where(clear, 0.0, ridge)[:, None, None] * eye
+    return _stacked_cholesky_log_det(cov)
 
 
 def gaussian_log_likelihood(window, stats: GaussianStats) -> float:

@@ -47,6 +47,10 @@ class SingularCovariance(FeddiarError):
     """Covariance not invertible and regularization was disabled."""
 
 
+class NonFiniteInput(FeddiarError, ValueError):
+    """A window or its statistics hold NaN or inf."""
+
+
 # -- clustering -------------------------------------------------------------
 
 class NoSegments(FeddiarError):

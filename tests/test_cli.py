@@ -10,6 +10,7 @@ import pytest
 import feddiar
 from feddiar.cli import load_config_file, main
 from feddiar.frontend import AudioSignal, save_wav
+from feddiar.identifier import load_checkpoint
 
 
 def run_cli(*argv):
@@ -90,12 +91,12 @@ def test_load_config_file_parsing(tmp_path) -> None:
 def test_fedsim_writes_history_and_model(tmp_path, capsys) -> None:
     rc = run_cli("fedsim", "--out-dir", str(tmp_path), "--num-speakers", "3",
                  "--rounds", "2", "--local-epochs", "1", "--group-size", "3",
-                 "--seed", "0")
+                 "--hidden", "16,8", "--seed", "0")
     assert rc == 0
     lines = (tmp_path / "fed_history.csv").read_text().splitlines()
     assert lines[0] == "round,mode,group_size,accuracy,loss,lr"
     assert len(lines) == 3
-    assert (tmp_path / "fed_model.npz").exists()
+    assert load_checkpoint(tmp_path / "fed_model.npz").arch.hidden_sizes == (16, 8)
     assert "non_iid" in capsys.readouterr().out
 
 
@@ -178,6 +179,7 @@ BAD_INVOCATIONS = {
                                   "--config", "{root}/bad_value.cfg"],
     "hidden sizes not numbers": ["fedsim", "--rounds", "1",
                                  "--config", "{root}/bad_hidden.cfg"],
+    "hidden flag not numbers": ["fedsim", "--rounds", "1", "--hidden", "64,wide"],
 }
 
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from feddiar.divergence import (
@@ -11,7 +15,7 @@ from feddiar.divergence import (
     hotelling_t2,
     stacked_log_det,
 )
-from feddiar.errors import SingularCovariance, WindowTooSmall
+from feddiar.errors import FeddiarError, NonFiniteInput, SingularCovariance, WindowTooSmall
 
 
 def mle_loglik(window):
@@ -28,6 +32,183 @@ def reference_delta_bic(x, y, lambda_=1.0):
     delta_k = d + d * (d + 1) // 2
     penalty = 0.5 * lambda_ * delta_k * np.log(len(s))
     return mle_loglik(x) + mle_loglik(y) - mle_loglik(s) - penalty
+
+
+def reference_gaussian_fit(window, estimator="mle", regularization_eps=1e-6):
+    """The eigenvalue oracle: eigvalsh for the ridge test, slogdet for log|C|."""
+    w = np.asarray(window, dtype=np.float64)
+    n, d = w.shape
+    mean = w.mean(axis=0)
+    centered = w - mean
+    divisor = n if estimator == "mle" else n - 1
+    cov = (centered.T @ centered) / divisor
+    regularized = False
+    if regularization_eps > 0.0:
+        trace = float(np.trace(cov))
+        dust = 1e-24 * max(float(np.mean(w * w)), 1e-30) * d
+        if trace <= dust:
+            cov = cov + regularization_eps * np.eye(d)
+            regularized = True
+        else:
+            min_eig = float(np.linalg.eigvalsh(cov)[0])
+            if min_eig <= regularization_eps * (trace / d):
+                cov = cov + (regularization_eps * trace / d) * np.eye(d)
+                regularized = True
+    sign, log_det = np.linalg.slogdet(cov)
+    if sign <= 0 or not np.isfinite(log_det):
+        log_det = -np.inf
+    return mean, cov, float(log_det), regularized
+
+
+def log_det_tolerance(cov, log_det, regularized):
+    """How far two backward-stable log|C| may lie apart.
+
+    A ridged covariance carries null-space rounding of about 1e-10 of the
+    ridge per dimension, so it gets an absolute floor; otherwise the error
+    grows with the condition number on top of a relative 1e-12.
+    """
+    d = cov.shape[0]
+    if math.isinf(log_det):
+        return 0.0
+    if regularized:
+        return 1e-9 * d
+    eig = np.linalg.eigvalsh(cov)
+    return max(1e-12 * abs(log_det), 64 * d * np.finfo(float).eps * eig[-1] / eig[0])
+
+
+WINDOW_KINDS = ("plain", "rank_deficient", "constant_column", "all_equal",
+                "two_rows", "d_plus_one")
+# windows whose covariance is either well posed or exactly zero in some
+# direction, so that the unridged (eps = 0) oracle is not rounding noise
+UNRIDGED_KINDS = ("plain", "constant_column", "all_equal", "d_plus_one")
+
+
+def draw_window(rng, kind, d, exact_constants=False):
+    """A window of one kind; exact_constants uses integer fill values, whose
+    column means are exact, so constant directions have exactly zero variance."""
+    offset = rng.uniform(-5.0, 5.0, d)
+    fill = float(rng.integers(-8, 9)) if exact_constants else float(rng.uniform(-9.0, 9.0))
+    if kind == "plain":
+        n = int(rng.integers(d + 2, 4 * d + 40))
+        return rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d) + offset
+    if kind == "rank_deficient":
+        rank = int(rng.integers(1, d)) if d > 1 else 1
+        n = int(rng.integers(2, 3 * d + 20))
+        return rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d)) + offset
+    if kind == "constant_column":
+        w = rng.standard_normal((int(rng.integers(d + 2, 4 * d + 40)), d)) + offset
+        w[:, rng.integers(0, d)] = fill
+        return w
+    if kind == "all_equal":
+        return np.full((int(rng.integers(2, 40)), d), fill)
+    if kind == "two_rows":
+        return rng.standard_normal((2, d)) + offset
+    return rng.standard_normal((d + 1, d)) + offset
+
+
+def assert_log_det_close(got, want, cov, regularized):
+    if math.isinf(want) or math.isinf(got):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=0, abs=log_det_tolerance(cov, want, regularized))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from(WINDOW_KINDS),
+       st.integers(min_value=1, max_value=12), st.sampled_from(["mle", "unbiased"]),
+       st.sampled_from([1e-6, 0.0]))
+def test_fit_matches_eigenvalue_oracle(seed, kind, d, estimator, eps) -> None:
+    assume(eps > 0.0 or kind in UNRIDGED_KINDS)
+    w = draw_window(np.random.default_rng(seed), kind, d, exact_constants=eps == 0.0)
+    mean, cov, log_det, regularized = reference_gaussian_fit(w, estimator, eps)
+    got = gaussian_fit(w, estimator, eps)
+    assert np.array_equal(got.mean, mean)
+    assert np.array_equal(got.covariance, cov)
+    assert got.regularized == regularized
+    assert_log_det_close(got.log_det, log_det, cov, regularized)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.lists(st.sampled_from(WINDOW_KINDS), min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=12), st.sampled_from([1e-6, 0.0]))
+def test_stacked_log_det_matches_eigenvalue_oracle(seed, kinds, d, eps) -> None:
+    assume(eps > 0.0 or set(kinds) <= set(UNRIDGED_KINDS))
+    rng = np.random.default_rng(seed)
+    windows = [draw_window(rng, kind, d, exact_constants=eps == 0.0) for kind in kinds]
+    n = np.array([len(w) for w in windows])
+    mean = np.stack([w.mean(axis=0) for w in windows])
+    scatter = np.stack([(w - m).T @ (w - m) for w, m in zip(windows, mean)])
+    got = stacked_log_det(n, mean, scatter, eps)
+    for w, value in zip(windows, got):
+        _, cov, log_det, regularized = reference_gaussian_fit(w, "mle", eps)
+        assert_log_det_close(float(value), log_det, cov, regularized)
+
+
+def reference_divergences(x, y, eps):
+    """delta BIC and T^2 from the oracle fits, or the error they raise."""
+    s = np.vstack([x, y])
+    fits = [reference_gaussian_fit(w, "mle", eps) for w in (s, x, y)]
+    d = x.shape[1]
+    bic = (0.5 * len(s) * fits[0][2] - 0.5 * len(x) * fits[1][2] - 0.5 * len(y) * fits[2][2]
+           - 0.5 * (d + d * (d + 1) // 2) * np.log(len(s)))
+    bic_tol = sum(0.5 * len(w) * log_det_tolerance(f[1], f[2], f[3])
+                  for w, f in zip((s, x, y), fits))
+    _, pooled, pooled_log_det, _ = reference_gaussian_fit(s, "unbiased", eps)
+    if eps <= 0.0 and not np.isfinite(pooled_log_det):
+        return bic, bic_tol, SingularCovariance
+    diff = x.mean(axis=0) - y.mean(axis=0)
+    t2 = (len(x) * len(y) / len(s)) * float(diff @ np.linalg.solve(pooled, diff))
+    return bic, bic_tol, max(0.0, t2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from(WINDOW_KINDS),
+       st.sampled_from(WINDOW_KINDS), st.integers(min_value=1, max_value=12),
+       st.sampled_from([1e-6, 0.0]))
+def test_divergences_match_eigenvalue_oracle(seed, kind_x, kind_y, d, eps) -> None:
+    # two all-equal halves pool into a rank-one window, numerically singular
+    assume(eps > 0.0 or ({kind_x, kind_y} <= set(UNRIDGED_KINDS)
+                         and (kind_x, kind_y) != ("all_equal", "all_equal")))
+    rng = np.random.default_rng(seed)
+    x = draw_window(rng, kind_x, d, exact_constants=eps == 0.0)
+    y = draw_window(rng, kind_y, d, exact_constants=eps == 0.0)
+    bic, bic_tol, t2 = reference_divergences(x, y, eps)
+    got = delta_bic(x, y, BicConfig(regularization_eps=eps))
+    if math.isnan(bic) or math.isinf(bic):
+        assert got == bic or (math.isnan(got) and math.isnan(bic))
+    else:
+        assert got == pytest.approx(bic, rel=1e-12, abs=bic_tol)
+    if t2 is SingularCovariance:
+        with pytest.raises(SingularCovariance):
+            hotelling_t2(x, y, eps)
+    else:
+        # the pooled covariance is bit-equal, so is the solve against it
+        assert hotelling_t2(x, y, eps) == t2
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_raise(bad) -> None:
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((20, 3))
+    y = rng.standard_normal((20, 3))
+    y[7, 1] = bad
+    for eps in (1e-6, 0.0):
+        with pytest.raises(NonFiniteInput):
+            gaussian_fit(y, regularization_eps=eps)
+        with pytest.raises(NonFiniteInput):
+            delta_bic(x, y, BicConfig(regularization_eps=eps))
+        with pytest.raises(NonFiniteInput):
+            hotelling_t2(x, y, eps)
+    mean = np.stack([x.mean(axis=0), np.full(3, bad)])
+    scatter = np.stack([(x - mean[0]).T @ (x - mean[0]), np.eye(3)])
+    with pytest.raises(NonFiniteInput):
+        stacked_log_det(np.array([20, 20]), mean, scatter)
+    scatter[1, 2, 2] = bad
+    with pytest.raises(NonFiniteInput):
+        stacked_log_det(np.array([20, 20]), mean[[0, 0]], scatter)
+    assert issubclass(NonFiniteInput, FeddiarError) and issubclass(NonFiniteInput, ValueError)
 
 
 def test_fit_two_point_means_and_covariances() -> None:
