@@ -78,7 +78,7 @@ def _merge_opts(args: argparse.Namespace) -> dict:
     return opts
 
 
-def _get(opts: dict, key: str, cast, default):
+def _get(opts: dict, key: str, cast, default=None):
     value = opts.get(key)
     if value is None:
         return default
@@ -86,6 +86,18 @@ def _get(opts: dict, key: str, cast, default):
         return cast(value)
     except ValueError as exc:
         raise InvalidConfig(f"bad value for {key}: {value!r}") from exc
+
+
+def _given(opts: dict, **fields) -> dict:
+    """Keyword arguments for only the fields whose key the user set, so that
+    every other field keeps its library default. Each field maps to its
+    cast, or to (key, cast) where the option key differs from the name."""
+    out = {}
+    for name, spec in fields.items():
+        key, cast = spec if isinstance(spec, tuple) else (name, spec)
+        if key in opts:
+            out[name] = _get(opts, key, cast)
+    return out
 
 
 def _int_tuple(value) -> tuple[int, ...]:
@@ -102,30 +114,18 @@ def _load_truth(path):
 
 
 def _pipeline_config(opts: dict) -> PipelineConfig:
-    mfcc = MfccConfig(num_coefficients=_get(opts, "num_coefficients", int, 12))
-    silence = SilenceConfig(
-        threshold_db=_get(opts, "threshold_db", float, 60.0),
-        min_region_frames=_get(opts, "min_region_frames", int, 10),
-        noise_percentile=_get(opts, "noise_percentile", float, 0.1),
-    )
-    seg = SegConfig(
-        window_frames=_get(opts, "window_frames", int, 125),
-        stride_fraction=_get(opts, "stride_fraction", float, 0.6),
-        analysis_window_sec=_get(opts, "analysis_window_sec", float, 1.75),
-        slide_frames=_get(opts, "slide_frames", int, None),
-        grow_frames=_get(opts, "grow_frames", int, None),
-        method=_get(opts, "method", str, "t2"),
-        t2_threshold=_get(opts, "t2_threshold", float, None),
-    )
-    bic = BicConfig(
-        lambda_=_get(opts, "lambda", float, 1.0),
-        delta_k=_get(opts, "delta_k", int, None),
-    )
     return PipelineConfig(
-        mfcc=mfcc, silence=silence, seg=seg, bic=bic,
-        min_segment_frames=_get(opts, "min_seg_frames", int, 25),
-        collar_sec=_get(opts, "collar_sec", float, 0.5),
-        tau=_get(opts, "tau", float, 0.5),
+        mfcc=MfccConfig(**_given(opts, num_coefficients=int)),
+        silence=SilenceConfig(**_given(
+            opts, threshold_db=float, min_region_frames=int,
+            noise_percentile=float)),
+        seg=SegConfig(**_given(
+            opts, window_frames=int, stride_fraction=float,
+            analysis_window_sec=float, slide_frames=int, grow_frames=int,
+            method=str, t2_threshold=float)),
+        bic=BicConfig(**_given(opts, lambda_=("lambda", float), delta_k=int)),
+        **_given(opts, min_segment_frames=("min_seg_frames", int),
+                 collar_sec=float),
     )
 
 
@@ -139,13 +139,9 @@ def _out_dir(args) -> Path:
 def _cmd_synth(args) -> int:
     opts = _merge_opts(args)
     out = _out_dir(args)
-    spec = random_conversation_spec(
-        num_speakers=_get(opts, "num_speakers", int, 4),
-        seed=_get(opts, "seed", int, 0),
-        min_changes=_get(opts, "min_changes", int, 3),
-        max_changes=_get(opts, "max_changes", int, 20),
-        gap_sec=_get(opts, "gap_sec", float, 0.4),
-    )
+    spec = random_conversation_spec(**_given(
+        opts, num_speakers=int, seed=int, min_changes=int, max_changes=int,
+        gap_sec=float))
     audio, truth = synth_conversation(spec)
     prefix = args.prefix or "conversation"
     save_wav(out / f"{prefix}.wav", audio)
@@ -162,12 +158,12 @@ def _run(args, with_model: bool):
     truth = _load_truth(args.truth) if getattr(args, "truth", None) else None
     audio = load_wav(args.audio)
     model = load_checkpoint(args.model) if with_model and args.model else None
-    return audio, cfg, run_pipeline(audio, cfg, model=model, truth=truth)
+    return run_pipeline(audio, cfg, model=model, truth=truth)
 
 
 def _cmd_segment(args) -> int:
     out = _out_dir(args)
-    _, cfg, result = _run(args, with_model=False)
+    result = _run(args, with_model=False)
     write_change_point_csv(out / "change_points.csv", result.change_points)
     write_region_csv(out / "silences.csv", result.silences,
                      result.features.hop_sec)
@@ -178,7 +174,7 @@ def _cmd_segment(args) -> int:
 
 def _cmd_cluster(args) -> int:
     out = _out_dir(args)
-    _, cfg, result = _run(args, with_model=False)
+    result = _run(args, with_model=False)
     write_change_point_csv(out / "change_points.csv", result.change_points)
     write_cluster_csv(out / "clusters.csv", result.segments, result.clusters,
                       result.features.hop_sec)
@@ -189,7 +185,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_identify(args) -> int:
     out = _out_dir(args)
-    _, cfg, result = _run(args, with_model=True)
+    result = _run(args, with_model=True)
     with open(out / "labels.csv", "w") as fh:
         fh.write("cluster_id,speaker_id,confidence\n")
         for lab in result.labels:
@@ -201,7 +197,7 @@ def _cmd_identify(args) -> int:
 
 def _cmd_diarize(args) -> int:
     out = _out_dir(args)
-    _, cfg, result = _run(args, with_model=True)
+    result = _run(args, with_model=True)
     write_change_point_csv(out / "change_points.csv", result.change_points)
     write_cluster_csv(out / "clusters.csv", result.segments, result.clusters,
                       result.features.hop_sec)
@@ -234,24 +230,16 @@ def _cmd_fedsim(args) -> int:
     out = _out_dir(args)
     seed = _get(opts, "seed", int, 0)
     num_speakers = _get(opts, "num_speakers", int, 8)
-    mode = _get(opts, "mode", str, "non_iid")
     num_clients = _get(opts, "num_clients", int, num_speakers)
     group_size = _get(opts, "group_size", int, 2)
-    if mode == "centralized":
+    tuning = _given(opts, local_epochs=int, lr0=float, lr_decay=float, mode=str)
+    if tuning.get("mode") == "centralized":
         num_clients, group_size = 1, 1
-    cfg = FederatedConfig(
-        num_clients=num_clients,
-        group_size=group_size,
-        rounds=_get(opts, "rounds", int, 20),
-        local_epochs=_get(opts, "local_epochs", int, 1),
-        lr0=_get(opts, "lr0", float, 1.0),
-        lr_decay=_get(opts, "lr_decay", float, 0.9),
-        mode=mode,
-    )
+    cfg = FederatedConfig(num_clients=num_clients, group_size=group_size,
+                          rounds=_get(opts, "rounds", int, 20), **tuning)
     corpus = speaker_frame_corpus(num_speakers, seed)
-    arch = ModelArch(input_dim=12,
-                     hidden_sizes=_get(opts, "hidden", _int_tuple, (64, 64)),
-                     num_classes=num_speakers)
+    arch = ModelArch(num_classes=num_speakers,
+                     **_given(opts, hidden_sizes=("hidden", _int_tuple)))
     state = build_network(corpus, cfg, arch, seed)
     state = run_experiment(state, cfg, seed)
     write_history_csv(out / "fed_history.csv", state.history)
@@ -259,7 +247,7 @@ def _cmd_fedsim(args) -> int:
                       [c.n_i for c in state.clients])
     save_checkpoint(out / "fed_model.npz", final)
     last = state.history[-1]
-    print(f"{mode} g={cfg.group_size}: round {last.round} "
+    print(f"{cfg.mode} g={cfg.group_size}: round {last.round} "
           f"accuracy {last.accuracy:.3f} loss {last.loss:.3f}")
     return 0
 
@@ -273,7 +261,7 @@ def _cmd_eval(args) -> int:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidSpec(f"{args.detected} lacks numeric time_sec values") from exc
     match = match_change_points(truth.change_points_sec, sorted(detected),
-                                _get(opts, "collar_sec", float, 0.5))
+                                **_given(opts, collar_sec=float))
     seg = seg_scores(match)
     corpus = corpus_scores([match])
     payload = {"fdr": seg.fdr, "mdr": seg.mdr, "f_seg": seg.f_seg,
@@ -323,14 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identify", help="label clusters with a trained model")
     _add_common(p, audio=True)
     p.add_argument("--model", required=True, help="checkpoint from fedsim")
-    p.add_argument("--tau", type=float)
     p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser("diarize", help="full pipeline with JSON report")
     _add_common(p, audio=True)
     p.add_argument("--model", help="optional identifier checkpoint")
     p.add_argument("--truth", help="ground-truth json for scoring")
-    p.add_argument("--tau", type=float)
     p.set_defaults(func=_cmd_diarize)
 
     p = sub.add_parser("sweep", help="window/stride/method grid on synthetic corpus")

@@ -43,9 +43,8 @@ class Segment:
     def n_frames(self) -> int:
         return self.end_frame - self.start_frame
 
-    def bounds_sec(self, hop_sec: float, frame_offset_sec: float = 0.0) -> tuple[float, float]:
-        return (frame_offset_sec + self.start_frame * hop_sec,
-                frame_offset_sec + self.end_frame * hop_sec)
+    def bounds_sec(self, hop_sec: float) -> tuple[float, float]:
+        return self.start_frame * hop_sec, self.end_frame * hop_sec
 
 
 @dataclass(frozen=True)
@@ -177,12 +176,12 @@ def cluster_rows(segments: list[Segment], cluster: list[int]) -> np.ndarray:
 
 
 def write_cluster_csv(path, segments: list[Segment], clusters: ClusterSet,
-                      hop_sec: float, frame_offset_sec: float = 0.0) -> None:
+                      hop_sec: float) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["segment_start_sec", "segment_end_sec", "cluster_id"])
         for i, seg in enumerate(segments):
-            start, end = seg.bounds_sec(hop_sec, frame_offset_sec)
+            start, end = seg.bounds_sec(hop_sec)
             label = clusters.assignments[i]
             writer.writerow([f"{start:.6f}", f"{end:.6f}",
                              label if label is not None else "noise"])

@@ -84,8 +84,8 @@ class BicConfig:
     regularization_eps: float = DEFAULT_REGULARIZATION_EPS
 
     def __post_init__(self):
-        if self.lambda_ < 0:
-            raise InvalidConfig("lambda must be non-negative")
+        if not 0.0 <= self.lambda_ < math.inf:
+            raise InvalidConfig("lambda must be non-negative and finite")
         if self.delta_k is not None and self.delta_k <= 0:
             raise InvalidConfig("delta_k must be positive")
 

@@ -16,6 +16,7 @@ degenerate group_size=1.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,12 +77,14 @@ class FederatedConfig:
     mode: str = "non_iid"
 
     def __post_init__(self):
+        if self.num_clients < 1:
+            raise InvalidConfig("num_clients must be at least 1")
         if self.group_size < 1:
             raise BadGroupSize("group_size must be at least 1")
         if self.rounds < 1:
             raise InvalidConfig("rounds must be at least 1")
-        if self.lr0 <= 0.0:
-            raise InvalidConfig("lr0 must be positive")
+        if not 0.0 < self.lr0 < math.inf:
+            raise InvalidConfig("lr0 must be positive and finite")
         if not 0.0 < self.lr_decay <= 1.0:
             raise InvalidConfig("lr_decay must lie in (0, 1]")
         if self.mode not in MODES:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import struct
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -99,6 +99,8 @@ class MfccConfig:
         return n
 
     def validate(self, sample_rate_hz: int) -> None:
+        if self.num_coefficients < 1:
+            raise InvalidConfig("num_coefficients must be at least 1")
         if self.num_coefficients > self.num_mel_filters:
             raise InvalidConfig("num_coefficients must not exceed num_mel_filters")
         if self.resolve_fft_size(sample_rate_hz) < self.frame_len(sample_rate_hz):
@@ -115,14 +117,13 @@ class FeatureMatrix:
 
     rows: np.ndarray             # shape (num_frames, d)
     frame_times_sec: np.ndarray  # shape (num_frames,)
-    d: int = field(default=0)
-
-    def __post_init__(self):
-        if self.d == 0:
-            object.__setattr__(self, "d", int(self.rows.shape[1]))
 
     def __len__(self) -> int:
         return self.rows.shape[0]
+
+    @property
+    def d(self) -> int:
+        return int(self.rows.shape[1])
 
     @property
     def hop_sec(self) -> float:

@@ -37,6 +37,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 DEFAULT_BANK_CAP = 200
+# the only hidden-layer activation; checkpoints record it by this name
+ACTIVATION = "relu"
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,6 @@ class ModelArch:
     input_dim: int = 12
     hidden_sizes: tuple[int, ...] = (64, 64)
     num_classes: int = 2
-    activation: str = "relu"
 
     def __post_init__(self):
         if not self.hidden_sizes:
@@ -53,8 +54,6 @@ class ModelArch:
             raise InvalidArch("need at least two classes")
         if self.input_dim < 1 or any(h < 1 for h in self.hidden_sizes):
             raise InvalidArch("layer sizes must be positive")
-        if self.activation != "relu":
-            raise InvalidArch(f"unsupported activation '{self.activation}'")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
 
     @property
@@ -158,18 +157,12 @@ def init_model(arch: ModelArch, seed) -> ModelWeights:
     return ModelWeights(arch=arch, weights=tuple(weights), biases=tuple(biases))
 
 
-def _forward_batch(model: ModelWeights, x: np.ndarray):
-    """Returns (layer activations incl. input, pre-relu values, logits)."""
-    acts = [x]
-    pres = []
+def _forward_batch(model: ModelWeights, x: np.ndarray) -> np.ndarray:
+    """Logits (pre-softmax outputs) of a batch of frames."""
     a = x
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = a @ w + b
-        pres.append(z)
-        a = np.maximum(z, 0.0)
-        acts.append(a)
-    logits = a @ model.weights[-1] + model.biases[-1]
-    return acts, pres, logits
+        a = np.maximum(a @ w + b, 0.0)
+    return a @ model.weights[-1] + model.biases[-1]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -184,17 +177,8 @@ def forward(model: ModelWeights, frame: np.ndarray) -> tuple[np.ndarray, np.ndar
     if frame.shape != (model.arch.input_dim,):
         raise DimensionMismatch(
             f"frame shape {frame.shape}, expected ({model.arch.input_dim},)")
-    _, _, logits = _forward_batch(model, frame[None, :])
+    logits = _forward_batch(model, frame[None, :])
     return logits[0], softmax(logits)[0]
-
-
-def cross_entropy_loss(model: ModelWeights, frames: np.ndarray, labels: np.ndarray) -> float:
-    frames, labels = _check_training_data(model, frames, labels)
-    _, _, logits = _forward_batch(model, frames)
-    # log-sum-exp form avoids under/overflow in the probabilities
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    return float(-np.mean(log_probs[np.arange(len(labels)), labels]))
 
 
 def _check_training_data(model: ModelWeights, frames, labels):
@@ -361,7 +345,8 @@ def train_local(
 def evaluate(model: ModelWeights, frames: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """(mean cross-entropy, accuracy) on a labeled frame set."""
     frames, labels = _check_training_data(model, frames, labels)
-    _, _, logits = _forward_batch(model, frames)
+    logits = _forward_batch(model, frames)
+    # log-sum-exp form avoids under/overflow in the probabilities
     shifted = logits - np.max(logits, axis=1, keepdims=True)
     log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
     loss = float(-np.mean(log_probs[np.arange(len(labels)), labels]))
@@ -378,7 +363,7 @@ def embed_segment(model: ModelWeights, rows: np.ndarray, source: str = "") -> Em
         raise EmptySegment("cannot embed an empty segment")
     if rows.shape[1] != model.arch.input_dim:
         raise DimensionMismatch(f"rows have dimension {rows.shape[1]}")
-    _, _, logits = _forward_batch(model, rows)
+    logits = _forward_batch(model, rows)
     return Embedding(values=logits.mean(axis=0), source=source)
 
 
@@ -413,7 +398,7 @@ def predict_cluster(model: ModelWeights, rows: np.ndarray) -> tuple[int, float]:
         raise EmptyCluster("cannot predict an empty cluster")
     if rows.shape[1] != model.arch.input_dim:
         raise DimensionMismatch(f"rows have dimension {rows.shape[1]}")
-    _, _, logits = _forward_batch(model, rows)
+    logits = _forward_batch(model, rows)
     mean_probs = softmax(logits).mean(axis=0)
     speaker = int(np.argmax(mean_probs))
     return speaker, float(mean_probs[speaker])
@@ -472,7 +457,7 @@ def save_checkpoint(path, model: ModelWeights) -> None:
         "input_dim": model.arch.input_dim,
         "hidden_sizes": list(model.arch.hidden_sizes),
         "num_classes": model.arch.num_classes,
-        "activation": model.arch.activation,
+        "activation": ACTIVATION,
     })
     payload = {"arch": np.frombuffer(arch_json.encode(), dtype=np.uint8),
                "version": np.int64(model.version)}
@@ -485,10 +470,12 @@ def save_checkpoint(path, model: ModelWeights) -> None:
 def load_checkpoint(path) -> ModelWeights:
     with np.load(path) as data:
         arch_json = json.loads(bytes(data["arch"]).decode())
+        if arch_json.get("activation") != ACTIVATION:
+            raise InvalidArch(
+                f"unsupported activation {arch_json.get('activation')!r}")
         arch = ModelArch(input_dim=int(arch_json["input_dim"]),
                          hidden_sizes=tuple(arch_json["hidden_sizes"]),
-                         num_classes=int(arch_json["num_classes"]),
-                         activation=arch_json["activation"])
+                         num_classes=int(arch_json["num_classes"]))
         n_layers = len(arch.layer_sizes) - 1
         weights = tuple(data[f"w{i}"] for i in range(n_layers))
         biases = tuple(data[f"b{i}"] for i in range(n_layers))

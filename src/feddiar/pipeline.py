@@ -10,13 +10,14 @@ making equal-seed runs byte-comparable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .clustering import ClusterSet, Segment, cluster_rows, cluster_segments
 from .divergence import BicConfig, ComputeCounter
-from .errors import InvalidConfig, InvalidSpec, IoFailure, StageError
+from .errors import EmptyCorpus, InvalidConfig, InvalidSpec, IoFailure, StageError
 from .frontend import (
     AudioSignal,
     FeatureMatrix,
@@ -59,11 +60,11 @@ class PipelineConfig:
     bic: BicConfig = field(default_factory=BicConfig)
     min_segment_frames: int = 25
     collar_sec: float = 0.5
-    tau: float = 0.5
 
     def __post_init__(self):
-        if not self.collar_sec >= 0.0:
-            raise InvalidConfig("collar_sec must be non-negative")
+        # report.json holds the config, and JSON has no NaN or Infinity
+        if not 0.0 <= self.collar_sec < math.inf:
+            raise InvalidConfig("collar_sec must be non-negative and finite")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -128,23 +129,16 @@ def build_segments(
     change_points: ChangePointList,
 ) -> list[Segment]:
     """Maximal non-silent frame runs, split at detected change points."""
-    n = len(features)
-    mask = silent_frame_mask(silences, n)
+    speech = ~silent_frame_mask(silences, len(features))
+    # Edges of the speech runs: starts at even, (exclusive) ends at odd positions.
+    edges = np.flatnonzero(np.diff(speech, prepend=False, append=False))
     cps = sorted({p.frame_index for p in change_points.points})
     segments: list[Segment] = []
-    i = 0
-    while i < n:
-        if mask[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and not mask[j]:
-            j += 1
+    for i, j in zip(edges[::2].tolist(), edges[1::2].tolist()):
         bounds = [i] + [c for c in cps if i < c < j] + [j]
         for a, b in zip(bounds, bounds[1:]):
             segments.append(Segment(start_frame=a, end_frame=b,
                                     rows=features.rows[a:b]))
-        i = j
     return segments
 
 
@@ -350,6 +344,8 @@ def sweep(
     methods=(METHOD_BIC, "t2"),
 ) -> list[SweepRow]:
     """Grid over window length, stride fraction, and method, paired on one corpus."""
+    if not corpus:
+        raise EmptyCorpus("sweep needs at least one conversation")
     cfg = cfg or PipelineConfig()
     prepared = prepare_conversations(corpus, cfg)
     rows = []
@@ -362,7 +358,8 @@ def sweep(
                 counter = ComputeCounter()
                 fdrs, mdrs, fs = [], [], []
                 for features, silences, truth in prepared:
-                    points = segmenter(features, silences, seg_cfg, counter)
+                    points = _stage("segmentation", segmenter, features,
+                                    silences, seg_cfg, counter)
                     scores = seg_scores(match_change_points(
                         truth.change_points_sec, points.times_sec(),
                         cfg.collar_sec))

@@ -12,8 +12,12 @@ import zlib
 
 import numpy as np
 
+from .errors import InvalidConfig
+
 
 def substream(seed: int, *tags) -> np.random.Generator:
+    if int(seed) < 0:
+        raise InvalidConfig(f"seed must be non-negative, got {seed}")
     parts = [int(seed)]
     for tag in tags:
         if isinstance(tag, str):

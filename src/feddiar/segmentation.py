@@ -16,6 +16,7 @@ detection even when the confirmation rejects.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,6 +46,15 @@ class SegConfig:
             raise InvalidConfig("window_frames must be at least 4")
         if not 0.0 < self.stride_fraction <= 1.0:
             raise InvalidConfig("stride_fraction must lie in (0, 1]")
+        if not 0.0 < self.analysis_window_sec < math.inf:
+            raise InvalidConfig("analysis_window_sec must be positive and finite")
+        # a step of 0 would rescan the same window forever
+        if self.slide_frames is not None and self.slide_frames < 1:
+            raise InvalidConfig("slide_frames must be at least 1")
+        if self.grow_frames is not None and self.grow_frames < 1:
+            raise InvalidConfig("grow_frames must be at least 1")
+        if self.t2_threshold is not None and not math.isfinite(self.t2_threshold):
+            raise InvalidConfig("t2_threshold must be finite")
         if self.method not in (METHOD_BIC, METHOD_T2):
             raise InvalidConfig(f"unknown method '{self.method}'")
 
@@ -169,7 +179,9 @@ def _segment(
     n_aw = max(1, int(round(cfg.analysis_window_sec / hop)))
     min_sub = _min_subwindow(cfg.method, d)
     bic_cfg = BicConfig()
-    t2_gate = cfg.resolve_t2_threshold(d) if cfg.method == METHOD_T2 else 0.0
+    # A split is detected when its score clears the gate; t2 then spends one
+    # delta BIC to confirm it, while bic scored it with delta BIC already.
+    gate = cfg.resolve_t2_threshold(d) if cfg.method == METHOD_T2 else 0.0
 
     raw: list[ChangePoint] = []
     for silence_idx, region in enumerate(silences):
@@ -186,32 +198,17 @@ def _segment(
             window = rows[w_start:w_start + w_len]
             best_idx, best_val = scan_window(
                 window, cfg.stride_fraction, cfg.method, bic_cfg, counter)
-
-            if cfg.method == METHOD_BIC:
-                detected = best_val > 0.0
-                if detected:
-                    frame = w_start + best_idx
-                    raw.append(ChangePoint(
-                        frame_index=frame,
-                        time_sec=float(features.frame_times_sec[frame]),
-                        divergence_value=best_val,
-                        anchor_silence=silence_idx,
-                    ))
-            else:
-                detected = best_val > t2_gate
-                if detected:
-                    confirm = delta_bic(
-                        window[:best_idx], window[best_idx:], bic_cfg, counter)
-                    if confirm > 0.0:
-                        frame = w_start + best_idx
-                        raw.append(ChangePoint(
-                            frame_index=frame,
-                            time_sec=float(features.frame_times_sec[frame]),
-                            divergence_value=best_val,
-                            anchor_silence=silence_idx,
-                        ))
-                # the window moves on after a T^2 detection either way
-
+            detected = best_val > gate
+            if detected and (cfg.method == METHOD_BIC or delta_bic(
+                    window[:best_idx], window[best_idx:], bic_cfg, counter) > 0.0):
+                frame = w_start + best_idx
+                raw.append(ChangePoint(
+                    frame_index=frame,
+                    time_sec=float(features.frame_times_sec[frame]),
+                    divergence_value=best_val,
+                    anchor_silence=silence_idx,
+                ))
+            # the window moves on after any detection, confirmed or not
             if detected:
                 w_start += cfg.slide
             else:

@@ -15,6 +15,7 @@ frames; spectral subtraction is a second chunked pass.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ class SilenceConfig:
     noise_percentile: float = 0.1
 
     def __post_init__(self):
-        if self.threshold_db <= 0:
-            raise InvalidConfig("threshold_db must be positive")
+        if not 0.0 < self.threshold_db < math.inf:
+            raise InvalidConfig("threshold_db must be positive and finite")
         if not 0.0 < self.noise_percentile < 1.0:
             raise InvalidConfig("noise_percentile must lie in (0, 1)")
 

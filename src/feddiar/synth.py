@@ -12,6 +12,7 @@ false-detection rates meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,11 @@ def _validate(spec: SynthSpec) -> None:
         raise InvalidSpec("missing speaker profiles")
     if len(set(spec.speaker_profiles)) != len(spec.speaker_profiles):
         raise InvalidSpec("speaker profiles must be pairwise distinct")
-    if spec.gap_sec < 0.0 or spec.sample_rate_hz < 1000:
-        raise InvalidSpec("bad gap or sample rate")
+    if spec.sample_rate_hz < 1000:
+        raise InvalidSpec("sample rate must be at least 1000 Hz")
+    # the gap's sample count must be finite too: 1e308 s overflows it
+    if not 0.0 <= spec.gap_sec * spec.sample_rate_hz < math.inf:
+        raise InvalidSpec("gap_sec must be non-negative and finite")
     for speaker, duration in spec.turns:
         if not 0 <= speaker < spec.num_speakers:
             raise InvalidSpec(f"turn references speaker {speaker}")

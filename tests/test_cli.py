@@ -1,16 +1,23 @@
+import contextlib
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import feddiar
 from feddiar.cli import load_config_file, main
 from feddiar.frontend import AudioSignal, save_wav
-from feddiar.identifier import load_checkpoint
+from feddiar.identifier import ModelArch, init_model, load_checkpoint, save_checkpoint
+from feddiar.synth import random_conversation_spec, synth_conversation
 
 
 def run_cli(*argv):
@@ -163,6 +170,11 @@ def bad_inputs(tmp_path_factory):
     (root / "points.csv").write_text("time_sec,frame_index\n0.5,50\n")
     (root / "bad_value.cfg").write_text("window_frames = many\n")
     (root / "bad_hidden.cfg").write_text("hidden = 64,wide\n")
+    (root / "zero_slide.cfg").write_text("slide_frames = 0\n")
+    # quasi-silences, so that segmentation scans windows
+    save_wav(root / "speech.wav", synth_conversation(random_conversation_spec(
+        num_speakers=2, seed=1, min_changes=1, max_changes=1))[0])
+    (root / "nan_gap.cfg").write_text("gap_sec = nan\n")
     return root
 
 
@@ -180,6 +192,11 @@ BAD_INVOCATIONS = {
     "hidden sizes not numbers": ["fedsim", "--rounds", "1",
                                  "--config", "{root}/bad_hidden.cfg"],
     "hidden flag not numbers": ["fedsim", "--rounds", "1", "--hidden", "64,wide"],
+    "zero slide (used to hang)": ["segment", "--audio", "{root}/speech.wav",
+                                  "--config", "{root}/zero_slide.cfg"],
+    "nan gap": ["synth", "--config", "{root}/nan_gap.cfg"],
+    "no iid clients": ["fedsim", "--rounds", "1", "--num-speakers", "2",
+                       "--mode", "iid", "--num-clients", "0"],
 }
 
 
@@ -195,3 +212,118 @@ def test_bad_input_exits_1_without_traceback(case, bad_inputs, tmp_path) -> None
     assert proc.returncode == 1, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# Hostile values for any flag or config key: every invocation must exit 0,
+# or exit 1 with an `error:` line (or 2, where argparse refuses a flag's
+# type); no exception may escape and no run may hang.
+HOSTILE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "", "x")
+
+PIPELINE_KEYS = ("num_coefficients", "threshold_db", "min_region_frames",
+                 "noise_percentile", "window_frames", "stride_fraction",
+                 "analysis_window_sec", "slide_frames", "grow_frames", "method",
+                 "t2_threshold", "lambda", "delta_k", "min_seg_frames", "collar_sec")
+AUDIO_KEYS = PIPELINE_KEYS + ("seed",)
+AUDIO_FLAG_KEYS = ("seed", "method", "window_frames", "stride_fraction",
+                   "t2_threshold", "threshold_db", "min_seg_frames", "collar_sec")
+AUDIO = {"audio": "{root}/c.wav"}
+MODEL = {"model": "{root}/model.npz"}
+FEDSIM_KEYS = ("seed", "mode", "num_speakers", "num_clients", "group_size",
+               "rounds", "local_epochs", "lr0", "lr_decay", "hidden")
+
+# subcommand -> (base options, keys it reads, keys that also have a flag);
+# the base options keep every run small: one sweep conversation, one round
+HOSTILE_TARGETS = {
+    "synth": ({"num_speakers": "2", "min_changes": "1", "max_changes": "1"},
+              ("seed", "num_speakers", "min_changes", "max_changes", "gap_sec"),
+              ("seed", "num_speakers", "min_changes", "max_changes")),
+    "segment": (AUDIO, AUDIO_KEYS, AUDIO_FLAG_KEYS),
+    "cluster": (AUDIO, AUDIO_KEYS, AUDIO_FLAG_KEYS),
+    "identify": ({**AUDIO, **MODEL}, AUDIO_KEYS, AUDIO_FLAG_KEYS),
+    "diarize": ({**AUDIO, **MODEL, "truth": "{root}/c.truth.json"},
+                AUDIO_KEYS, AUDIO_FLAG_KEYS),
+    "sweep": ({"num_conversations": "1", "num_speakers": "2", "seed": "0"},
+              PIPELINE_KEYS + ("num_conversations", "num_speakers", "seed"),
+              ("num_conversations", "num_speakers", "seed")),
+    "fedsim": ({"rounds": "1", "num_speakers": "2", "hidden": "4", "seed": "0"},
+               FEDSIM_KEYS, FEDSIM_KEYS),
+    "eval": ({"truth": "{root}/c.truth.json", "detected": "{root}/points.csv"},
+             ("collar_sec", "seed"), ("collar_sec", "seed")),
+}
+
+
+@pytest.fixture(scope="module")
+def hostile_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("hostile")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out-dir", str(root), "--prefix", "c", "--seed", "1",
+                     "--num-speakers", "2", "--min-changes", "1",
+                     "--max-changes", "1"]) == 0
+    save_checkpoint(root / "model.npz", init_model(ModelArch(num_classes=2), 0))
+    (root / "points.csv").write_text("time_sec,frame_index\n0.5,50\n")
+    return root
+
+
+def hostile_argv(root, out_dir, command, key, via, value) -> list[str]:
+    base, _, _ = HOSTILE_TARGETS[command]
+    opts = {k: v.format(root=root) for k, v in base.items() if k != key}
+    argv = [command, "--out-dir", str(out_dir)]
+    for k, v in opts.items():
+        argv += [f"--{k.replace('_', '-')}", v]
+    if via == "flag":
+        return argv + [f"--{key.replace('_', '-')}={value}"]
+    config = Path(out_dir) / "hostile.cfg"
+    config.write_text(f"{key} = {value}\n")
+    return argv + ["--config", str(config)]
+
+
+@st.composite
+def hostile_invocations(draw):
+    command = draw(st.sampled_from(sorted(HOSTILE_TARGETS)))
+    _, keys, flag_keys = HOSTILE_TARGETS[command]
+    key = draw(st.sampled_from(keys))
+    via = draw(st.sampled_from(["flag", "config"] if key in flag_keys else ["config"]))
+    return command, key, via, draw(st.sampled_from(HOSTILE_VALUES))
+
+
+class Hang(BaseException):
+    """Not an Exception, so that no stage wrapper can turn it into an error."""
+
+
+def _alarm(signum, frame):
+    raise Hang("run did not finish in 30 s")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=hostile_invocations())
+def test_hostile_values_exit_cleanly(case, hostile_inputs) -> None:
+    command, key, via, value = case
+    with tempfile.TemporaryDirectory() as out_dir:
+        argv = hostile_argv(hostile_inputs, out_dir, command, key, via, value)
+        err = io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.alarm(30)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            # argparse rejects a flag value its type or choices cannot take,
+            # before the program runs (exit 2, documented in the README)
+            assert via == "flag" and exc.code == 2, (argv, err.getvalue())
+            assert "error: argument" in err.getvalue()
+            return
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 1), argv
+        if code == 1:
+            assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+        report = Path(out_dir) / "report.json"
+        if code == 0 and report.exists():
+            json.loads(report.read_text(), parse_constant=_reject_constant)

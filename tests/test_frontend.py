@@ -155,6 +155,7 @@ def test_feature_csv_header(tmp_path) -> None:
     feats = compute_mfcc(frame_signal(tone(0.2), cfg), cfg)
     path = tmp_path / "f.csv"
     write_feature_csv(path, feats)
+    assert feats.d == feats.rows.shape[1] == 12
     lines = path.read_text().splitlines()
     assert lines[0] == "time_sec," + ",".join(f"c{i}" for i in range(1, 13))
     assert len(lines) == len(feats) + 1

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from feddiar.identifier import (
     ModelArch,
     ModelWeights,
     cosine_similarity,
-    cross_entropy_loss,
     embed_segment,
     evaluate,
     forward,
@@ -109,7 +109,7 @@ def test_cross_entropy_hand_value() -> None:
     zeroed = zero_model(ModelArch(4, (5,), 3))
     frames = np.random.default_rng(0).standard_normal((6, 4))
     labels = np.array([0, 1, 2, 0, 1, 2])
-    assert cross_entropy_loss(zeroed, frames, labels) == pytest.approx(np.log(3.0))
+    assert evaluate(zeroed, frames, labels)[0] == pytest.approx(np.log(3.0))
 
 
 def test_gradients_match_finite_differences() -> None:
@@ -280,6 +280,20 @@ def test_checkpoint_round_trip(tmp_path) -> None:
         assert np.array_equal(w0, w1)
     for b0, b1 in zip(trained.biases, back.biases):
         assert np.array_equal(b0, b1)
+
+
+def test_checkpoint_rejects_unknown_activation(tmp_path) -> None:
+    path = tmp_path / "m.npz"
+    save_checkpoint(path, init_model(ModelArch(12, (4,), 2), seed=0))
+    with np.load(path) as data:
+        payload = dict(data)
+    arch = json.loads(bytes(payload["arch"]).decode())
+    assert arch["activation"] == "relu"
+    payload["arch"] = np.frombuffer(
+        json.dumps(dict(arch, activation="tanh")).encode(), dtype=np.uint8)
+    np.savez(path, **payload)
+    with pytest.raises(InvalidArch):
+        load_checkpoint(path)
 
 
 def test_adam_state_shapes() -> None:

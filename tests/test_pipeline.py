@@ -1,13 +1,18 @@
 import json
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feddiar.clustering import ClusterSet, Segment
-from feddiar.divergence import ComputeCounter
-from feddiar.errors import StageError
-from feddiar.frontend import AudioSignal, FeatureMatrix
+from feddiar.divergence import BicConfig, ComputeCounter
+from feddiar.errors import EmptyCorpus, FeddiarError, StageError
+from feddiar.federated import FederatedConfig
+from feddiar.frontend import AudioSignal, FeatureMatrix, MfccConfig
 from feddiar.identifier import ModelArch, init_model, train_local
 from feddiar.pipeline import (
     ClusterLabel,
@@ -26,8 +31,8 @@ from feddiar.pipeline import (
     truth_to_dict,
     write_sweep_csv,
 )
-from feddiar.segmentation import ChangePoint, ChangePointList
-from feddiar.silence import QuasiSilenceRegion
+from feddiar.segmentation import ChangePoint, ChangePointList, SegConfig
+from feddiar.silence import QuasiSilenceRegion, SilenceConfig, silent_frame_mask
 from feddiar.synth import (
     GroundTruth,
     TurnInterval,
@@ -40,6 +45,8 @@ from feddiar.synth import (
 REPORT_KEYS = {"fdr", "mdr", "f_seg", "purity", "coverage", "far", "frr",
                "f_id", "delta_bic_count", "t2_count", "covariance_count",
                "merge_cost_count", "config"}
+REPORT_CONFIG_KEYS = {"mfcc", "silence", "seg", "bic", "min_segment_frames",
+                      "collar_sec"}
 
 
 def feature_matrix(n, d=12, hop_sec=0.010):
@@ -72,6 +79,41 @@ def test_build_segments_all_silent_is_empty() -> None:
     feats = feature_matrix(50)
     segs = build_segments(feats, [QuasiSilenceRegion(0, 49, -80.0)], change_list([]))
     assert segs == []
+
+
+def reference_build_segments(features, silences, change_points):
+    """The frame-by-frame walk that build_segments replaced."""
+    n = len(features)
+    mask = silent_frame_mask(silences, n)
+    cps = sorted({p.frame_index for p in change_points.points})
+    bounds_out = []
+    i = 0
+    while i < n:
+        if mask[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and not mask[j]:
+            j += 1
+        bounds = [i] + [c for c in cps if i < c < j] + [j]
+        bounds_out += list(zip(bounds, bounds[1:]))
+        i = j
+    return bounds_out
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 120),
+       regions=st.lists(st.tuples(st.integers(0, 119), st.integers(0, 15)), max_size=6),
+       cps=st.lists(st.integers(0, 125), max_size=8))
+def test_build_segments_matches_frame_walk(n, regions, cps) -> None:
+    feats = FeatureMatrix(np.arange(2.0 * n).reshape(n, 2), np.arange(n) * 0.01)
+    silences = [QuasiSilenceRegion(s, min(s + k, n - 1), -80.0)
+                for s, k in regions if s < n]
+    segs = build_segments(feats, silences, change_list(cps))
+    assert ([(s.start_frame, s.end_frame) for s in segs]
+            == reference_build_segments(feats, silences, change_list(cps)))
+    for s in segs:
+        assert np.array_equal(s.rows, feats.rows[s.start_frame:s.end_frame])
 
 
 def test_true_cluster_speakers_majority_overlap() -> None:
@@ -134,6 +176,7 @@ def test_pipeline_report_bytes_reproducible(small_conv) -> None:
     assert a == b
     parsed = json.loads(a)
     assert set(parsed) == REPORT_KEYS
+    assert set(parsed["config"]) == REPORT_CONFIG_KEYS
 
 
 def test_pipeline_with_pretrained_model_scores_identification(small_conv) -> None:
@@ -268,6 +311,53 @@ def test_sweep_csv(tmp_path, small_conv) -> None:
     assert lines[0] == ("window,stride,method,fdr,mdr,f_score,f_score_mean,"
                         "delta_bic_count,t2_count,covariance_count")
     assert len(lines) == 2
+
+
+def test_sweep_needs_a_conversation() -> None:
+    with pytest.raises(EmptyCorpus):
+        sweep([])
+
+
+def test_sweep_names_failing_segmentation(small_conv) -> None:
+    # 1e308 s is finite, but its frame count overflows
+    cfg = PipelineConfig(seg=SegConfig(analysis_window_sec=1e308))
+    with pytest.raises(StageError) as err:
+        sweep([small_conv], cfg, windows=(60,), strides=(0.5,), methods=("t2",))
+    assert err.value.stage == "segmentation"
+
+
+# Values that stalled a run (a zero step) or wrote NaN or Infinity into its
+# outputs; each is now refused when the config is built or checked.
+REJECTED_CONFIGS = {
+    "slide_frames 0": lambda: SegConfig(slide_frames=0),
+    "grow_frames 0": lambda: SegConfig(grow_frames=0),
+    "grow_frames -1": lambda: SegConfig(grow_frames=-1),
+    "analysis_window_sec 0": lambda: SegConfig(analysis_window_sec=0.0),
+    "analysis_window_sec nan": lambda: SegConfig(analysis_window_sec=math.nan),
+    "analysis_window_sec inf": lambda: SegConfig(analysis_window_sec=math.inf),
+    "t2_threshold nan": lambda: SegConfig(t2_threshold=math.nan),
+    "t2_threshold -inf": lambda: SegConfig(t2_threshold=-math.inf),
+    "threshold_db nan": lambda: SilenceConfig(threshold_db=math.nan),
+    "threshold_db inf": lambda: SilenceConfig(threshold_db=math.inf),
+    "lambda nan": lambda: BicConfig(lambda_=math.nan),
+    "lambda inf": lambda: BicConfig(lambda_=math.inf),
+    "collar_sec inf": lambda: PipelineConfig(collar_sec=math.inf),
+    "num_coefficients 0": lambda: MfccConfig(num_coefficients=0).validate(16000),
+    "lr0 nan": lambda: FederatedConfig(2, 2, 1, lr0=math.nan),
+    "lr0 inf": lambda: FederatedConfig(2, 2, 1, lr0=math.inf),
+    "num_clients 0": lambda: FederatedConfig(0, 1, 1),
+    "gap_sec nan": lambda: synth_conversation(
+        random_conversation_spec(num_speakers=2, gap_sec=math.nan)),
+    "gap_sec 1e308": lambda: synth_conversation(
+        random_conversation_spec(num_speakers=2, gap_sec=1e308)),
+    "seed -1": lambda: random_conversation_spec(num_speakers=2, seed=-1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_CONFIGS))
+def test_config_rejects_stalling_and_non_finite_values(case) -> None:
+    with pytest.raises(FeddiarError):
+        REJECTED_CONFIGS[case]()
 
 
 def test_prepare_conversations_shares_frontend(small_conv) -> None:
