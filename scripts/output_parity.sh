@@ -22,6 +22,11 @@ run() {
 run synth synth --seed 7 --num-speakers 4 --prefix conv
 wav=synth/conv.wav
 truth=synth/conv.truth.json
+# about 3 minutes: the noise profile's quietest frames span many chunks
+run synth-long synth --seed 11 --num-speakers 4 --min-changes 60 --max-changes 60 \
+    --prefix long
+long_wav=synth-long/long.wav
+long_truth=synth-long/long.truth.json
 
 run fedsim-non_iid fedsim --mode non_iid
 run fedsim-iid fedsim --mode iid
@@ -38,6 +43,7 @@ min_region_frames = 8
 noise_percentile = 0.2
 CFG
 tuned="--method bic --window-frames 100 --stride-fraction 0.4 --config tuned.cfg"
+echo "noise_percentile = 0.9" > noise90.cfg
 
 for variant in default tuned; do
     if [ "$variant" = tuned ]; then flags=$tuned; else flags=; fi
@@ -46,6 +52,13 @@ for variant in default tuned; do
     run "identify-$variant" identify --audio "$wav" --model "$model" $flags
     run "diarize-$variant" diarize --audio "$wav" --model "$model" \
         --truth "$truth" $flags
+done
+
+for variant in default noise90; do
+    if [ "$variant" = noise90 ]; then flags="--config noise90.cfg"; else flags=; fi
+    run "segment-long-$variant" segment --audio "$long_wav" $flags
+    run "diarize-long-$variant" diarize --audio "$long_wav" --model "$model" \
+        --truth "$long_truth" $flags
 done
 
 run sweep sweep --num-conversations 2

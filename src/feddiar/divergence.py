@@ -320,7 +320,8 @@ def hotelling_t2(
         raise SingularCovariance("pooled covariance is singular")
 
     n_x, n_y = x.shape[0], y.shape[0]
-    diff = x.mean(axis=0) - y.mean(axis=0)
+    # add.reduce / n is .mean(axis=0) without its Python-level overhead
+    diff = np.add.reduce(x, axis=0) / n_x - np.add.reduce(y, axis=0) / n_y
     try:
         solved = np.linalg.solve(stats.covariance, diff)
     except np.linalg.LinAlgError as exc:

@@ -105,6 +105,10 @@ class ArchMismatch(FeddiarError):
     pass
 
 
+class TrainingDiverged(FeddiarError):
+    """A federated round produced non-finite weights or a non-finite loss."""
+
+
 # -- metrics ------------------------------------------------------------------
 
 class UnsortedInput(FeddiarError):

@@ -27,6 +27,7 @@ from .errors import (
     InsufficientData,
     InvalidConfig,
     TooManyClients,
+    TrainingDiverged,
 )
 from .identifier import (
     AdamState,
@@ -83,6 +84,8 @@ class FederatedConfig:
             raise BadGroupSize("group_size must be at least 1")
         if self.rounds < 1:
             raise InvalidConfig("rounds must be at least 1")
+        if self.local_epochs < 0:
+            raise InvalidConfig("local_epochs must not be negative")
         if not 0.0 < self.lr0 < math.inf:
             raise InvalidConfig("lr0 must be positive and finite")
         if not 0.0 < self.lr_decay <= 1.0:
@@ -197,7 +200,12 @@ def lr_schedule(round: int, cfg: FederatedConfig) -> float:
 
 
 def run_round(state: FederatedNetworkState, cfg: FederatedConfig, seed: int) -> FederatedNetworkState:
-    """Local training, grouping, per-group aggregation, evaluation."""
+    """Local training, grouping, per-group aggregation, evaluation.
+
+    Raises TrainingDiverged when a group's averaged weights or the round's
+    held-out loss are not finite (a learning rate far too large), so that
+    no NaN reaches the history.
+    """
     lr = lr_schedule(state.round, cfg)
 
     trained: list[ClientDevice] = []
@@ -216,11 +224,17 @@ def run_round(state: FederatedNetworkState, cfg: FederatedConfig, seed: int) -> 
     for group in assignment.groups:
         merged = aggregate([by_id[i].model for i in group],
                            [by_id[i].n_i for i in group])
+        if not all(np.isfinite(p).all() for p in (*merged.weights, *merged.biases)):
+            raise TrainingDiverged(f"round {state.round}: aggregated weights are "
+                                   f"not finite at learning rate {lr:g}")
         for i in group:
             by_id[i].model = merged
 
     new_clients = [by_id[c.id] for c in trained]
     record = _evaluate_round(new_clients, state, cfg, lr)
+    if record and not math.isfinite(record.loss):
+        raise TrainingDiverged(f"round {state.round}: held-out loss is "
+                               f"{record.loss} at learning rate {lr:g}")
     return FederatedNetworkState(
         clients=new_clients,
         round=state.round + 1,

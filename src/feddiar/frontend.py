@@ -5,20 +5,22 @@ spectrum -> mel filterbank -> log (floored) -> DCT-II, keeping cepstral
 coefficients 1..12. Coefficient 0 carries frame energy and is dropped;
 energy handling lives in the silence module.
 
-Memory does not grow with audio length beyond the outputs. `frame_signal`
-returns a read-only strided view of the samples, not a frame matrix, and
-every spectral pass (`spectrum_chunks`, used here and by the silence
-module) walks the frames in chunks through work buffers that each call
-allocates once and overwrites with `out=` for every chunk. A chunk holds
-CHUNK_FRAMES frames; the last one also takes the remainder, so that no
-chunk is a small matrix unless the whole input is: BLAS multiplies small
-matrices with other kernels, whose rounding differs. The results are then
-bit-identical to one pass over the whole frame matrix. Holding the
-buffers for a whole call also keeps the number of large allocations, and
-with them page faults, independent of the audio length. Since no large
-block is freed here, glibc's dynamic mmap threshold is left at its
-default; code that runs later must not count on a frontend pass having
-raised it (identifier training keeps its own workspace for that reason).
+Memory does not grow with audio length beyond the outputs.
+`frame_signal` returns a read-only strided view of the samples, not a
+frame matrix, and every spectral pass (`spectrum_chunks`: here for MFCC,
+in the silence module for spectral subtraction and for the few frames
+that its noise profile re-ranks) walks the frames in chunks through work
+buffers that each call allocates once and overwrites with `out=` for
+every chunk. A chunk holds CHUNK_FRAMES frames; the last one also takes
+the remainder, so that no chunk is a small matrix unless the whole input
+is: BLAS multiplies small matrices with other kernels, whose rounding
+differs. The results are then bit-identical to one pass over the whole
+frame matrix. Holding the buffers for a whole call also keeps the number
+of large allocations, and with them page faults, independent of the
+audio length. Since no large block is freed here, glibc's dynamic mmap
+threshold is left at its default; code that runs later must not count on
+a frontend pass having raised it (identifier training keeps its own
+workspace for that reason).
 """
 
 from __future__ import annotations

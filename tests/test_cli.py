@@ -197,6 +197,10 @@ BAD_INVOCATIONS = {
     "nan gap": ["synth", "--config", "{root}/nan_gap.cfg"],
     "no iid clients": ["fedsim", "--rounds", "1", "--num-speakers", "2",
                        "--mode", "iid", "--num-clients", "0"],
+    "negative local epochs": ["fedsim", "--rounds", "1", "--num-speakers", "2",
+                              "--local-epochs", "-3"],
+    "diverging lr0 (used to write nan)": ["fedsim", "--rounds", "2", "--num-speakers", "2",
+                                          "--lr0", "1e308"],
 }
 
 

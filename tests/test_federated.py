@@ -1,8 +1,18 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from feddiar import federated
-from feddiar.errors import ArchMismatch, BadGroupSize, InsufficientData, TooManyClients
+from feddiar.errors import (
+    ArchMismatch,
+    BadGroupSize,
+    InsufficientData,
+    InvalidConfig,
+    TooManyClients,
+    TrainingDiverged,
+)
 from feddiar.federated import (
     FederatedConfig,
     aggregate,
@@ -140,6 +150,27 @@ def fed_setup(num_speakers=4, group_size=4, rounds=1, local_epochs=1, seed=0):
     corpus = small_corpus(num_speakers, seed)
     arch = ModelArch(12, (16,), num_speakers)
     return cfg, build_network(corpus, cfg, arch, seed)
+
+
+def test_negative_local_epochs_refused() -> None:
+    with pytest.raises(InvalidConfig):
+        FederatedConfig(num_clients=2, group_size=2, rounds=1, local_epochs=-3)
+
+
+def test_diverging_round_raises_instead_of_recording_nan() -> None:
+    cfg, state = fed_setup()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged, match="weights"):
+            run_round(state, replace(cfg, lr0=1e308), seed=0)
+
+
+def test_non_finite_held_out_loss_raises(monkeypatch) -> None:
+    # finite weights whose logits overflow give a NaN loss (fedsim --lr0 1e308
+    # with two speakers)
+    cfg, state = fed_setup()
+    monkeypatch.setattr(federated, "evaluate", lambda model, frames, labels: (math.nan, 0.5))
+    with pytest.raises(TrainingDiverged, match="loss"):
+        run_round(state, cfg, seed=0)
 
 
 def test_build_network_shared_init_and_eval_set() -> None:

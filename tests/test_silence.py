@@ -9,19 +9,31 @@ from test_frontend import (
     reference_frame_signal,
 )
 
+from feddiar import silence
 from feddiar.errors import DimensionMismatch, TooFewFrames
-from feddiar.frontend import CHUNK_FRAMES, AudioSignal, FrameSequence, MfccConfig, frame_signal
+from feddiar.frontend import (
+    CHUNK_FRAMES,
+    AudioSignal,
+    FrameSequence,
+    MfccConfig,
+    frame_signal,
+    spectrum_chunks,
+)
 from feddiar.silence import (
+    CANDIDATE_FLOOR,
+    CANDIDATE_MARGIN,
     ENERGY_FLOOR,
     NoiseProfile,
     QuasiSilenceRegion,
     SilenceConfig,
     detect_quasi_silences,
     estimate_noise_profile,
+    parseval_energies,
     silent_frame_mask,
     spectral_subtract,
     write_region_csv,
 )
+from feddiar.synth import random_conversation_spec, synth_conversation
 
 
 def repeated_frame_sequence(frame, n):
@@ -215,3 +227,120 @@ def test_vectorised_run_finding_matches_loop(runs, seed, min_region_frames, thre
         energy[:] = 0.0
     cfg = SilenceConfig(threshold_db=threshold_db, min_region_frames=min_region_frames)
     assert detect_quasi_silences(energy, cfg) == reference_detect_quasi_silences(energy, cfg)
+
+
+# -- the noise profile ranks frames by Parseval energy, then re-ranks exactly --
+
+def frames_around_kth(group: np.ndarray, noise_percentile: float, seed: int) -> FrameSequence:
+    """3 * CHUNK_FRAMES + 7 frames in shuffled order in which the k-th quietest
+    falls in the middle of `group`: k - len(group) // 2 all-zero frames lie
+    below it, loud random frames above it."""
+    rng = np.random.default_rng(seed)
+    n = 3 * CHUNK_FRAMES + 7
+    k = int(np.floor(noise_percentile * n))
+    below = k - len(group) // 2
+    loud = rng.standard_normal((n - below - len(group), group.shape[1]))
+    rows = np.vstack([np.zeros((below, group.shape[1])), group, loud])
+    return FrameSequence(rows[rng.permutation(n)], group.shape[1], 160, 16000)
+
+
+def fft_energies(frames: FrameSequence) -> np.ndarray:
+    return np.mean(reference_magnitude_spectra(frames, 512) ** 2, axis=1)
+
+
+def near_tie_group(seed: int, size: int = 40) -> np.ndarray:
+    """Random frames scaled to one FFT energy, and their time-reversed copies
+    (equal energies in exact arithmetic): the FFT and Parseval's sums round
+    them apart in a few ulps, each in its own way."""
+    base = np.random.default_rng(seed).standard_normal((size // 2, 400))
+    base *= 0.01 / np.sqrt(fft_energies(FrameSequence(base, 400, 160, 16000)))[:, None]
+    return np.vstack([base, base[:, ::-1]])
+
+
+@pytest.mark.parametrize("fft_size", [300, 511, 512, 1024])   # cropped, odd, padded
+def test_parseval_energies_match_fft_energies(fft_size) -> None:
+    frames = frame_signal(bursty_signal(3 * CHUNK_FRAMES + 7, seed=8), MfccConfig())
+    spectra = np.abs(np.fft.rfft(frames.frames * np.hamming(400), n=fft_size, axis=1))
+    want = np.mean(spectra ** 2, axis=1)
+    np.testing.assert_allclose(parseval_energies(frames, fft_size), want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("noise_percentile", [0.1, 0.9])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("scale", [1.0, 1e-157])    # 1e-157: subnormal energies
+def test_rerank_exact_where_parseval_and_fft_order_disagree(noise_percentile, seed,
+                                                             scale) -> None:
+    frames = frames_around_kth(scale * near_tie_group(seed), noise_percentile, seed)
+    cfg = SilenceConfig(noise_percentile=noise_percentile)
+    k = int(np.floor(noise_percentile * len(frames)))
+    by_fft = np.argsort(fft_energies(frames), kind="stable")[:k]
+    by_parseval = np.argsort(parseval_energies(frames, 512), kind="stable")[:k]
+    assert set(by_fft.tolist()) != set(by_parseval.tolist())   # the inputs bite
+    check_silence_stage_bit_equal(frames, frames, cfg)
+
+
+@pytest.mark.parametrize("noise_percentile", [0.1, 0.9])
+@pytest.mark.parametrize("scale", [0.0, 1e-170])
+def test_rerank_exact_on_zero_and_underflowing_frames(noise_percentile, scale) -> None:
+    # 1e-170: every square underflows, so all energies tie at 0 while the
+    # spectra differ, and the lower frames must win
+    rng = np.random.default_rng(5)
+    group = scale * rng.standard_normal((60, 400)) * 10.0 ** rng.uniform(-2, 2, (60, 1))
+    frames = frames_around_kth(group, noise_percentile, seed=6)
+    check_silence_stage_bit_equal(frames, frames, SilenceConfig(noise_percentile=noise_percentile))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("noise_percentile", [0.1, 0.9])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_noise_profile_on_non_finite_frames_matches_old_code(noise_percentile, bad) -> None:
+    rng = np.random.default_rng(7)
+    n = 3 * CHUNK_FRAMES + 7
+    rows = rng.standard_normal((n, 400)) * rng.uniform(0, 1, (n, 1)) ** 4
+    rows[rng.choice(len(rows), size=120, replace=False), rng.integers(0, 400)] = bad
+    frames = FrameSequence(rows, 400, 160, 16000)
+    cfg = SilenceConfig(noise_percentile=noise_percentile)
+    noise = estimate_noise_profile(frames, cfg)
+    want = reference_noise_profile(frames, cfg)
+    assert noise.frames_used == want.frames_used
+    assert_bits_equal(noise.magnitude_spectrum_estimate, want.magnitude_spectrum_estimate)
+
+
+def transformed_rows(monkeypatch, frames: FrameSequence, cfg: SilenceConfig) -> list[int]:
+    """Rows of each spectrum pass that estimate_noise_profile makes."""
+    calls = []
+
+    def counting(frames, fft_size, pre_emphasis=0.0, index=None):
+        calls.append(len(frames) if index is None else len(index))
+        return spectrum_chunks(frames, fft_size, pre_emphasis, index)
+
+    monkeypatch.setattr(silence, "spectrum_chunks", counting)
+    estimate_noise_profile(frames, cfg)
+    return calls
+
+
+def candidate_count(frames: FrameSequence, k: int) -> int:
+    energies = parseval_energies(frames, 512)
+    kth = np.sort(energies)[k - 1]
+    return int(np.count_nonzero(energies <= kth * (1 + CANDIDATE_MARGIN) + CANDIDATE_FLOOR))
+
+
+def test_noise_profile_transforms_only_candidates(monkeypatch) -> None:
+    spec = random_conversation_spec(num_speakers=4, seed=11, min_changes=60, max_changes=60)
+    audio, _ = synth_conversation(spec)
+    frames = frame_signal(audio, MfccConfig())
+    assert audio.duration_sec > 120.0
+    cfg = SilenceConfig()
+    k = int(np.floor(cfg.noise_percentile * len(frames)))
+    assert candidate_count(frames, k) == k
+    assert sum(transformed_rows(monkeypatch, frames, cfg)) == 2 * k
+
+
+@pytest.mark.parametrize("noise_percentile", [0.1, 0.9])
+def test_noise_profile_row_budget_on_near_ties(monkeypatch, noise_percentile) -> None:
+    frames = frames_around_kth(near_tie_group(0), noise_percentile, seed=0)
+    cfg = SilenceConfig(noise_percentile=noise_percentile)
+    k = int(np.floor(noise_percentile * len(frames)))
+    candidates = candidate_count(frames, k)
+    assert k < candidates < len(frames)
+    assert sum(transformed_rows(monkeypatch, frames, cfg)) <= 2 * candidates
