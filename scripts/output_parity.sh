@@ -44,6 +44,8 @@ noise_percentile = 0.2
 CFG
 tuned="--method bic --window-frames 100 --stride-fraction 0.4 --config tuned.cfg"
 echo "noise_percentile = 0.9" > noise90.cfg
+echo "threshold_db = 30" > thr30.cfg
+echo "threshold_db = 80" > thr80.cfg
 
 for variant in default tuned; do
     if [ "$variant" = tuned ]; then flags=$tuned; else flags=; fi
@@ -54,8 +56,8 @@ for variant in default tuned; do
         --truth "$truth" $flags
 done
 
-for variant in default noise90; do
-    if [ "$variant" = noise90 ]; then flags="--config noise90.cfg"; else flags=; fi
+for variant in default noise90 thr30 thr80; do
+    if [ "$variant" = default ]; then flags=; else flags="--config $variant.cfg"; fi
     run "segment-long-$variant" segment --audio "$long_wav" $flags
     run "diarize-long-$variant" diarize --audio "$long_wav" --model "$model" \
         --truth "$long_truth" $flags

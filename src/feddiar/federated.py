@@ -199,6 +199,9 @@ def lr_schedule(round: int, cfg: FederatedConfig) -> float:
     return cfg.lr0 * cfg.lr_decay ** round
 
 
+# A learning rate far too large overflows; TrainingDiverged reports that, so
+# numpy's overflow and invalid-value warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def run_round(state: FederatedNetworkState, cfg: FederatedConfig, seed: int) -> FederatedNetworkState:
     """Local training, grouping, per-group aggregation, evaluation.
 

@@ -8,12 +8,12 @@ energy handling lives in the silence module.
 Memory does not grow with audio length beyond the outputs.
 `frame_signal` returns a read-only strided view of the samples, not a
 frame matrix, and every spectral pass (`spectrum_chunks`: here for MFCC,
-in the silence module for spectral subtraction and for the few frames
-that its noise profile re-ranks) walks the frames in chunks through work
-buffers that each call allocates once and overwrites with `out=` for
-every chunk. A chunk holds CHUNK_FRAMES frames; the last one also takes
-the remainder, so that no chunk is a small matrix unless the whole input
-is: BLAS multiplies small matrices with other kernels, whose rounding
+in the silence module for the frames that its noise profile re-ranks and
+those that its spectral subtraction needs) walks the frames in chunks
+through work buffers that each call allocates once and overwrites with
+`out=` for every chunk. A chunk holds CHUNK_FRAMES frames; the last one
+also takes the remainder, so that no chunk is a small matrix unless the
+whole input is: BLAS multiplies small matrices with other kernels, whose rounding
 differs. The results are then bit-identical to one pass over the whole
 frame matrix. Holding the buffers for a whole call also keeps the number
 of large allocations, and with them page faults, independent of the
@@ -234,12 +234,15 @@ def spectrum_chunks(
     n = len(frames) if index is None else len(index)
     bounds = chunk_bounds(n)
     rows = max((stop - start for start, stop in bounds), default=0)
-    window = np.hamming(frames.frame_len_samples)
-    x = np.empty((rows, frames.frame_len_samples))
+    frame_len = frames.frame_len_samples
+    window = np.hamming(frame_len)
+    # Zero-tailed, so that rfft transforms fft_size samples as they lie
+    # instead of padding a copy of each row (same bits, a quarter faster).
+    x = np.zeros((rows, max(frame_len, fft_size)))
     spectrum = np.empty((rows, fft_size // 2 + 1), dtype=np.complex128)
     mag = np.empty((rows, fft_size // 2 + 1))
     for start, stop in bounds:
-        xc = x[:stop - start]
+        xc = x[:stop - start, :frame_len]
         if index is None:
             block = frames.frames[start:stop]
         else:   # not np.take: it would first copy a strided view whole
@@ -251,7 +254,7 @@ def spectrum_chunks(
             xc *= window
         else:
             np.multiply(block, window, out=xc)
-        sc = np.fft.rfft(xc, n=fft_size, axis=1, out=spectrum[:stop - start])
+        sc = np.fft.rfft(x[:stop - start], n=fft_size, axis=1, out=spectrum[:stop - start])
         yield start, np.abs(sc, out=mag[:stop - start])
 
 

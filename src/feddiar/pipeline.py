@@ -44,10 +44,9 @@ from .segmentation import (
 from .silence import (
     QuasiSilenceRegion,
     SilenceConfig,
-    detect_quasi_silences,
     estimate_noise_profile,
+    find_quasi_silences,
     silent_frame_mask,
-    spectral_subtract,
 )
 from .synth import GroundTruth, TurnInterval
 
@@ -117,8 +116,7 @@ def frontend_and_silence(
 
     def silence():
         noise = estimate_noise_profile(frames, cfg.silence, cfg.mfcc)
-        energy = spectral_subtract(frames, noise, cfg.mfcc)
-        return detect_quasi_silences(energy, cfg.silence)
+        return find_quasi_silences(frames, noise, cfg.silence, cfg.mfcc)
 
     return features, _stage("silence", silence)
 

@@ -6,14 +6,28 @@ search windows in the segmentation module.
 
 Spectra come from `frontend.spectrum_chunks`, CHUNK_FRAMES frames at a
 time through buffers allocated once per call, so memory stays flat in the
-audio length and results equal a whole-matrix pass bit for bit. Spectral
-subtraction is the stage's one pass over every frame's spectrum. The noise
-profile ranks the frames by energy without an FFT: by Parseval's identity
-the mean of |rfft|^2 follows from each windowed frame's sum of squares and
-its first and Nyquist bins. Only the frames within a small margin of the
-quietest noise_percentile are transformed, to rank them by their exact FFT
-energies and to sum the spectra of the quietest, so the profile equals the
-one from a full-spectrum ranking bit for bit.
+audio length and results equal a whole-matrix pass bit for bit. No step
+transforms every frame. The noise profile ranks the frames by energy
+without an FFT: by Parseval's identity the mean of |rfft|^2 follows from
+each windowed frame's sum of squares and its first and Nyquist bins. Only
+the frames within a small margin of the quietest noise_percentile are
+transformed, to rank them by their exact FFT energies and to sum the
+spectra of the quietest, so the profile equals the one from a
+full-spectrum ranking bit for bit.
+
+`find_quasi_silences` subtracts the noise only where the residual energy
+can decide a region. The same Parseval energy E_X bounds a frame's
+residual energy r from both sides, with E_N the noise profile's mean
+square: ((sqrt(E_X) - sqrt(E_N))+)^2 <= r <= E_X, widened by the
+candidate margins. The 95th-percentile peak's two order statistics lie
+between the bounds' order statistics of the same ranks, and a silent
+frame's lower bound is below the peak's upper bound less threshold_db.
+Frames whose bounds reach either are subtracted exactly (on speech,
+about the silent frames plus a few near the peak); every other frame
+takes one of its bounds as a placeholder, which lies on the same side of
+the peak's window and above the silence threshold, as its exact value
+does. The peak, the silent frames and their energies, and so the regions,
+equal those of the full pass bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +50,10 @@ CANDIDATE_MARGIN = 1e-9
 CANDIDATE_FLOOR = float(np.finfo(np.float64).tiny)
 
 MIN_FRAMES_FOR_NOISE = 10
+
+# The quasi-silence threshold is relative to this percentile of the
+# residual energies (see detect_quasi_silences).
+PEAK_PERCENTILE = 95.0
 
 
 @dataclass(frozen=True)
@@ -159,19 +177,21 @@ def spectral_subtract(
     frames: FrameSequence,
     noise: NoiseProfile,
     mfcc_cfg: MfccConfig | None = None,
+    index: np.ndarray | None = None,
 ) -> np.ndarray:
     """Residual energy per frame after subtracting the noise magnitude profile.
 
     Bins are floored at zero; the result is the mean squared residual
-    magnitude of each frame.
+    magnitude of each frame, or of frame index[j] at j when an index is
+    given (each row is computed on its own, so the values are the same).
     """
     fft_size = (mfcc_cfg or MfccConfig()).resolve_fft_size(frames.sample_rate_hz)
     profile = noise.magnitude_spectrum_estimate
     bins = fft_size // 2 + 1
     if profile.shape[0] != bins:
         raise DimensionMismatch(f"profile has {profile.shape[0]} bins, frames have {bins}")
-    energy = np.empty(len(frames))
-    for start, spectra in spectrum_chunks(frames, fft_size):
+    energy = np.empty(len(frames) if index is None else len(index))
+    for start, spectra in spectrum_chunks(frames, fft_size, index=index):
         np.subtract(spectra, profile, out=spectra)
         np.maximum(spectra, 0.0, out=spectra)
         np.square(spectra, out=spectra)
@@ -191,7 +211,7 @@ def detect_quasi_silences(energy_track: np.ndarray, cfg: SilenceConfig) -> list[
     if energy.size == 0:
         raise ValueError("empty energy track")
 
-    peak = np.percentile(energy, 95.0)
+    peak = np.percentile(energy, PEAK_PERCENTILE)
     if peak <= ENERGY_FLOOR:
         silent = np.ones(energy.size, dtype=bool)
     else:
@@ -210,6 +230,88 @@ def detect_quasi_silences(energy_track: np.ndarray, cfg: SilenceConfig) -> list[
                 mean_energy_db=10.0 * np.log10(max(mean_e, ENERGY_FLOOR)),
             ))
     return regions
+
+
+def find_quasi_silences(
+    frames: FrameSequence,
+    noise: NoiseProfile,
+    cfg: SilenceConfig,
+    mfcc_cfg: MfccConfig | None = None,
+) -> list[QuasiSilenceRegion]:
+    """detect_quasi_silences(spectral_subtract(frames, noise, mfcc_cfg), cfg),
+    subtracting only the frames whose residual energy can change the regions.
+
+    The other frames get a placeholder from Parseval bounds on their
+    residual energy r = mean(((|X| - N)+)^2), where X is the frame's rfft
+    and N the noise profile. With E_X = mean |X|^2 (`parseval_energies`)
+    and E_N = mean N^2:
+    - r <= E_X, as (|X| - N)+ <= |X| bin by bin. In floating point too:
+      rounding is monotone, so the computed r is at most the computed FFT
+      energy, and that differs from E_X only by rounding (see
+      estimate_noise_profile).
+    - r >= ((sqrt(E_X) - sqrt(E_N))+)^2, by Minkowski's inequality, as
+      |X| <= (|X| - N)+ + N bin by bin. FFT and subtraction rounding move
+      sqrt(r) by a few ulps of sqrt(E_X) + sqrt(E_N).
+    Both bounds are widened by CANDIDATE_MARGIN relative (covering these
+    errors many times over) and CANDIDATE_FLOOR absolute (underflow).
+
+    np.percentile(r, 95) interpolates between the order statistics of two
+    ranks k0 < k1 (taken a little wide, against rounding of the rank), and
+    every order statistic lies between those of the lower and upper
+    bounds, so both values lie in the window [lo_(k0), hi_(k1)]. Exact
+    residuals are computed for the frames whose bounds meet the window,
+    and for those with lo <= max(hi_(k1) * 10^(-threshold_db / 10),
+    ENERGY_FLOOR), widened: every frame that can be silent. Every other
+    frame lies wholly below or above the window, and takes its bound on
+    that side (hi below, lo above). So the track keeps the peak's two
+    order statistics at their ranks, with the same values, every silent
+    frame keeps its exact energy, and every placeholder is above the
+    silence threshold: the regions equal the oracle's, mean_energy_db
+    included, bit for bit. If there are no frames, a profile bin is
+    negative or NaN, a Parseval energy is not finite (an FFT energy can
+    overflow only where Parseval's sum of squares, which is at least as
+    large, does too), or the peak's lower bound is at or below
+    ENERGY_FLOOR, where every frame may count as silent, every frame is
+    subtracted.
+    """
+    def every_frame():
+        return detect_quasi_silences(spectral_subtract(frames, noise, mfcc_cfg), cfg)
+
+    fft_size = (mfcc_cfg or MfccConfig()).resolve_fft_size(frames.sample_rate_hz)
+    profile = noise.magnitude_spectrum_estimate
+    n = len(frames)
+    if n == 0 or not (profile >= 0.0).all():
+        return every_frame()
+    upper = parseval_energies(frames, fft_size)
+    if not np.isfinite(upper).all():
+        return every_frame()
+
+    noise_rms = math.sqrt(float(np.mean(np.square(profile))))
+    lower = np.sqrt(upper)
+    lower *= 1.0 - CANDIDATE_MARGIN
+    lower -= noise_rms * (1.0 + CANDIDATE_MARGIN)
+    np.maximum(lower, 0.0, out=lower)
+    np.square(lower, out=lower)
+    lower *= 1.0 - CANDIDATE_MARGIN
+    lower -= CANDIDATE_FLOOR
+    upper *= 1.0 + CANDIDATE_MARGIN
+    upper += CANDIDATE_FLOOR
+
+    rank = PEAK_PERCENTILE / 100.0 * (n - 1)
+    k0 = max(math.floor(rank - CANDIDATE_MARGIN * n), 0)
+    k1 = min(math.floor(rank + CANDIDATE_MARGIN * n) + 1, n - 1)
+    window_lo = np.partition(lower, k0)[k0]
+    window_hi = np.partition(upper, k1)[k1]
+    if window_lo <= ENERGY_FLOOR:
+        return every_frame()
+
+    quiet = max(window_hi * 10.0 ** (-cfg.threshold_db / 10.0), ENERGY_FLOOR)
+    exact = (lower <= window_hi) & (upper >= window_lo)
+    exact |= lower <= quiet * (1.0 + CANDIDATE_MARGIN) + CANDIDATE_FLOOR
+    idx = np.flatnonzero(exact)
+    track = np.where(upper < window_lo, upper, lower)
+    track[idx] = spectral_subtract(frames, noise, mfcc_cfg, index=idx)
+    return detect_quasi_silences(track, cfg)
 
 
 def silent_frame_mask(regions: list[QuasiSilenceRegion], num_frames: int) -> np.ndarray:

@@ -204,18 +204,32 @@ BAD_INVOCATIONS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INVOCATIONS))
-def test_bad_input_exits_1_without_traceback(case, bad_inputs, tmp_path) -> None:
-    argv = [a.format(root=bad_inputs) for a in BAD_INVOCATIONS[case]]
+def run_cli_process(argv, out_dir) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so that warnings reach stderr."""
     src = str(Path(feddiar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "feddiar.cli", *argv, "--out-dir", str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, "-m", "feddiar.cli", *argv, "--out-dir", str(out_dir)],
         capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INVOCATIONS))
+def test_bad_input_exits_1_without_traceback(case, bad_inputs, tmp_path) -> None:
+    argv = [a.format(root=bad_inputs) for a in BAD_INVOCATIONS[case]]
+    proc = run_cli_process(argv, tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_diverging_fedsim_prints_only_its_error(tmp_path) -> None:
+    # numpy's overflow warnings used to come first
+    proc = run_cli_process(["fedsim", "--lr0", "1e308", "--rounds", "2",
+                            "--num-speakers", "2"], tmp_path)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: round 0: "), proc.stderr
 
 
 # Hostile values for any flag or config key: every invocation must exit 0,

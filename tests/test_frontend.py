@@ -16,6 +16,7 @@ from feddiar.frontend import (
     load_wav,
     mel_filterbank,
     save_wav,
+    spectrum_chunks,
     write_feature_csv,
 )
 
@@ -245,3 +246,23 @@ def test_chunked_mfcc_bit_equal_on_dense_frame_sequence(pre_emphasis) -> None:
     cfg = MfccConfig(pre_emphasis=pre_emphasis)
     assert_bits_equal(compute_mfcc(frames, cfg).rows,
                       reference_compute_mfcc(frames, cfg).rows)
+
+
+@pytest.mark.parametrize("pre_emphasis", [0.0, 0.97])
+@pytest.mark.parametrize("fft_size", [300, 400, 511, 512, 1024])   # cropped, exact, padded
+def test_spectrum_chunks_bit_equal_to_padding_rfft(fft_size, pre_emphasis) -> None:
+    # spectrum_chunks transforms a zero-tailed buffer; numpy pads (or crops)
+    # each row itself when n differs from the row length
+    cfg = MfccConfig(pre_emphasis=pre_emphasis, fft_size=fft_size)
+    sig = bursty_signal(2 * CHUNK_FRAMES + 40, seed=fft_size)
+    frames = frame_signal(sig, cfg)
+    x = frames.frames
+    if pre_emphasis > 0.0:
+        x = np.concatenate([x[:, :1], x[:, 1:] - pre_emphasis * x[:, :-1]], axis=1)
+    want = np.abs(np.fft.rfft(x * np.hamming(400), n=fft_size, axis=1))
+    index = np.random.default_rng(fft_size).permutation(len(frames))[:CHUNK_FRAMES + 3]
+    for idx, rows in ((None, want), (index, want[index])):
+        got = np.empty_like(rows)
+        for start, mag in spectrum_chunks(frames, fft_size, pre_emphasis, idx):
+            got[start:start + len(mag)] = mag
+        assert_bits_equal(got, rows)

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_frontend import (
     CHUNK_EDGE_COUNTS,
@@ -23,11 +25,13 @@ from feddiar.silence import (
     CANDIDATE_FLOOR,
     CANDIDATE_MARGIN,
     ENERGY_FLOOR,
+    MIN_FRAMES_FOR_NOISE,
     NoiseProfile,
     QuasiSilenceRegion,
     SilenceConfig,
     detect_quasi_silences,
     estimate_noise_profile,
+    find_quasi_silences,
     parseval_energies,
     silent_frame_mask,
     spectral_subtract,
@@ -306,16 +310,17 @@ def test_noise_profile_on_non_finite_frames_matches_old_code(noise_percentile, b
     assert_bits_equal(noise.magnitude_spectrum_estimate, want.magnitude_spectrum_estimate)
 
 
-def transformed_rows(monkeypatch, frames: FrameSequence, cfg: SilenceConfig) -> list[int]:
-    """Rows of each spectrum pass that estimate_noise_profile makes."""
+def transformed_rows(monkeypatch, run) -> list[int]:
+    """Rows of each spectrum pass that the silence module makes in run()."""
     calls = []
 
     def counting(frames, fft_size, pre_emphasis=0.0, index=None):
         calls.append(len(frames) if index is None else len(index))
         return spectrum_chunks(frames, fft_size, pre_emphasis, index)
 
-    monkeypatch.setattr(silence, "spectrum_chunks", counting)
-    estimate_noise_profile(frames, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(silence, "spectrum_chunks", counting)
+        run()
     return calls
 
 
@@ -325,15 +330,20 @@ def candidate_count(frames: FrameSequence, k: int) -> int:
     return int(np.count_nonzero(energies <= kth * (1 + CANDIDATE_MARGIN) + CANDIDATE_FLOOR))
 
 
-def test_noise_profile_transforms_only_candidates(monkeypatch) -> None:
+@pytest.fixture(scope="module")
+def three_minute_frames() -> FrameSequence:
     spec = random_conversation_spec(num_speakers=4, seed=11, min_changes=60, max_changes=60)
     audio, _ = synth_conversation(spec)
-    frames = frame_signal(audio, MfccConfig())
     assert audio.duration_sec > 120.0
+    return frame_signal(audio, MfccConfig())
+
+
+def test_noise_profile_transforms_only_candidates(monkeypatch, three_minute_frames) -> None:
+    frames = three_minute_frames
     cfg = SilenceConfig()
     k = int(np.floor(cfg.noise_percentile * len(frames)))
     assert candidate_count(frames, k) == k
-    assert sum(transformed_rows(monkeypatch, frames, cfg)) == 2 * k
+    assert sum(transformed_rows(monkeypatch, lambda: estimate_noise_profile(frames, cfg))) == 2 * k
 
 
 @pytest.mark.parametrize("noise_percentile", [0.1, 0.9])
@@ -343,4 +353,191 @@ def test_noise_profile_row_budget_on_near_ties(monkeypatch, noise_percentile) ->
     k = int(np.floor(noise_percentile * len(frames)))
     candidates = candidate_count(frames, k)
     assert k < candidates < len(frames)
-    assert sum(transformed_rows(monkeypatch, frames, cfg)) <= 2 * candidates
+    assert sum(transformed_rows(monkeypatch, lambda: estimate_noise_profile(frames, cfg))) <= 2 * candidates
+
+
+# -- quasi-silences from Parseval bounds, against the full subtraction pass --
+
+def region_bits(regions: list[QuasiSilenceRegion]) -> list[tuple[int, int, bytes]]:
+    return [(r.start_frame, r.end_frame, np.float64(r.mean_energy_db).tobytes())
+            for r in regions]
+
+
+def silent_mask(track: np.ndarray, cfg: SilenceConfig) -> np.ndarray:
+    peak = np.percentile(track, 95.0)
+    if peak <= ENERGY_FLOOR:
+        return np.ones(track.shape, dtype=bool)
+    return 10.0 * np.log10(peak / np.maximum(track, ENERGY_FLOOR)) >= cfg.threshold_db
+
+
+def check_quasi_silences_exact(frames: FrameSequence, noise: NoiseProfile,
+                               cfg: SilenceConfig) -> None:
+    """Regions equal to the full pass's, and so are the decisions behind them:
+    the peak, the silent mask and the silent frames' energies. (A peak one
+    ulp off rarely moves a region, so the track is checked as well.)"""
+    seen = []
+
+    def recording(track, cfg):
+        seen.append(track.copy())
+        return detect_quasi_silences(track, cfg)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(silence, "detect_quasi_silences", recording)
+        got = find_quasi_silences(frames, noise, cfg)
+    want_track = spectral_subtract(frames, noise)
+    assert region_bits(got) == region_bits(detect_quasi_silences(want_track, cfg))
+    track, = seen
+    assert_bits_equal(np.percentile(track, 95.0), np.percentile(want_track, 95.0))
+    silent = silent_mask(want_track, cfg)
+    assert np.array_equal(silent_mask(track, cfg), silent)
+    assert_bits_equal(track[silent], want_track[silent])
+
+
+def residual_bounds(frames: FrameSequence, noise: NoiseProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The widened Parseval bounds on the residual energy, as documented in
+    find_quasi_silences."""
+    energy = parseval_energies(frames, 512)
+    noise_rms = math.sqrt(np.mean(noise.magnitude_spectrum_estimate ** 2))
+    root = np.maximum(np.sqrt(energy) * (1 - CANDIDATE_MARGIN)
+                      - noise_rms * (1 + CANDIDATE_MARGIN), 0.0)
+    lower = root ** 2 * (1 - CANDIDATE_MARGIN) - CANDIDATE_FLOOR
+    return lower, energy * (1 + CANDIDATE_MARGIN) + CANDIDATE_FLOOR
+
+
+def percentile_candidates(frames: FrameSequence, noise: NoiseProfile) -> np.ndarray:
+    """Frames whose bounds meet the window of the 95th percentile's ranks."""
+    lower, upper = residual_bounds(frames, noise)
+    n = len(frames)
+    rank = 0.95 * (n - 1)
+    k0 = max(math.floor(rank - CANDIDATE_MARGIN * n), 0)
+    k1 = min(math.floor(rank + CANDIDATE_MARGIN * n) + 1, n - 1)
+    return (lower <= np.sort(upper)[k1]) & (upper >= np.sort(lower)[k0])
+
+
+@pytest.fixture(scope="module")
+def conversations() -> list[FrameSequence]:
+    """Dense frames of three short conversations, which tests edit copies of."""
+    out = []
+    for seed in range(3):
+        spec = random_conversation_spec(num_speakers=2 + seed, seed=seed,
+                                        min_changes=4, max_changes=8)
+        frames = frame_signal(synth_conversation(spec)[0], MfccConfig())
+        out.append(FrameSequence(np.array(frames.frames), 400, 160, 16000))
+    return out
+
+
+def frames_with_ties_at_peak(seed: int, scale: float) -> FrameSequence:
+    """Near-tied frames (see near_tie_group) across the ranks that
+    np.percentile(.., 95) interpolates between."""
+    return frames_around_kth(scale * near_tie_group(seed), 0.95, seed)
+
+
+def edited_frames(conv: FrameSequence, seed: int, start: float, length: int,
+                  edit: str) -> FrameSequence:
+    if edit == "ties at the peak":
+        return frames_with_ties_at_peak(seed, 1.0)
+    length = min(length, len(conv))
+    first = int(start * (len(conv) - length))
+    rows = conv.frames[first:first + length].copy()
+    rng = np.random.default_rng([seed, first, length])
+    if edit == "all zero":
+        rows[:] = 0.0
+    elif edit == "constant":
+        rows[:] = rows[0]
+    elif edit == "constant, a few loud":    # peak at the floor, bounds above it
+        rows[:] = rows[0]
+        rows[rng.choice(length, size=length // 30, replace=False)] *= 10.0
+    elif edit == "zero stretch":
+        a, b = np.sort(rng.integers(0, length + 1, size=2))
+        rows[a:b] = 0.0
+    elif edit in ("nan", "inf"):
+        hit = rng.choice(length, size=max(1, length // 50), replace=False)
+        rows[hit, rng.integers(0, 400)] = np.nan if edit == "nan" else -np.inf
+    elif edit == "subnormal":
+        rows *= 1e-160
+    elif edit == "huge":       # squares near overflow
+        rows *= 1e153
+    return FrameSequence(rows, 400, 160, 16000)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2),
+    start=st.floats(0.0, 1.0),
+    length=st.one_of(st.integers(1, 2 * CHUNK_FRAMES - 1), st.integers(1, 10**5)),
+    edit=st.sampled_from(["none", "all zero", "constant", "constant, a few loud",
+                          "zero stretch", "nan", "inf", "subnormal", "huge",
+                          "ties at the peak"]),
+    profile=st.sampled_from(["estimated", "halved", "zero", "negative"]),
+    threshold_db=st.sampled_from([1.0, 30.0, 60.0, 80.0]),
+    noise_percentile=st.sampled_from([0.1, 0.9]),
+)
+# a whole conversation with bounds as tight as rounding: each of the peak's
+# ranks decides its bits
+@example(seed=0, start=0.0, length=10**5, edit="none", profile="zero",
+         threshold_db=60.0, noise_percentile=0.1)
+@example(seed=0, start=0.5, length=3000, edit="constant, a few loud", profile="estimated",
+         threshold_db=60.0, noise_percentile=0.1)
+# a negative profile breaks the upper bound, so every frame is subtracted
+@example(seed=0, start=0.0, length=10**5, edit="none", profile="negative",
+         threshold_db=1.0, noise_percentile=0.1)
+def test_find_quasi_silences_equals_full_subtraction(conversations, seed, start, length, edit,
+                                                     profile, threshold_db,
+                                                     noise_percentile) -> None:
+    frames = edited_frames(conversations[seed], seed, start, length, edit)
+    cfg = SilenceConfig(threshold_db=threshold_db, noise_percentile=noise_percentile)
+    source = frames if len(frames) >= MIN_FRAMES_FOR_NOISE else conversations[seed]
+    noise = estimate_noise_profile(source, cfg)
+    if profile != "estimated":
+        factor = {"halved": 0.5, "zero": 0.0, "negative": -30.0}[profile]
+        noise = NoiseProfile(factor * noise.magnitude_spectrum_estimate, noise.frames_used)
+    check_quasi_silences_exact(frames, noise, cfg)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("scale", [1.0, 1e-157])    # 1e-157: subnormal energies
+def test_find_quasi_silences_exact_on_ties_at_the_peak(seed, scale) -> None:
+    # The quietest frames are all-zero, so the profile is zero and the bounds
+    # are as tight as rounding: without their margin, or without one of the
+    # peak's ranks, the peak changes.
+    frames = frames_with_ties_at_peak(seed, scale)
+    noise = estimate_noise_profile(frames, SilenceConfig())
+    assert not noise.magnitude_spectrum_estimate.any()
+    track = spectral_subtract(frames, noise)
+    lower, upper = residual_bounds(frames, noise)
+    assert np.all(lower <= track) and np.all(track <= upper)
+    by_track = np.argsort(track, kind="stable")
+    by_parseval = np.argsort(parseval_energies(frames, 512), kind="stable")
+    k0 = math.floor(0.95 * (len(frames) - 1))
+    assert set(by_track[k0:k0 + 2].tolist()) != set(by_parseval[k0:k0 + 2].tolist())
+    for threshold_db in (1.0, 30.0, 60.0, 80.0):
+        check_quasi_silences_exact(frames, noise, SilenceConfig(threshold_db=threshold_db))
+
+
+@pytest.mark.parametrize("size", [0, 1, CHUNK_FRAMES - 1, CHUNK_FRAMES + 1, 2 * CHUNK_FRAMES + 40])
+def test_spectral_subtract_index_equals_full_pass_rows(size) -> None:
+    frames = frame_signal(bursty_signal(3 * CHUNK_FRAMES + 7, seed=size), MfccConfig())
+    noise = estimate_noise_profile(frames, SilenceConfig())
+    # unsorted, with repeats
+    index = np.random.default_rng(size).integers(0, len(frames), size=size)
+    assert_bits_equal(spectral_subtract(frames, noise, index=index),
+                      spectral_subtract(frames, noise)[index])
+
+
+def test_find_quasi_silences_transforms_silent_and_peak_frames_only(
+        monkeypatch, three_minute_frames) -> None:
+    frames = three_minute_frames
+    cfg = SilenceConfig()
+    noise = estimate_noise_profile(frames, cfg)
+    track = spectral_subtract(frames, noise)
+    peak = np.percentile(track, 95.0)
+    silent = 10.0 * np.log10(peak / np.maximum(track, ENERGY_FLOOR)) >= cfg.threshold_db
+    candidates = percentile_candidates(frames, noise)
+    regions = []
+    rows = transformed_rows(monkeypatch,
+                            lambda: regions.extend(find_quasi_silences(frames, noise, cfg)))
+    assert region_bits(regions) == region_bits(detect_quasi_silences(track, cfg))
+    assert len(rows) == 1
+    assert rows[0] <= np.count_nonzero(silent | candidates)
+    assert rows[0] <= 0.25 * len(frames)
