@@ -27,6 +27,21 @@ run synth-long synth --seed 11 --num-speakers 4 --min-changes 60 --max-changes 6
     --prefix long
 long_wav=synth-long/long.wav
 long_truth=synth-long/long.truth.json
+# 8 kHz, where 25 ms frames take a 256-point FFT instead of 512
+mkdir synth-8k
+PYTHONPATH="$src" python3 -c '
+import dataclasses, json, sys
+from feddiar.frontend import save_wav
+from feddiar.pipeline import truth_to_dict
+from feddiar.synth import random_conversation_spec, synth_conversation
+spec = random_conversation_spec(num_speakers=3, seed=5)
+audio, truth = synth_conversation(dataclasses.replace(spec, sample_rate_hz=8000))
+save_wav(sys.argv[1] + "/conv8k.wav", audio)
+with open(sys.argv[1] + "/conv8k.truth.json", "w") as fh:
+    json.dump(truth_to_dict(truth), fh, sort_keys=True, indent=2)
+' synth-8k
+wav8k=synth-8k/conv8k.wav
+truth8k=synth-8k/conv8k.truth.json
 
 run fedsim-non_iid fedsim --mode non_iid
 run fedsim-iid fedsim --mode iid
@@ -62,6 +77,9 @@ for variant in default noise90 thr30 thr80; do
     run "diarize-long-$variant" diarize --audio "$long_wav" --model "$model" \
         --truth "$long_truth" $flags
 done
+
+run segment-8k segment --audio "$wav8k"
+run diarize-8k diarize --audio "$wav8k" --model "$model" --truth "$truth8k"
 
 run sweep sweep --num-conversations 2
 run eval eval --truth "$truth" --detected segment-default/change_points.csv

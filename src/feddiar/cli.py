@@ -53,16 +53,20 @@ OUT_DIR_ENV = "FEDDIAR_OUT"
 
 def load_config_file(path) -> dict[str, str]:
     """Line-oriented `key = value` pairs; # starts a comment."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise FeddiarError(f"config file {path} is not UTF-8 text: {exc}") from exc
     out: dict[str, str] = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FeddiarError(f"bad config line: {raw.rstrip()}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FeddiarError(f"bad config line: {raw.rstrip()}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -153,17 +157,17 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _run(args, with_model: bool):
+def _run(args):
     cfg = _pipeline_config(_merge_opts(args))
     truth = _load_truth(args.truth) if getattr(args, "truth", None) else None
     audio = load_wav(args.audio)
-    model = load_checkpoint(args.model) if with_model and args.model else None
+    model = load_checkpoint(args.model) if getattr(args, "model", None) else None
     return run_pipeline(audio, cfg, model=model, truth=truth)
 
 
 def _cmd_segment(args) -> int:
     out = _out_dir(args)
-    result = _run(args, with_model=False)
+    result = _run(args)
     write_change_point_csv(out / "change_points.csv", result.change_points)
     write_region_csv(out / "silences.csv", result.silences,
                      result.features.hop_sec)
@@ -174,7 +178,7 @@ def _cmd_segment(args) -> int:
 
 def _cmd_cluster(args) -> int:
     out = _out_dir(args)
-    result = _run(args, with_model=False)
+    result = _run(args)
     write_change_point_csv(out / "change_points.csv", result.change_points)
     write_cluster_csv(out / "clusters.csv", result.segments, result.clusters,
                       result.features.hop_sec)
@@ -185,7 +189,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_identify(args) -> int:
     out = _out_dir(args)
-    result = _run(args, with_model=True)
+    result = _run(args)
     with open(out / "labels.csv", "w") as fh:
         fh.write("cluster_id,speaker_id,confidence\n")
         for lab in result.labels:
@@ -197,7 +201,7 @@ def _cmd_identify(args) -> int:
 
 def _cmd_diarize(args) -> int:
     out = _out_dir(args)
-    result = _run(args, with_model=True)
+    result = _run(args)
     write_change_point_csv(out / "change_points.csv", result.change_points)
     write_cluster_csv(out / "clusters.csv", result.segments, result.clusters,
                       result.features.hop_sec)

@@ -72,12 +72,13 @@ def merge_cost(
 
 # pairs priced per batch: bounds the (pairs, d, d) temporaries to a few MB
 PAIR_BATCH = 2048
+DEFAULT_MIN_SEGMENT_FRAMES = 25
 
 
 def cluster_segments(
     segments: list[Segment],
     cfg: BicConfig | None = None,
-    min_segment_frames: int = 25,
+    min_segment_frames: int = DEFAULT_MIN_SEGMENT_FRAMES,
     counter: ComputeCounter | None = None,
 ) -> ClusterSet:
     """Greedily merge segment clusters while the cheapest pair attracts.

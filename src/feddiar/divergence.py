@@ -56,20 +56,6 @@ class ComputeCounter:
     t2_count: int = 0
     merge_cost_count: int = 0
 
-    def merge(self, other: "ComputeCounter") -> None:
-        self.covariance_count += other.covariance_count
-        self.delta_bic_count += other.delta_bic_count
-        self.t2_count += other.t2_count
-        self.merge_cost_count += other.merge_cost_count
-
-    def snapshot(self) -> dict:
-        return {
-            "covariance_count": self.covariance_count,
-            "delta_bic_count": self.delta_bic_count,
-            "t2_count": self.t2_count,
-            "merge_cost_count": self.merge_cost_count,
-        }
-
 
 @dataclass(frozen=True)
 class BicConfig:
@@ -103,7 +89,6 @@ class GaussianStats:
     covariance: np.ndarray
     log_det: float
     n: int
-    estimator: str            # "mle" (divide by n) or "unbiased" (n - 1)
     regularized: bool = False
 
 
@@ -184,7 +169,6 @@ def gaussian_fit(
         covariance=cov,
         log_det=log_det,
         n=n,
-        estimator=estimator,
         regularized=regularized,
     )
 

@@ -40,6 +40,8 @@ from .identifier import (
 from .seeding import substream
 
 MODES = ("non_iid", "iid", "centralized")
+# share of each speaker's frames held out for the per-round evaluation
+HOLDOUT_FRACTION = 0.2
 
 
 @dataclass
@@ -263,7 +265,7 @@ def _evaluate_round(clients, state, cfg, lr) -> RoundRecord | None:
                        loss=float(np.mean(losses)), lr=lr)
 
 
-def holdout_split(corpus: dict[int, np.ndarray], seed: int, fraction: float = 0.2):
+def holdout_split(corpus: dict[int, np.ndarray], seed: int):
     """Stratified train/eval split; every speaker keeps at least one eval frame."""
     train: dict[int, np.ndarray] = {}
     eval_frames = []
@@ -275,7 +277,7 @@ def holdout_split(corpus: dict[int, np.ndarray], seed: int, fraction: float = 0.
             raise InsufficientData(f"speaker {speaker} has {n} frames")
         rng = substream(seed, "eval", speaker)
         order = rng.permutation(n)
-        n_eval = max(1, int(round(fraction * n)))
+        n_eval = max(1, int(round(HOLDOUT_FRACTION * n)))
         if n_eval >= n:
             n_eval = n - 1
         eval_frames.append(frames[order[:n_eval]])

@@ -25,7 +25,6 @@ workspace for that reason).
 
 from __future__ import annotations
 
-import csv
 import struct
 import wave
 from dataclasses import dataclass
@@ -41,6 +40,14 @@ PCM16_FULL_SCALE = 32768.0
 # Frames per chunk of every spectral pass (the last chunk holds up to twice
 # as many, see above).
 CHUNK_FRAMES = 256
+
+
+def next_power_of_two(n: int) -> int:
+    """The smallest power of two at or above n (1 for n <= 1)."""
+    p = 1
+    while p < n:
+        p *= 2
+    return p
 
 
 @dataclass(frozen=True)
@@ -72,15 +79,21 @@ class FrameSequence:
     def hop_sec(self) -> float:
         return self.hop_samples / self.sample_rate_hz
 
+    @property
+    def fft_size(self) -> int:
+        """Transform length of the silence stage: next power of two >= frame length."""
+        return next_power_of_two(self.frame_len_samples)
+
     def frame_onsets_sec(self) -> np.ndarray:
         return np.arange(len(self)) * self.hop_samples / self.sample_rate_hz
+
 
 
 @dataclass(frozen=True)
 class MfccConfig:
     num_coefficients: int = 12
     num_mel_filters: int = 26
-    fft_size: int | None = None      # None: next power of two >= frame length
+    fft_size: int | None = None      # MFCC transform; None: next power of two >= frame length
     pre_emphasis: float = 0.97
     frame_ms: float = 25.0
     hop_ms: float = 10.0
@@ -95,10 +108,7 @@ class MfccConfig:
     def resolve_fft_size(self, sample_rate_hz: int) -> int:
         if self.fft_size is not None:
             return self.fft_size
-        n = 1
-        while n < self.frame_len(sample_rate_hz):
-            n *= 2
-        return n
+        return next_power_of_two(self.frame_len(sample_rate_hz))
 
     def validate(self, sample_rate_hz: int) -> None:
         if self.num_coefficients < 1:
@@ -137,8 +147,9 @@ class FeatureMatrix:
 def load_wav(path) -> AudioSignal:
     """Read a 16-bit PCM RIFF/WAVE file as a normalized mono signal.
 
-    Stereo input is downmixed by channel mean. Raises MalformedWav for
-    container problems and UnsupportedEncoding for non-PCM-16 payloads.
+    Stereo input is downmixed by channel mean. Raises MalformedWav, naming
+    the file, for container problems and UnsupportedEncoding for non-PCM-16
+    payloads.
     """
     try:
         with wave.open(str(path), "rb") as wf:
@@ -150,9 +161,11 @@ def load_wav(path) -> AudioSignal:
     except wave.Error as exc:
         if "unknown format" in str(exc).lower():
             raise UnsupportedEncoding(str(exc)) from exc
-        raise MalformedWav(str(exc)) from exc
+        raise MalformedWav(f"{path}: {exc}") from exc
     except (EOFError, struct.error) as exc:
-        raise MalformedWav(str(exc)) from exc
+        # EOFError carries no message
+        raise MalformedWav(f"{path}: truncated WAV header "
+                           f"({str(exc) or type(exc).__name__})") from exc
 
     if samp_width != 2:
         raise UnsupportedEncoding(f"expected 16-bit PCM, got {8 * samp_width}-bit")
@@ -275,11 +288,3 @@ def compute_mfcc(frames: FrameSequence, cfg: MfccConfig) -> FeatureMatrix:
 
     return FeatureMatrix(rows=rows, frame_times_sec=frames.frame_onsets_sec())
 
-
-def write_feature_csv(path, features: FeatureMatrix) -> None:
-    """Dump features as CSV: time_sec, c1..cd."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_sec"] + [f"c{i + 1}" for i in range(features.d)])
-        for t, row in zip(features.frame_times_sec, features.rows):
-            writer.writerow([f"{t:.6f}"] + [repr(float(v)) for v in row])

@@ -60,10 +60,6 @@ class ModelArch:
     def layer_sizes(self) -> list[int]:
         return [self.input_dim, *self.hidden_sizes, self.num_classes]
 
-    @property
-    def embedding_dim(self) -> int:
-        return self.num_classes
-
     def num_params(self) -> int:
         sizes = self.layer_sizes
         return sum(sizes[i] * sizes[i + 1] + sizes[i + 1] for i in range(len(sizes) - 1))
@@ -199,12 +195,11 @@ def _check_training_data(model: ModelWeights, frames, labels):
 class _Workspace:
     """Buffers for batched forward and backward passes, allocated once.
 
-    Sized for batches of up to `rows` frames; a shorter batch uses leading
-    row slices. Each pass writes every intermediate with `out=` or in place,
-    in the same operation order as the plain expressions (z = a @ w + b,
-    softmax, delta = (delta @ w.T) * (z > 0)), so the results are
-    bit-identical to them while a training step allocates only small index
-    arrays.
+    Sized for batches of `rows` frames. Each pass writes every intermediate
+    with `out=` or in place, in the same operation order as the plain
+    expressions (z = a @ w + b, softmax, delta = (delta @ w.T) * (z > 0)),
+    so the results are bit-identical to them while a training step
+    allocates only the small temporaries of the label gather.
 
     All buffers are views of one block. A single large block, once freed,
     raises glibc's dynamic mmap and trim thresholds above its own size, so
@@ -219,41 +214,39 @@ class _Workspace:
         weights = list(zip(sizes, sizes[1:]))
         biases = [(o,) for o in sizes[1:]]
         params = weights + biases
-        (x, logits, row_stat, self.pres, self.acts, self.deltas, self.masks,
+        (logits, row_stat, self.pres, self.acts, self.deltas, self.masks,
          self.grad_w, self.grad_b, scratch_a, scratch_b) = _carve(
-            [(rows, arch.input_dim)], [(rows, arch.num_classes)], [(rows, 1)],
+            [(rows, arch.num_classes)], [(rows, 1)],
             hidden, hidden, hidden, hidden, weights, biases, params, params)
-        self.x, self.logits, self.row_stat = x[0], logits[0], row_stat[0]
+        self.logits, self.row_stat = logits[0], row_stat[0]
         self.scratch = list(zip(scratch_a, scratch_b))   # Adam temporaries per parameter
         self.row_ids = np.arange(rows)
 
     def gradients(self, weights, biases, x: np.ndarray, labels: np.ndarray):
         """Mean cross-entropy gradients on (x, labels), in the grad buffers."""
-        n = x.shape[0]
         a = x
         for layer, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
-            z = np.matmul(a, w, out=self.pres[layer][:n])
+            z = np.matmul(a, w, out=self.pres[layer])
             z += b
-            a = np.maximum(z, 0.0, out=self.acts[layer][:n])
-        delta = np.matmul(a, weights[-1], out=self.logits[:n])
+            a = np.maximum(z, 0.0, out=self.acts[layer])
+        delta = np.matmul(a, weights[-1], out=self.logits)
         delta += biases[-1]
 
         # softmax in place, then its cross-entropy gradient
-        delta -= np.max(delta, axis=-1, keepdims=True, out=self.row_stat[:n])
+        delta -= np.max(delta, axis=-1, keepdims=True, out=self.row_stat)
         np.exp(delta, out=delta)
-        delta /= np.sum(delta, axis=-1, keepdims=True, out=self.row_stat[:n])
-        delta[self.row_ids[:n], labels] -= 1.0
-        delta /= n
+        delta /= np.sum(delta, axis=-1, keepdims=True, out=self.row_stat)
+        delta[self.row_ids, labels] -= 1.0
+        delta /= x.shape[0]
 
         for layer in range(len(weights) - 1, -1, -1):
-            a = self.acts[layer - 1][:n] if layer > 0 else x
+            a = self.acts[layer - 1] if layer > 0 else x
             np.matmul(a.T, delta, out=self.grad_w[layer])
             np.sum(delta, axis=0, out=self.grad_b[layer])
             if layer > 0:
-                prev = np.matmul(delta, weights[layer].T, out=self.deltas[layer - 1][:n])
+                prev = np.matmul(delta, weights[layer].T, out=self.deltas[layer - 1])
                 # a 0/1 float mask multiplies exactly as a cast boolean one
-                prev *= np.greater(self.pres[layer - 1][:n], 0.0,
-                                   out=self.masks[layer - 1][:n])
+                prev *= np.greater(self.pres[layer - 1], 0.0, out=self.masks[layer - 1])
                 delta = prev
         return self.grad_w, self.grad_b
 
@@ -308,37 +301,27 @@ def train_local(
     opt: AdamState | None = None,
     lr: float = 1e-3,
     epochs: int = 1,
-    batch_size: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> tuple[ModelWeights, AdamState]:
-    """Adam on batched cross-entropy. Full-batch when batch_size is None.
+    """Full-batch Adam on cross-entropy, one step per epoch.
 
-    Batch order is shuffled only when an rng is supplied, so the default
-    call is bit-reproducible. The parameters are updated in copies owned by
-    this call, and every per-step array lives in one workspace allocated up
+    Bit-reproducible. The parameters are updated in copies owned by this
+    call, and every per-step array lives in one workspace allocated up
     front, so the number of allocations does not grow with steps.
     """
     frames, labels = _check_training_data(model, frames, labels)
     frames = np.ascontiguousarray(frames)
     opt = opt or AdamState.for_model(model)
-    n = frames.shape[0]
-    if batch_size is None or batch_size >= n:
-        batch_size = n
 
     params = [p.copy() for p in (*model.weights, *model.biases)]
     new_w, new_b = params[:len(model.weights)], params[len(model.weights):]
     moments = list(zip(opt.m_w + opt.m_b, opt.v_w + opt.v_b))
-    work = _Workspace(model.arch, batch_size)
+    work = _Workspace(model.arch, frames.shape[0])
     for _ in range(epochs):
-        order = rng.permutation(n) if rng is not None else np.arange(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            x = np.take(frames, idx, axis=0, out=work.x[:len(idx)], mode="clip")
-            grad_w, grad_b = work.gradients(new_w, new_b, x, labels[idx])
-            opt.step += 1
-            for p, g, (m, v), (t1, t2) in zip(params, grad_w + grad_b, moments,
-                                              work.scratch):
-                _adam_step(p, g, m, v, opt.step, lr, t1, t2)
+        grad_w, grad_b = work.gradients(new_w, new_b, frames, labels)
+        opt.step += 1
+        for p, g, (m, v), (t1, t2) in zip(params, grad_w + grad_b, moments,
+                                          work.scratch):
+            _adam_step(p, g, m, v, opt.step, lr, t1, t2)
     return model.bumped(new_w, new_b), opt
 
 

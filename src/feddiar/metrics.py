@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 from .errors import EmptyCorpus, InvalidConfig, LengthMismatch, UnsortedInput
 
+DEFAULT_COLLAR_SEC = 0.5
+
 
 @dataclass(frozen=True)
 class MatchResult:
@@ -56,7 +58,8 @@ def _require_sorted(values, name: str) -> list[float]:
     return out
 
 
-def match_change_points(true_points, detected_points, collar_sec: float = 0.5) -> MatchResult:
+def match_change_points(true_points, detected_points,
+                        collar_sec: float = DEFAULT_COLLAR_SEC) -> MatchResult:
     """Greedy one-to-one matching of detections to true change points."""
     if not collar_sec >= 0.0:
         raise InvalidConfig("collar_sec must be non-negative")

@@ -15,7 +15,13 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .clustering import ClusterSet, Segment, cluster_rows, cluster_segments
+from .clustering import (
+    DEFAULT_MIN_SEGMENT_FRAMES,
+    ClusterSet,
+    Segment,
+    cluster_rows,
+    cluster_segments,
+)
 from .divergence import BicConfig, ComputeCounter
 from .errors import EmptyCorpus, InvalidConfig, InvalidSpec, IoFailure, StageError
 from .frontend import (
@@ -27,6 +33,7 @@ from .frontend import (
 )
 from .identifier import ModelWeights, predict_cluster
 from .metrics import (
+    DEFAULT_COLLAR_SEC,
     MatchResult,
     corpus_scores,
     f_from_rates,
@@ -57,8 +64,8 @@ class PipelineConfig:
     silence: SilenceConfig = field(default_factory=SilenceConfig)
     seg: SegConfig = field(default_factory=SegConfig)
     bic: BicConfig = field(default_factory=BicConfig)
-    min_segment_frames: int = 25
-    collar_sec: float = 0.5
+    min_segment_frames: int = DEFAULT_MIN_SEGMENT_FRAMES
+    collar_sec: float = DEFAULT_COLLAR_SEC
 
     def __post_init__(self):
         # report.json holds the config, and JSON has no NaN or Infinity
@@ -115,8 +122,8 @@ def frontend_and_silence(
     frames, features = _stage("frontend", frontend)
 
     def silence():
-        noise = estimate_noise_profile(frames, cfg.silence, cfg.mfcc)
-        return find_quasi_silences(frames, noise, cfg.silence, cfg.mfcc)
+        noise = estimate_noise_profile(frames, cfg.silence)
+        return find_quasi_silences(frames, noise, cfg.silence)
 
     return features, _stage("silence", silence)
 

@@ -6,14 +6,16 @@ search windows in the segmentation module.
 
 Spectra come from `frontend.spectrum_chunks`, CHUNK_FRAMES frames at a
 time through buffers allocated once per call, so memory stays flat in the
-audio length and results equal a whole-matrix pass bit for bit. No step
-transforms every frame. The noise profile ranks the frames by energy
-without an FFT: by Parseval's identity the mean of |rfft|^2 follows from
-each windowed frame's sum of squares and its first and Nyquist bins. Only
-the frames within a small margin of the quietest noise_percentile are
-transformed, to rank them by their exact FFT energies and to sum the
-spectra of the quietest, so the profile equals the one from a
-full-spectrum ranking bit for bit.
+audio length and results equal a whole-matrix pass bit for bit. Each
+transform has `FrameSequence.fft_size` points, the next power of two at or
+above the frame length, whatever size the MFCC configuration sets for its
+own transform. No step transforms every frame. The noise profile ranks the
+frames by energy without an FFT: by Parseval's identity the mean of
+|rfft|^2 follows from each windowed frame's sum of squares and its first
+and Nyquist bins. Only the frames within a small margin of the quietest
+noise_percentile are transformed, to rank them by their exact FFT energies
+and to sum the spectra of the quietest, so the profile equals the one from
+a full-spectrum ranking bit for bit.
 
 `find_quasi_silences` subtracts the noise only where the residual energy
 can decide a region. The same Parseval energy E_X bounds a frame's
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, TooFewFrames
-from .frontend import FrameSequence, MfccConfig, chunk_bounds, spectrum_chunks
+from .frontend import FrameSequence, chunk_bounds, spectrum_chunks
 
 ENERGY_FLOOR = 1e-12
 
@@ -122,11 +124,7 @@ def parseval_energies(frames: FrameSequence, fft_size: int) -> np.ndarray:
     return energies
 
 
-def estimate_noise_profile(
-    frames: FrameSequence,
-    cfg: SilenceConfig,
-    mfcc_cfg: MfccConfig | None = None,
-) -> NoiseProfile:
+def estimate_noise_profile(frames: FrameSequence, cfg: SilenceConfig) -> NoiseProfile:
     """Per-bin mean magnitude over the quietest noise_percentile of frames.
 
     The k quietest frames are those first in a stable sort of the FFT
@@ -151,7 +149,7 @@ def estimate_noise_profile(
     if len(frames) < MIN_FRAMES_FOR_NOISE:
         raise TooFewFrames(f"need >= {MIN_FRAMES_FOR_NOISE} frames, got {len(frames)}")
 
-    fft_size = (mfcc_cfg or MfccConfig()).resolve_fft_size(frames.sample_rate_hz)
+    fft_size = frames.fft_size
     k = max(1, int(np.floor(cfg.noise_percentile * len(frames))))
     approx = parseval_energies(frames, fft_size)
     if np.isfinite(approx).all():
@@ -176,7 +174,6 @@ def estimate_noise_profile(
 def spectral_subtract(
     frames: FrameSequence,
     noise: NoiseProfile,
-    mfcc_cfg: MfccConfig | None = None,
     index: np.ndarray | None = None,
 ) -> np.ndarray:
     """Residual energy per frame after subtracting the noise magnitude profile.
@@ -185,7 +182,7 @@ def spectral_subtract(
     magnitude of each frame, or of frame index[j] at j when an index is
     given (each row is computed on its own, so the values are the same).
     """
-    fft_size = (mfcc_cfg or MfccConfig()).resolve_fft_size(frames.sample_rate_hz)
+    fft_size = frames.fft_size
     profile = noise.magnitude_spectrum_estimate
     bins = fft_size // 2 + 1
     if profile.shape[0] != bins:
@@ -236,9 +233,8 @@ def find_quasi_silences(
     frames: FrameSequence,
     noise: NoiseProfile,
     cfg: SilenceConfig,
-    mfcc_cfg: MfccConfig | None = None,
 ) -> list[QuasiSilenceRegion]:
-    """detect_quasi_silences(spectral_subtract(frames, noise, mfcc_cfg), cfg),
+    """detect_quasi_silences(spectral_subtract(frames, noise), cfg),
     subtracting only the frames whose residual energy can change the regions.
 
     The other frames get a placeholder from Parseval bounds on their
@@ -275,14 +271,13 @@ def find_quasi_silences(
     subtracted.
     """
     def every_frame():
-        return detect_quasi_silences(spectral_subtract(frames, noise, mfcc_cfg), cfg)
+        return detect_quasi_silences(spectral_subtract(frames, noise), cfg)
 
-    fft_size = (mfcc_cfg or MfccConfig()).resolve_fft_size(frames.sample_rate_hz)
     profile = noise.magnitude_spectrum_estimate
     n = len(frames)
     if n == 0 or not (profile >= 0.0).all():
         return every_frame()
-    upper = parseval_energies(frames, fft_size)
+    upper = parseval_energies(frames, frames.fft_size)
     if not np.isfinite(upper).all():
         return every_frame()
 
@@ -310,7 +305,7 @@ def find_quasi_silences(
     exact |= lower <= quiet * (1.0 + CANDIDATE_MARGIN) + CANDIDATE_FLOOR
     idx = np.flatnonzero(exact)
     track = np.where(upper < window_lo, upper, lower)
-    track[idx] = spectral_subtract(frames, noise, mfcc_cfg, index=idx)
+    track[idx] = spectral_subtract(frames, noise, index=idx)
     return detect_quasi_silences(track, cfg)
 
 

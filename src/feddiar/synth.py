@@ -25,6 +25,13 @@ GAP_NOISE_AMPLITUDE = 1e-4      # -80 dB re full scale
 TURN_RMS = 0.1
 AM_DEPTH = 0.5
 ENVELOPE_FLOOR = 0.02
+SAMPLE_RATE_HZ = 16000
+
+# Layout of random_conversation_spec: the share of turn boundaries that are
+# non-switching pauses, and the range of turn durations.
+SAME_SPEAKER_PROB = 0.15
+MIN_TURN_SEC = 1.2
+MAX_TURN_SEC = 2.8
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,7 @@ class SynthSpec:
     turns: tuple[tuple[int, float], ...]
     speaker_profiles: tuple[SpeakerProfile, ...]
     gap_sec: float = 0.4
-    sample_rate_hz: int = 16000
+    sample_rate_hz: int = SAMPLE_RATE_HZ
     seed: int = 0
 
     def num_change_points(self) -> int:
@@ -171,15 +178,11 @@ def random_conversation_spec(
     seed: int = 0,
     min_changes: int = 3,
     max_changes: int = 20,
-    same_speaker_prob: float = 0.15,
-    min_turn_sec: float = 1.2,
-    max_turn_sec: float = 2.8,
     gap_sec: float = 0.4,
-    sample_rate_hz: int = 16000,
 ) -> SynthSpec:
     """Draw a conversation layout with the target change-point count range.
 
-    About same_speaker_prob of the turn boundaries are non-switching pauses,
+    About SAME_SPEAKER_PROB of the turn boundaries are non-switching pauses,
     so a detector that fires at every silence pays for it in false detections.
     """
     if num_speakers < 2:
@@ -191,19 +194,18 @@ def random_conversation_spec(
     speakers = [int(rng.integers(num_speakers))]
     changes = 0
     while changes < n_changes:
-        if rng.random() < same_speaker_prob:
+        if rng.random() < SAME_SPEAKER_PROB:
             speakers.append(speakers[-1])
         else:
             offset = int(rng.integers(1, num_speakers))
             speakers.append((speakers[-1] + offset) % num_speakers)
             changes += 1
-    durations = rng.uniform(min_turn_sec, max_turn_sec, size=len(speakers))
+    durations = rng.uniform(MIN_TURN_SEC, MAX_TURN_SEC, size=len(speakers))
     return SynthSpec(
         num_speakers=num_speakers,
         turns=tuple((s, float(d)) for s, d in zip(speakers, durations)),
         speaker_profiles=make_profiles(num_speakers, seed),
         gap_sec=gap_sec,
-        sample_rate_hz=sample_rate_hz,
         seed=seed,
     )
 
@@ -224,18 +226,18 @@ def speaker_frame_corpus(
     num_speakers: int,
     seed: int,
     seconds_per_speaker: float = 8.0,
-    num_coefficients: int = 12,
 ) -> dict[int, np.ndarray]:
     """Per-speaker MFCC frame banks from solo synthetic speech."""
     from .frontend import MfccConfig, compute_mfcc, frame_signal
 
     profiles = make_profiles(num_speakers, seed)
-    cfg = MfccConfig(num_coefficients=num_coefficients)
+    cfg = MfccConfig()
     corpus: dict[int, np.ndarray] = {}
     for speaker in range(num_speakers):
         rng = substream(seed, "solo", speaker)
-        wave = _turn_waveform(profiles[speaker], seconds_per_speaker, 16000, rng)
-        audio = AudioSignal(samples=wave, sample_rate_hz=16000,
+        wave = _turn_waveform(profiles[speaker], seconds_per_speaker,
+                              SAMPLE_RATE_HZ, rng)
+        audio = AudioSignal(samples=wave, sample_rate_hz=SAMPLE_RATE_HZ,
                             source_id=f"solo-{speaker}")
         features = compute_mfcc(frame_signal(audio, cfg), cfg)
         corpus[speaker] = features.rows

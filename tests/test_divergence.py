@@ -371,10 +371,3 @@ def test_counter_accounting_exact() -> None:
     delta_bic(x, y, counter=counter)
     assert (counter.covariance_count, counter.delta_bic_count, counter.t2_count) == (7, 2, 1)
 
-
-def test_counter_merge_and_snapshot() -> None:
-    a = ComputeCounter(covariance_count=3, delta_bic_count=1)
-    b = ComputeCounter(covariance_count=1, t2_count=1, merge_cost_count=5)
-    a.merge(b)
-    assert a.snapshot() == {"covariance_count": 4, "delta_bic_count": 1, "t2_count": 1,
-                            "merge_cost_count": 5}

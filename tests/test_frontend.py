@@ -17,7 +17,6 @@ from feddiar.frontend import (
     mel_filterbank,
     save_wav,
     spectrum_chunks,
-    write_feature_csv,
 )
 
 
@@ -149,17 +148,6 @@ def test_fft_size_next_power_of_two() -> None:
     assert cfg.frame_len(16000) == 400
     assert cfg.resolve_fft_size(16000) == 512
     assert cfg.resolve_fft_size(8000) == 256
-
-
-def test_feature_csv_header(tmp_path) -> None:
-    cfg = MfccConfig()
-    feats = compute_mfcc(frame_signal(tone(0.2), cfg), cfg)
-    path = tmp_path / "f.csv"
-    write_feature_csv(path, feats)
-    assert feats.d == feats.rows.shape[1] == 12
-    lines = path.read_text().splitlines()
-    assert lines[0] == "time_sec," + ",".join(f"c{i}" for i in range(1, 13))
-    assert len(lines) == len(feats) + 1
 
 
 # -- chunked passes against the whole-matrix oracle --------------------------

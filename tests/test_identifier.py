@@ -342,24 +342,18 @@ def reference_adam_step(value, grad, m, v, step, lr):
     return value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def reference_train_local(model, frames, labels, opt, lr, epochs, batch_size=None, rng=None):
-    """Adam training that builds new parameter arrays at every step."""
-    n = frames.shape[0]
-    if batch_size is None or batch_size >= n:
-        batch_size = n
+def reference_train_local(model, frames, labels, opt, lr, epochs):
+    """Full-batch Adam training that builds new parameter arrays at every step."""
     new_w, new_b = list(model.weights), list(model.biases)
     for _ in range(epochs):
-        order = rng.permutation(n) if rng is not None else np.arange(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            work = ModelWeights(model.arch, tuple(new_w), tuple(new_b))
-            grad_w, grad_b = reference_gradients(work, frames[idx], labels[idx])
-            opt.step += 1
-            for i in range(len(new_w)):
-                new_w[i] = reference_adam_step(new_w[i], grad_w[i], opt.m_w[i], opt.v_w[i],
-                                               opt.step, lr)
-                new_b[i] = reference_adam_step(new_b[i], grad_b[i], opt.m_b[i], opt.v_b[i],
-                                               opt.step, lr)
+        work = ModelWeights(model.arch, tuple(new_w), tuple(new_b))
+        grad_w, grad_b = reference_gradients(work, frames, labels)
+        opt.step += 1
+        for i in range(len(new_w)):
+            new_w[i] = reference_adam_step(new_w[i], grad_w[i], opt.m_w[i], opt.v_w[i],
+                                           opt.step, lr)
+            new_b[i] = reference_adam_step(new_b[i], grad_b[i], opt.m_b[i], opt.v_b[i],
+                                           opt.step, lr)
     return model.bumped(new_w, new_b), opt
 
 
@@ -385,14 +379,11 @@ def test_gradients_bit_equal_to_reference(hidden) -> None:
                             sum(reference_gradients(model, frames, labels), []))
 
 
-@pytest.mark.parametrize("n, batch_size, shuffle", [
-    (90, None, False),     # full batch
-    (50, 16, False),       # three batches of 16 and a last batch of 2
-    (50, 16, True),
-    (1, None, False),
-])
+# The ids keep the names these cases had when train_local also took a batch
+# size and a shuffling rng.
+@pytest.mark.parametrize("n", [90, 1], ids=["90-None-False", "1-None-False"])
 @pytest.mark.parametrize("hidden", [(8,), (64, 64)])
-def test_train_local_bit_equal_to_reference(n, batch_size, shuffle, hidden) -> None:
+def test_train_local_bit_equal_to_reference(n, hidden) -> None:
     arch = ModelArch(12, hidden, 3)
     model = init_model(arch, seed=23)
     frames, labels = multi_class_data(n, arch, seed=24)
@@ -400,12 +391,9 @@ def test_train_local_bit_equal_to_reference(n, batch_size, shuffle, hidden) -> N
     warm_model, warm_opt = train_local(model, frames, labels, lr=0.05, epochs=1)
     ref_opt = copy.deepcopy(warm_opt)
 
-    got, opt = train_local(warm_model, frames, labels, opt=warm_opt, lr=0.05, epochs=3,
-                           batch_size=batch_size,
-                           rng=np.random.default_rng(25) if shuffle else None)
+    got, opt = train_local(warm_model, frames, labels, opt=warm_opt, lr=0.05, epochs=3)
     want, want_opt = reference_train_local(warm_model, frames, labels, ref_opt, lr=0.05,
-                                           epochs=3, batch_size=batch_size,
-                                           rng=np.random.default_rng(25) if shuffle else None)
+                                           epochs=3)
     assert_arrays_bit_equal(got.weights + got.biases, want.weights + want.biases)
     assert opt.step == want_opt.step
     for name in ("m_w", "v_w", "m_b", "v_b"):
@@ -418,7 +406,7 @@ def test_train_local_leaves_input_model_untouched() -> None:
     model = init_model(arch, seed=26)
     before = [p.copy() for p in model.weights + model.biases]
     frames, labels = two_blob_data(n_per=10, seed=26)
-    trained, _ = train_local(model, frames, labels, lr=0.1, epochs=2, batch_size=7)
+    trained, _ = train_local(model, frames, labels, lr=0.1, epochs=2)
     assert_arrays_bit_equal(model.weights + model.biases, before)
     for p in trained.weights + trained.biases:
         assert not any(np.shares_memory(p, q) for q in model.weights + model.biases)

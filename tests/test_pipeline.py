@@ -200,6 +200,13 @@ def test_stage_error_names_failing_stage() -> None:
     assert err.value.stage == "frontend"
 
 
+def test_mfcc_fft_size_leaves_silences_alone(small_conv, small_conv_frontend) -> None:
+    cfg = PipelineConfig(mfcc=MfccConfig(fft_size=1024))
+    features, silences = frontend_and_silence(small_conv[0], cfg)
+    assert silences == small_conv_frontend[1]
+    assert not np.array_equal(features.rows, small_conv_frontend[0].rows)
+
+
 def test_frontend_and_silence_names_failing_stage() -> None:
     with pytest.raises(StageError) as err:
         frontend_and_silence(AudioSignal(np.zeros(100), 16000), PipelineConfig())

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +59,20 @@ def test_noise_profile_shape() -> None:
     assert prof.magnitude_spectrum_estimate.shape == (257,)
     assert np.all(prof.magnitude_spectrum_estimate >= 0)
     assert prof.frames_used == 2
+
+
+def test_silence_transforms_whole_frames() -> None:
+    # 40 ms frames hold 640 samples: a 1024-point transform, where the 512
+    # points of the default MFCC transform would leave each frame's tail out
+    frames = frame_signal(bursty_signal(60, seed=4), MfccConfig(frame_ms=40.0))
+    assert frames.frame_len_samples == 640
+    noise = estimate_noise_profile(frames, SilenceConfig())
+    assert noise.magnitude_spectrum_estimate.shape == (513,)
+    assert frames.fft_size == 1024
+    cut = frames.frames.copy()
+    cut[:, 600:] = 0.0
+    assert not np.array_equal(spectral_subtract(replace(frames, frames=cut), noise),
+                              spectral_subtract(frames, noise))
 
 
 def test_exact_cancellation_gives_zero_energy() -> None:
