@@ -11,12 +11,14 @@ src=$(cd "$1" && pwd)
 mkdir "$2"
 cd "$2"     # relative paths, so that printed paths match across checkouts
 
+# $pin, when set, is a command that run() starts the CLI under
+pin=
 run() {
     name=$1
     shift
     mkdir -p "$name"
     PYTHONPATH="$src" OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \
-        python3 -m feddiar.cli "$@" --out-dir "$name" > "$name/stdout"
+        $pin python3 -m feddiar.cli "$@" --out-dir "$name" > "$name/stdout"
 }
 
 run synth synth --seed 7 --num-speakers 4 --prefix conv
@@ -76,6 +78,21 @@ for variant in default noise90 thr30 thr80; do
     run "segment-long-$variant" segment --audio "$long_wav" $flags
     run "diarize-long-$variant" diarize --audio "$long_wav" --model "$model" \
         --truth "$long_truth" $flags
+done
+
+# The same runs on one CPU, where each spectral pass runs on one thread,
+# must give the same bytes as those on every CPU. They are removed again,
+# so that the listing does not depend on the CPU count.
+pin="taskset -c 0"
+run segment-long-1cpu segment --audio "$long_wav"
+run diarize-long-1cpu diarize --audio "$long_wav" --model "$model" --truth "$long_truth"
+pin=
+for cmd in segment diarize; do
+    if ! diff -r "$cmd-long-default" "$cmd-long-1cpu" > /dev/null; then
+        echo "$cmd on one CPU: outputs differ from those on every CPU" >&2
+        exit 1
+    fi
+    rm -r "$cmd-long-1cpu"
 done
 
 run segment-8k segment --audio "$wav8k"

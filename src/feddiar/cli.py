@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -71,11 +72,18 @@ def load_config_file(path) -> dict[str, str]:
 
 
 def _merge_opts(args: argparse.Namespace) -> dict:
-    skip = {"command", "func", "config", "out_dir", "audio", "model", "truth",
-            "detected", "prefix"}
+    """Config-file values overlaid by the flags set; a file key that is
+    neither a flag nor a file key of the command is refused."""
+    skip = {"command", "func", "file_keys", "config", "out_dir", "audio", "model",
+            "truth", "detected", "prefix"}
     opts: dict = {}
     if getattr(args, "config", None):
         opts.update(load_config_file(args.config))
+        known = set(vars(args)) - skip | set(args.file_keys)
+        for key in opts:
+            if key not in known:
+                raise InvalidConfig(f"config file {args.config}: "
+                                    f"{args.command} has no option {key!r}")
     for key, value in vars(args).items():
         if key not in skip and value is not None:
             opts[key] = value
@@ -115,6 +123,13 @@ def _load_truth(path):
         except ValueError as exc:
             raise InvalidSpec(f"{path} is not a JSON ground truth: {exc}") from exc
     return truth_from_dict(payload)
+
+
+# Every key that _pipeline_config reads, flag or not.
+PIPELINE_KEYS = ("num_coefficients", "threshold_db", "min_region_frames",
+                 "noise_percentile", "window_frames", "stride_fraction",
+                 "analysis_window_sec", "slide_frames", "grow_frames", "method",
+                 "t2_threshold", "lambda", "delta_k", "min_seg_frames", "collar_sec")
 
 
 def _pipeline_config(opts: dict) -> PipelineConfig:
@@ -289,7 +304,11 @@ def _add_common(p: argparse.ArgumentParser, audio: bool = False) -> None:
         p.add_argument("--collar-sec", dest="collar_sec", type=float)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it as
+    it was, so one parser serves every call. Each command's `file_keys`
+    are the config-file keys it reads beyond its flags."""
     parser = argparse.ArgumentParser(
         prog="feddiar",
         description="Speaker diarization with quasi-silence segmentation, "
@@ -302,32 +321,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-speakers", dest="num_speakers", type=int)
     p.add_argument("--min-changes", dest="min_changes", type=int)
     p.add_argument("--max-changes", dest="max_changes", type=int)
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, file_keys=("gap_sec",))
 
     p = sub.add_parser("segment", help="detect speaker change points")
     _add_common(p, audio=True)
-    p.set_defaults(func=_cmd_segment)
+    p.set_defaults(func=_cmd_segment, file_keys=PIPELINE_KEYS)
 
     p = sub.add_parser("cluster", help="segment and cluster")
     _add_common(p, audio=True)
-    p.set_defaults(func=_cmd_cluster)
+    p.set_defaults(func=_cmd_cluster, file_keys=PIPELINE_KEYS)
 
     p = sub.add_parser("identify", help="label clusters with a trained model")
     _add_common(p, audio=True)
     p.add_argument("--model", required=True, help="checkpoint from fedsim")
-    p.set_defaults(func=_cmd_identify)
+    p.set_defaults(func=_cmd_identify, file_keys=PIPELINE_KEYS)
 
     p = sub.add_parser("diarize", help="full pipeline with JSON report")
     _add_common(p, audio=True)
     p.add_argument("--model", help="optional identifier checkpoint")
     p.add_argument("--truth", help="ground-truth json for scoring")
-    p.set_defaults(func=_cmd_diarize)
+    p.set_defaults(func=_cmd_diarize, file_keys=PIPELINE_KEYS)
 
     p = sub.add_parser("sweep", help="window/stride/method grid on synthetic corpus")
     _add_common(p)
     p.add_argument("--num-conversations", dest="num_conversations", type=int)
     p.add_argument("--num-speakers", dest="num_speakers", type=int)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, file_keys=PIPELINE_KEYS)
 
     p = sub.add_parser("fedsim", help="federated training simulation")
     _add_common(p)
@@ -340,14 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr0", type=float)
     p.add_argument("--lr-decay", dest="lr_decay", type=float)
     p.add_argument("--hidden", help="hidden layer sizes, comma separated (64,64)")
-    p.set_defaults(func=_cmd_fedsim)
+    p.set_defaults(func=_cmd_fedsim, file_keys=())
 
     p = sub.add_parser("eval", help="score detected change points against truth")
     _add_common(p)
     p.add_argument("--truth", required=True)
     p.add_argument("--detected", required=True, help="change_points.csv")
     p.add_argument("--collar-sec", dest="collar_sec", type=float)
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, file_keys=())
 
     return parser
 

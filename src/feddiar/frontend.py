@@ -9,25 +9,43 @@ Memory does not grow with audio length beyond the outputs.
 `frame_signal` returns a read-only strided view of the samples, not a
 frame matrix, and every spectral pass (`spectrum_chunks`: here for MFCC,
 in the silence module for the frames that its noise profile re-ranks and
-those that its spectral subtraction needs) walks the frames in chunks
-through work buffers that each call allocates once and overwrites with
-`out=` for every chunk. A chunk holds CHUNK_FRAMES frames; the last one
-also takes the remainder, so that no chunk is a small matrix unless the
-whole input is: BLAS multiplies small matrices with other kernels, whose rounding
-differs. The results are then bit-identical to one pass over the whole
-frame matrix. Holding the buffers for a whole call also keeps the number
-of large allocations, and with them page faults, independent of the
-audio length. Since no large block is freed here, glibc's dynamic mmap
-threshold is left at its default; code that runs later must not count on
-a frontend pass having raised it (identifier training keeps its own
-workspace for that reason).
+those that its spectral subtraction needs; the Parseval energies there
+need no transform) walks the frames in chunks through work buffers that
+each call allocates once and overwrites with `out=` for every chunk. A
+chunk holds CHUNK_FRAMES frames; the last one also takes the remainder, so
+that no chunk is a small matrix unless the whole input is: BLAS multiplies
+small matrices with other kernels, whose rounding differs. The results are
+then bit-identical to one pass over the whole frame matrix. Holding the
+buffers for a whole call also keeps the number of large allocations, and
+with them page faults, independent of the audio length. Since no large
+block is freed here, glibc's dynamic mmap threshold is left at its
+default; code that runs later must not count on a frontend pass having
+raised it (identifier training keeps its own workspace for that reason).
+
+The full-length passes (MFCC here; the Parseval energies and spectral
+subtraction of the silence module) run on the calling thread and on pool
+threads, MAX_WORKERS threads in all or as many as the process's CPU
+affinity mask holds, if fewer (`taskset -c 0` gives one thread and no
+pool). Where numpy's BLAS runs threads of its own (OpenBLAS does unless
+OPENBLAS_NUM_THREADS=1), they already spread each chunk's mel product
+over the CPUs, and the passes keep to the calling thread. Each thread
+takes the next chunk from one shared iterator, holds its own buffers and
+writes only that chunk's output rows. A chunk's bits do not depend on the
+thread that transforms it, so the outputs are the same on any number of
+threads. numpy and scipy release the GIL in the FFT, BLAS and ufunc loops
+that take most of a chunk's time.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 import struct
 import wave
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,7 +57,39 @@ PCM16_FULL_SCALE = 32768.0
 
 # Frames per chunk of every spectral pass (the last chunk holds up to twice
 # as many, see above).
-CHUNK_FRAMES = 256
+CHUNK_FRAMES = 128
+
+# Rows of each gathered copy of indexed frames (see spectrum_chunks).
+GATHER_ROWS = 32
+
+# Most threads that one spectral pass runs on, the calling one included.
+# Each holds its own chunk buffers (about 2.6 MB for 512-point transforms),
+# so this cap, not the machine, bounds the memory of a pass.
+MAX_WORKERS = 2
+
+
+@functools.cache
+def _workers() -> int:
+    """Threads per spectral pass: the CPUs in the process's affinity mask, up
+    to MAX_WORKERS, but one where numpy's BLAS runs threads of its own. Those
+    already spread each chunk's mel product over the CPUs, and the two kinds
+    of thread then compete for them."""
+    if _blas_threads() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return min(MAX_WORKERS, len(os.sched_getaffinity(0)))
+    return min(MAX_WORKERS, os.cpu_count() or 1)
+
+
+def _blas_threads() -> int:
+    """Threads of the OpenBLAS in numpy's wheel (scipy-openblas), or 1 where
+    there is none to ask."""
+    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"):
+        get = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None)
+        if get is not None:
+            get.restype = ctypes.c_int
+            return get()
+    return 1
 
 
 def next_power_of_two(n: int) -> int:
@@ -231,42 +281,91 @@ def chunk_bounds(n: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:] + [n])) if n else []
 
 
+def chunk_rows(n: int) -> int:
+    """Rows of a buffer that holds any chunk of n frames. It is the same for
+    every n from 2 * CHUNK_FRAMES - 1 on, so that peak memory does not step
+    with the remainder."""
+    return min(n, 2 * CHUNK_FRAMES - 1)
+
+
+@functools.cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(threads, thread_name_prefix="feddiar-chunks")
+
+
+def _run_chunked(n: int, work) -> None:
+    """Run work(chunks) on this thread and on up to _workers() - 1 pool threads.
+
+    chunks is one iterator over chunk_bounds(n) that all the calls share (a
+    list iterator: one next() is one step under the interpreter lock), so
+    each chunk goes to whichever call asks first, and the chunks, and with
+    them the bits, are those of one serial loop. work must hold its own
+    buffers, write only rows start:stop of its outputs and call only numpy,
+    scipy and private helpers: a tracer of the public functions (perfbench)
+    keeps one span stack. With one worker or one chunk no thread is used.
+    Returns when every call has; an exception of this thread's call is
+    raised first, then those of the pool's calls in order.
+    """
+    bounds = chunk_bounds(n)
+    chunks = iter(bounds)
+    helpers = min(_workers(), len(bounds)) - 1
+    if helpers <= 0:
+        work(chunks)
+        return
+    futures = [_pool(_workers() - 1).submit(work, chunks) for _ in range(helpers)]
+    try:
+        work(chunks)
+    finally:
+        # A call still queued would find no chunk left; a running one may
+        # still write into the outputs, so wait for it.
+        running = [f for f in futures if not f.cancel()]
+        wait(running)
+    for f in running:
+        f.result()
+
+
 def spectrum_chunks(
     frames: FrameSequence,
     fft_size: int,
     pre_emphasis: float = 0.0,
     index: np.ndarray | None = None,
+    chunks=None,
 ):
     """Magnitude spectra of Hamming-windowed frames, chunk by chunk.
 
-    Yields (start, mag) where row j of mag is |rfft| (n = fft_size) of frame
-    start + j, or of frame index[start + j] when an index is given. With
-    pre_emphasis > 0 each frame is first pre-emphasised, keeping its first
-    sample as-is. mag is a view of a buffer that the next chunk overwrites.
+    Yields (start, mag) where row j of mag is |rfft| (n = fft_size, at least
+    the frame length) of frame start + j, or of frame index[start + j] when
+    an index is given. With pre_emphasis > 0 each frame is first
+    pre-emphasised, keeping its first sample as-is. mag is a view of a
+    buffer that the next chunk overwrites. chunks, when given, is an
+    iterator over chunk_bounds(n) (n frames, or len(index)) that yields the
+    chunks to transform, as `_run_chunked` shares it; by default, all.
     """
     n = len(frames) if index is None else len(index)
-    bounds = chunk_bounds(n)
-    rows = max((stop - start for start, stop in bounds), default=0)
+    rows = chunk_rows(n)
     frame_len = frames.frame_len_samples
     window = np.hamming(frame_len)
     # Zero-tailed, so that rfft transforms fft_size samples as they lie
     # instead of padding a copy of each row (same bits, a quarter faster).
-    x = np.zeros((rows, max(frame_len, fft_size)))
+    x = np.zeros((rows, fft_size))
     spectrum = np.empty((rows, fft_size // 2 + 1), dtype=np.complex128)
     mag = np.empty((rows, fft_size // 2 + 1))
-    for start, stop in bounds:
-        xc = x[:stop - start, :frame_len]
-        if index is None:
-            block = frames.frames[start:stop]
-        else:   # not np.take: it would first copy a strided view whole
-            block = frames.frames[index[start:stop]]
-        if pre_emphasis > 0.0:
-            np.multiply(block[:, :-1], pre_emphasis, out=xc[:, 1:])
-            np.subtract(block[:, 1:], xc[:, 1:], out=xc[:, 1:])
-            xc[:, 0] = block[:, 0]
-            xc *= window
-        else:
-            np.multiply(block, window, out=xc)
+    for start, stop in chunk_bounds(n) if chunks is None else chunks:
+        # Indexed frames are gathered (not with np.take: it would first copy
+        # a strided view whole) GATHER_ROWS at a time, so that no copy of a
+        # whole chunk adds to each thread's buffers.
+        step = stop - start if index is None else GATHER_ROWS
+        for a in range(start, stop, step):
+            b = min(a + step, stop)
+            block = frames.frames[a:b] if index is None else frames.frames[index[a:b]]
+            xc = x[a - start:b - start, :frame_len]
+            if pre_emphasis > 0.0:
+                np.multiply(block[:, :-1], pre_emphasis, out=xc[:, 1:])
+                np.subtract(block[:, 1:], xc[:, 1:], out=xc[:, 1:])
+                xc[:, 0] = block[:, 0]
+                xc *= window
+            else:
+                np.multiply(block, window, out=xc)
         sc = np.fft.rfft(x[:stop - start], n=fft_size, axis=1, out=spectrum[:stop - start])
         yield start, np.abs(sc, out=mag[:stop - start])
 
@@ -278,13 +377,17 @@ def compute_mfcc(frames: FrameSequence, cfg: MfccConfig) -> FeatureMatrix:
     fb = mel_filterbank(cfg.num_mel_filters, fft_size, frames.sample_rate_hz)
 
     rows = np.empty((len(frames), cfg.num_coefficients))
-    mel = np.empty((min(2 * CHUNK_FRAMES - 1, len(frames)), cfg.num_mel_filters))
-    for start, spectrum in spectrum_chunks(frames, fft_size, cfg.pre_emphasis):
-        log_mel = np.matmul(spectrum, fb.T, out=mel[:len(spectrum)])
-        np.maximum(log_mel, cfg.log_floor, out=log_mel)
-        np.log(log_mel, out=log_mel)
-        cepstra = dct(log_mel, type=2, axis=1, norm="ortho")
-        rows[start:start + len(spectrum)] = cepstra[:, 1:cfg.num_coefficients + 1]
 
+    def work(chunks):
+        mel = np.empty((chunk_rows(len(frames)), cfg.num_mel_filters))
+        for start, spectrum in spectrum_chunks(frames, fft_size, cfg.pre_emphasis,
+                                               chunks=chunks):
+            log_mel = np.matmul(spectrum, fb.T, out=mel[:len(spectrum)])
+            np.maximum(log_mel, cfg.log_floor, out=log_mel)
+            np.log(log_mel, out=log_mel)
+            cepstra = dct(log_mel, type=2, axis=1, norm="ortho")
+            rows[start:start + len(spectrum)] = cepstra[:, 1:cfg.num_coefficients + 1]
+
+    _run_chunked(len(frames), work)
     return FeatureMatrix(rows=rows, frame_times_sec=frames.frame_onsets_sec())
 

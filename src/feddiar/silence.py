@@ -6,16 +6,21 @@ search windows in the segmentation module.
 
 Spectra come from `frontend.spectrum_chunks`, CHUNK_FRAMES frames at a
 time through buffers allocated once per call, so memory stays flat in the
-audio length and results equal a whole-matrix pass bit for bit. Each
-transform has `FrameSequence.fft_size` points, the next power of two at or
-above the frame length, whatever size the MFCC configuration sets for its
-own transform. No step transforms every frame. The noise profile ranks the
-frames by energy without an FFT: by Parseval's identity the mean of
-|rfft|^2 follows from each windowed frame's sum of squares and its first
-and Nyquist bins. Only the frames within a small margin of the quietest
-noise_percentile are transformed, to rank them by their exact FFT energies
-and to sum the spectra of the quietest, so the profile equals the one from
-a full-spectrum ranking bit for bit.
+audio length and results equal a whole-matrix pass bit for bit.
+`parseval_energies` and `spectral_subtract`, whole or indexed, share their
+chunks out among threads as the MFCC pass does (see the frontend module),
+with the same bits on any number of threads; the noise profile's passes
+over its few candidate frames, and its ordered sum of their spectra, stay
+on the calling thread. Each transform has `FrameSequence.fft_size`
+points, the next power of two at or above the frame length, whatever size
+the MFCC configuration sets for its own transform. No step transforms
+every frame. The noise profile ranks the frames by energy without an FFT:
+by Parseval's identity the mean of |rfft|^2 follows from each windowed
+frame's sum of squares and its first and Nyquist bins. Only the frames
+within a small margin of the quietest noise_percentile are transformed,
+to rank them by their exact FFT energies and to sum the spectra of the
+quietest, so the profile equals the one from a full-spectrum ranking bit
+for bit.
 
 `find_quasi_silences` subtracts the noise only where the residual energy
 can decide a region. The same Parseval energy E_X bounds a frame's
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, TooFewFrames
-from .frontend import FrameSequence, chunk_bounds, spectrum_chunks
+from .frontend import FrameSequence, _run_chunked, chunk_rows, spectrum_chunks
 
 ENERGY_FLOOR = 1e-12
 
@@ -90,36 +95,38 @@ class QuasiSilenceRegion:
 def parseval_energies(frames: FrameSequence, fft_size: int) -> np.ndarray:
     """mean(|rfft(w * frame, n=fft_size)|^2) of every frame, without an FFT.
 
-    w is the Hamming window. With x the windowed frame cut to fft_size
-    samples, as rfft cuts it, Parseval's identity over the full spectrum and
-    its conjugate symmetry give
-    sum over the rfft bins of |X_k|^2 = (N sum x^2 + X_0^2 + X_{N/2}^2) / 2
+    w is the Hamming window and fft_size at least the frame length. With x
+    the windowed frame zero-padded to fft_size samples, as rfft pads it,
+    Parseval's identity over the full spectrum and its conjugate symmetry
+    give sum over the rfft bins of |X_k|^2 = (N sum x^2 + X_0^2 + X_{N/2}^2) / 2
     for N = fft_size, where X_0 = sum x and X_{N/2} = sum (-1)^n x (absent
     for odd N). With f the frame, sum x^2 is f^2 @ w^2 and (X_0, X_{N/2}) is
     f @ (w, (-1)^n w). The result differs from the FFT's only by rounding.
     """
-    width = min(frames.frame_len_samples, fft_size)
-    window = np.hamming(frames.frame_len_samples)[:width]
+    window = np.hamming(frames.frame_len_samples)
     ends = np.stack([window, window], axis=1)
     ends[1::2, 1] *= -1.0
     if fft_size % 2:
         ends[:, 1] = 0.0
     square_window = window * window
-    bounds = chunk_bounds(len(frames))
-    rows = max((stop - start for start, stop in bounds), default=0)
-    f = np.empty((rows, width))
-    edge = np.empty((rows, 2))
+    rows = chunk_rows(len(frames))
     energies = np.empty(len(frames))
-    for start, stop in bounds:
-        fc = f[:stop - start]
-        fc[...] = frames.frames[start:stop, :width]
-        ec = np.matmul(fc, ends, out=edge[:stop - start])
-        np.square(ec, out=ec)
-        np.square(fc, out=fc)
-        out = np.matmul(fc, square_window, out=energies[start:stop])
-        out *= fft_size
-        out += ec[:, 0]
-        out += ec[:, 1]
+
+    def work(chunks):
+        f = np.empty((rows, frames.frame_len_samples))
+        edge = np.empty((rows, 2))
+        for start, stop in chunks:
+            fc = f[:stop - start]
+            fc[...] = frames.frames[start:stop]
+            ec = np.matmul(fc, ends, out=edge[:stop - start])
+            np.square(ec, out=ec)
+            np.square(fc, out=fc)
+            out = np.matmul(fc, square_window, out=energies[start:stop])
+            out *= fft_size
+            out += ec[:, 0]
+            out += ec[:, 1]
+
+    _run_chunked(len(frames), work)
     energies /= 2 * (fft_size // 2 + 1)
     return energies
 
@@ -188,11 +195,15 @@ def spectral_subtract(
     if profile.shape[0] != bins:
         raise DimensionMismatch(f"profile has {profile.shape[0]} bins, frames have {bins}")
     energy = np.empty(len(frames) if index is None else len(index))
-    for start, spectra in spectrum_chunks(frames, fft_size, index=index):
-        np.subtract(spectra, profile, out=spectra)
-        np.maximum(spectra, 0.0, out=spectra)
-        np.square(spectra, out=spectra)
-        np.mean(spectra, axis=1, out=energy[start:start + len(spectra)])
+
+    def work(chunks):
+        for start, spectra in spectrum_chunks(frames, fft_size, index=index, chunks=chunks):
+            np.subtract(spectra, profile, out=spectra)
+            np.maximum(spectra, 0.0, out=spectra)
+            np.square(spectra, out=spectra)
+            np.mean(spectra, axis=1, out=energy[start:start + len(spectra)])
+
+    _run_chunked(len(energy), work)
     return energy
 
 

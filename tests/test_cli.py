@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import feddiar
+from feddiar import cli
 from feddiar.cli import load_config_file, main
 from feddiar.frontend import AudioSignal, save_wav
 from feddiar.identifier import ModelArch, init_model, load_checkpoint, save_checkpoint
@@ -177,6 +178,8 @@ def bad_inputs(tmp_path_factory):
     (root / "nan_gap.cfg").write_text("gap_sec = nan\n")
     (root / "not_utf8.cfg").write_bytes(b"\xff\xfe\x00bad")
     (root / "two_bytes.wav").write_bytes(b"RI")
+    (root / "typo.cfg").write_text("treshold_db = 5\n")
+    (root / "thr30.cfg").write_text("threshold_db = 30\n")
     return root
 
 
@@ -205,6 +208,9 @@ BAD_INVOCATIONS = {
                                           "--lr0", "1e308"],
     "config not utf-8": ["synth", "--config", "{root}/not_utf8.cfg"],
     "truncated wav": ["segment", "--audio", "{root}/two_bytes.wav"],
+    "misspelt config key (used to run the defaults)": [
+        "segment", "--audio", "{root}/a.wav", "--config", "{root}/typo.cfg"],
+    "config key of another command": ["synth", "--config", "{root}/thr30.cfg"],
 }
 
 
@@ -226,6 +232,31 @@ def test_bad_input_exits_1_without_traceback(case, bad_inputs, tmp_path) -> None
     assert any(line.startswith("error: ") and line[len("error: "):].strip()
                for line in proc.stderr.splitlines()), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_unknown_config_key_names_key_and_file(bad_inputs, tmp_path, capsys) -> None:
+    config = bad_inputs / "typo.cfg"
+    assert main(["segment", "--audio", str(bad_inputs / "a.wav"), "--config", str(config),
+                 "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'treshold_db'" in err and str(config) in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_successive_calls_parse_independently(tmp_path, capsys) -> None:
+    wav = tmp_path / "c.wav"
+    save_wav(wav, synth_conversation(random_conversation_spec(
+        num_speakers=2, seed=1, min_changes=1, max_changes=1))[0])
+
+    def segment(name, *flags) -> bytes:
+        out = tmp_path / name
+        assert main(["segment", "--audio", str(wav), "--out-dir", str(out), *flags]) == 0
+        return (out / "silences.csv").read_bytes()
+
+    default = segment("a")
+    assert segment("b", "--threshold-db", "20") != default
+    assert segment("c") == default
+    capsys.readouterr()
 
 
 def test_diverging_fedsim_prints_only_its_error(tmp_path) -> None:
@@ -254,6 +285,7 @@ MODEL = {"model": "{root}/model.npz"}
 FEDSIM_KEYS = ("seed", "mode", "num_speakers", "num_clients", "group_size",
                "rounds", "local_epochs", "lr0", "lr_decay", "hidden")
 
+
 # subcommand -> (base options, keys it reads, keys that also have a flag);
 # the base options keep every run small: one sweep conversation, one round
 HOSTILE_TARGETS = {
@@ -273,6 +305,19 @@ HOSTILE_TARGETS = {
     "eval": ({"truth": "{root}/c.truth.json", "detected": "{root}/points.csv"},
              ("collar_sec", "seed"), ("collar_sec", "seed")),
 }
+
+
+@pytest.mark.parametrize("key", PIPELINE_KEYS)
+def test_every_pipeline_key_is_read(key, bad_inputs, tmp_path, capsys) -> None:
+    # the keys that the CLI accepts are these, and a value that none of
+    # them takes fails where the key is read, not as an unknown key
+    assert sorted(cli.PIPELINE_KEYS) == sorted(PIPELINE_KEYS)
+    config = tmp_path / "x.cfg"
+    config.write_text(f"{key} = x\n")
+    assert main(["segment", "--audio", str(bad_inputs / "a.wav"), "--config", str(config),
+                 "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "has no option" not in err
 
 
 @pytest.fixture(scope="module")

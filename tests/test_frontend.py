@@ -152,10 +152,11 @@ def test_fft_size_next_power_of_two() -> None:
 
 # -- chunked passes against the whole-matrix oracle --------------------------
 
-# Frame counts around the chunk size, including a short remainder that the
-# last chunk takes over.
+# Frame counts around one and two chunks, and longer inputs with a short
+# remainder that the last chunk takes over.
 CHUNK_EDGE_COUNTS = (1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1,
-                     2 * CHUNK_FRAMES + 40, 3 * CHUNK_FRAMES + 7)
+                     2 * CHUNK_FRAMES - 1, 2 * CHUNK_FRAMES, 2 * CHUNK_FRAMES + 1,
+                     4 * CHUNK_FRAMES + 40, 6 * CHUNK_FRAMES + 7)
 
 
 def reference_frame_signal(signal: AudioSignal, cfg: MfccConfig) -> FrameSequence:
@@ -237,10 +238,10 @@ def test_chunked_mfcc_bit_equal_on_dense_frame_sequence(pre_emphasis) -> None:
 
 
 @pytest.mark.parametrize("pre_emphasis", [0.0, 0.97])
-@pytest.mark.parametrize("fft_size", [300, 400, 511, 512, 1024])   # cropped, exact, padded
+@pytest.mark.parametrize("fft_size", [400, 511, 512, 1024])   # exact, odd, padded
 def test_spectrum_chunks_bit_equal_to_padding_rfft(fft_size, pre_emphasis) -> None:
-    # spectrum_chunks transforms a zero-tailed buffer; numpy pads (or crops)
-    # each row itself when n differs from the row length
+    # spectrum_chunks transforms a zero-tailed buffer; numpy pads each row
+    # itself when n exceeds the row length
     cfg = MfccConfig(pre_emphasis=pre_emphasis, fft_size=fft_size)
     sig = bursty_signal(2 * CHUNK_FRAMES + 40, seed=fft_size)
     frames = frame_signal(sig, cfg)
