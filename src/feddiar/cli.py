@@ -292,7 +292,6 @@ def _cmd_eval(args) -> int:
 def _add_common(p: argparse.ArgumentParser, audio: bool = False) -> None:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out-dir", help=f"output directory (or ${OUT_DIR_ENV})")
-    p.add_argument("--seed", type=int)
     if audio:
         p.add_argument("--audio", required=True, help="input WAV (PCM-16)")
         p.add_argument("--method", choices=["bic", "t2"])
@@ -317,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic conversation")
     _add_common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--prefix", help="output file prefix")
     p.add_argument("--num-speakers", dest="num_speakers", type=int)
     p.add_argument("--min-changes", dest="min_changes", type=int)
@@ -340,16 +340,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, audio=True)
     p.add_argument("--model", help="optional identifier checkpoint")
     p.add_argument("--truth", help="ground-truth json for scoring")
+    # read nowhere; accepted because the diarize-short benchmark workload passes it
+    p.add_argument("--seed", type=int, help="ignored")
     p.set_defaults(func=_cmd_diarize, file_keys=PIPELINE_KEYS)
 
     p = sub.add_parser("sweep", help="window/stride/method grid on synthetic corpus")
     _add_common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--num-conversations", dest="num_conversations", type=int)
     p.add_argument("--num-speakers", dest="num_speakers", type=int)
     p.set_defaults(func=_cmd_sweep, file_keys=PIPELINE_KEYS)
 
     p = sub.add_parser("fedsim", help="federated training simulation")
     _add_common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=["non_iid", "iid", "centralized"])
     p.add_argument("--num-speakers", dest="num_speakers", type=int)
     p.add_argument("--num-clients", dest="num_clients", type=int)

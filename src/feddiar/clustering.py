@@ -101,8 +101,7 @@ def cluster_segments(
     trace: list[tuple[int, int, float]] = []
     if k >= 2:
         n, mean, scatter = _segment_stats([segments[i].rows for i in eligible])
-        eps = cfg.regularization_eps
-        log_det = stacked_log_det(n, mean, scatter, eps)
+        log_det = stacked_log_det(n, mean, scatter)
         penalty_scale = 0.5 * cfg.lambda_ * cfg.resolve_delta_k(mean.shape[1])
 
         def merged(a, b):
@@ -116,7 +115,7 @@ def cluster_segments(
 
         def pair_costs(a, b):
             n_ab, mean_ab, scatter_ab = merged(a, b)
-            value = (0.5 * n_ab * stacked_log_det(n_ab, mean_ab, scatter_ab, eps)
+            value = (0.5 * n_ab * stacked_log_det(n_ab, mean_ab, scatter_ab)
                      - 0.5 * n[a] * log_det[a]
                      - 0.5 * n[b] * log_det[b]
                      - penalty_scale * np.log(n_ab))
@@ -140,7 +139,7 @@ def cluster_segments(
             members[a] = members[a] + members.pop(b)
             n[a], mean[a], scatter[a] = merged(a, b)
             log_det[a] = stacked_log_det(n[a:a + 1], mean[a:a + 1],
-                                         scatter[a:a + 1], eps)[0]
+                                         scatter[a:a + 1])[0]
             costs[b, :] = costs[:, b] = np.inf
             trace.append((a, b, best_cost))
             others = np.array([c for c in members if c != a], dtype=np.intp)

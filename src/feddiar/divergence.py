@@ -12,9 +12,10 @@ different speakers:
 
 A covariance fit is built on Cholesky factorisations (LAPACK dpotrf), not
 on an eigenvalue decomposition and an LU determinant: the ridge rule
-"smallest eigenvalue <= eps * trace / d" is tested as "C - (eps * trace / d)
-* I does not factor", and log|C| is 2 sum log diag(L) of the factor of the
-(ridged) covariance, -inf when it does not factor.
+"smallest eigenvalue <= eps * trace / d", with eps the constant
+REGULARIZATION_EPS, is tested as "C - (eps * trace / d) * I does not
+factor", and log|C| is 2 sum log diag(L) of the factor of the (ridged)
+covariance, -inf when it does not factor.
 
 A ComputeCounter tracks covariance fits and divergence evaluations so the
 relative cost of the two methods can be measured exactly; one fit counts one
@@ -39,7 +40,8 @@ from .errors import (
     WindowTooSmall,
 )
 
-DEFAULT_REGULARIZATION_EPS = 1e-6
+# Relative ridge of a near-singular covariance (see gaussian_fit).
+REGULARIZATION_EPS = 1e-6
 
 
 @dataclass
@@ -67,7 +69,6 @@ class BicConfig:
 
     lambda_: float = 1.0
     delta_k: int | None = None
-    regularization_eps: float = DEFAULT_REGULARIZATION_EPS
 
     def __post_init__(self):
         if not 0.0 <= self.lambda_ < math.inf:
@@ -110,18 +111,17 @@ def _cholesky_log_det(matrix: np.ndarray) -> float:
 def gaussian_fit(
     window,
     estimator: str = "mle",
-    regularization_eps: float = DEFAULT_REGULARIZATION_EPS,
     counter: ComputeCounter | None = None,
 ) -> GaussianStats:
     """Fit mean and covariance to a window of shape (n, d).
 
-    A covariance whose smallest eigenvalue is at most eps * trace / d gets a
-    ridge of (eps * trace / d) * I so the log-determinant stays finite; a
-    zero covariance (all rows equal) falls back to eps * I. The eigenvalue
-    test is made as "C - (eps * trace / d) * I has no Cholesky factor", and
-    log|C| comes from the Cholesky factor of the (ridged) covariance, -inf
-    when it does not factor. Raises NonFiniteInput on NaN or inf rows.
-    Counts one covariance computation.
+    With eps = REGULARIZATION_EPS, a covariance whose smallest eigenvalue
+    is at most eps * trace / d gets a ridge of (eps * trace / d) * I so the
+    log-determinant stays finite; a zero covariance (all rows equal) falls
+    back to eps * I. The eigenvalue test is made as "C - (eps * trace / d)
+    * I has no Cholesky factor", and log|C| comes from the Cholesky factor
+    of the (ridged) covariance, -inf when it does not factor. Raises
+    NonFiniteInput on NaN or inf rows. Counts one covariance computation.
     """
     w = _as_window(window)
     n, d = w.shape
@@ -140,24 +140,23 @@ def gaussian_fit(
     if not math.isfinite(trace):
         raise NonFiniteInput("covariance fit of a window holding NaN or inf")
 
+    # rounding dust from centering identical rows is O(eps_mach^2 * |x|^2)
+    # per dimension; anything at that level is a zero variance, and the
+    # proportional ridge below would be dust too. The mean square of the
+    # raw rows is (tr S + n |mean|^2) / (n d), S the centred scatter.
+    mean_sq = (trace * divisor + n * float(mean @ mean)) / (n * d)
+    dust = 1e-24 * max(mean_sq, 1e-30) * d
     regularized = False
-    if regularization_eps > 0.0:
-        # rounding dust from centering identical rows is O(eps_mach^2 * |x|^2)
-        # per dimension; anything at that level is a zero variance, and the
-        # proportional ridge below would be dust too. The mean square of the
-        # raw rows is (tr S + n |mean|^2) / (n d), S the centred scatter.
-        mean_sq = (trace * divisor + n * float(mean @ mean)) / (n * d)
-        dust = 1e-24 * max(mean_sq, 1e-30) * d
-        if trace <= dust:
-            cov = cov + regularization_eps * np.eye(d)
+    if trace <= dust:
+        cov = cov + REGULARIZATION_EPS * np.eye(d)
+        regularized = True
+    else:
+        # the smallest eigenvalue is at most the ridge exactly when
+        # C - ridge * I is not positive definite (dpotrf info != 0)
+        ridge = REGULARIZATION_EPS * trace / d
+        if dpotrf(cov - ridge * np.eye(d), lower=1, clean=0)[1] != 0:
+            cov = cov + ridge * np.eye(d)
             regularized = True
-        else:
-            # the smallest eigenvalue is at most the ridge exactly when
-            # C - ridge * I is not positive definite (dpotrf info != 0)
-            ridge = regularization_eps * trace / d
-            if dpotrf(cov - ridge * np.eye(d), lower=1, clean=0)[1] != 0:
-                cov = cov + ridge * np.eye(d)
-                regularized = True
 
     log_det = _cholesky_log_det(cov)
 
@@ -183,12 +182,7 @@ def _stacked_cholesky_log_det(stack: np.ndarray) -> np.ndarray:
     return 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
 
 
-def stacked_log_det(
-    n,
-    mean: np.ndarray,
-    scatter: np.ndarray,
-    regularization_eps: float = DEFAULT_REGULARIZATION_EPS,
-) -> np.ndarray:
+def stacked_log_det(n, mean: np.ndarray, scatter: np.ndarray) -> np.ndarray:
     """log|C| of k MLE covariances given as sufficient statistics.
 
     n has shape (k,), mean (k, d) and scatter (k, d, d), where scatter is
@@ -208,17 +202,16 @@ def stacked_log_det(
                 + n * np.einsum("ki,ki->k", mean, mean)) / (n * d))
     if not np.isfinite(mean_sq).all():
         raise NonFiniteInput("sufficient statistics hold NaN or inf")
-    if regularization_eps > 0.0:
-        eye = np.eye(d)
-        zero_variance = trace <= 1e-24 * np.maximum(mean_sq, 1e-30) * d
-        ridge = np.where(zero_variance, regularization_eps, regularization_eps * trace / d)
-        # the smallest eigenvalue is above the proportional ridge exactly
-        # where C - ridge * I factors; those covariances are left as they are
-        clear = np.zeros(len(cov), dtype=bool)
-        test = ~zero_variance
-        clear[test] = np.isfinite(
-            _stacked_cholesky_log_det(cov[test] - ridge[test, None, None] * eye))
-        cov = cov + np.where(clear, 0.0, ridge)[:, None, None] * eye
+    eye = np.eye(d)
+    zero_variance = trace <= 1e-24 * np.maximum(mean_sq, 1e-30) * d
+    ridge = np.where(zero_variance, REGULARIZATION_EPS, REGULARIZATION_EPS * trace / d)
+    # the smallest eigenvalue is above the proportional ridge exactly
+    # where C - ridge * I factors; those covariances are left as they are
+    clear = np.zeros(len(cov), dtype=bool)
+    test = ~zero_variance
+    clear[test] = np.isfinite(
+        _stacked_cholesky_log_det(cov[test] - ridge[test, None, None] * eye))
+    cov = cov + np.where(clear, 0.0, ridge)[:, None, None] * eye
     return _stacked_cholesky_log_det(cov)
 
 
@@ -255,10 +248,9 @@ def delta_bic(
         raise WindowTooSmall("each sub-window needs >= 2 rows")
 
     s = np.concatenate([x, y], axis=0)
-    eps = cfg.regularization_eps
-    stats_s = gaussian_fit(s, "mle", eps, counter)
-    stats_x = gaussian_fit(x, "mle", eps, counter)
-    stats_y = gaussian_fit(y, "mle", eps, counter)
+    stats_s = gaussian_fit(s, "mle", counter)
+    stats_x = gaussian_fit(x, "mle", counter)
+    stats_y = gaussian_fit(y, "mle", counter)
 
     n_s, n_x, n_y = stats_s.n, stats_x.n, stats_y.n
     d = x.shape[1]
@@ -278,15 +270,14 @@ def delta_bic(
 def hotelling_t2(
     x_window,
     y_window,
-    regularization_eps: float = DEFAULT_REGULARIZATION_EPS,
     counter: ComputeCounter | None = None,
 ) -> float:
     """Hotelling's two-sample T^2 between the sub-window means.
 
     T^2 = (Nx * Ny / Ns) * (mx - my)' Sigma^-1 (mx - my), where Sigma is the
-    unbiased covariance of the pooled window. Counts a single covariance
-    computation. Pass regularization_eps=0 to get SingularCovariance instead
-    of a ridge on degenerate windows.
+    unbiased covariance of the pooled window, ridged as gaussian_fit
+    ridges it. Counts a single covariance computation. Raises
+    SingularCovariance if that covariance still cannot be solved against.
     """
     x = _as_window(x_window)
     y = _as_window(y_window)
@@ -299,9 +290,7 @@ def hotelling_t2(
     if s.shape[0] < 2:
         raise WindowTooSmall("pooled window needs >= 2 rows")
 
-    stats = gaussian_fit(s, "unbiased", regularization_eps, counter)
-    if regularization_eps <= 0.0 and not np.isfinite(stats.log_det):
-        raise SingularCovariance("pooled covariance is singular")
+    stats = gaussian_fit(s, "unbiased", counter)
 
     n_x, n_y = x.shape[0], y.shape[0]
     # add.reduce / n is .mean(axis=0) without its Python-level overhead

@@ -27,6 +27,10 @@ class SignalTooShort(FeddiarError):
     """Signal shorter than one analysis frame."""
 
 
+class SampleRateTooLow(FeddiarError):
+    """Sample rate at which a frame hop rounds to no samples."""
+
+
 # -- silence detection ------------------------------------------------------
 
 class TooFewFrames(FeddiarError):
@@ -44,7 +48,7 @@ class WindowTooSmall(FeddiarError):
 
 
 class SingularCovariance(FeddiarError):
-    """Covariance not invertible and regularization was disabled."""
+    """Ridged covariance still not invertible."""
 
 
 class NonFiniteInput(FeddiarError, ValueError):

@@ -3,7 +3,10 @@
 The feature pipeline is: pre-emphasis -> Hamming window -> magnitude
 spectrum -> mel filterbank -> log (floored) -> DCT-II, keeping cepstral
 coefficients 1..12. Coefficient 0 carries frame energy and is dropped;
-energy handling lives in the silence module.
+energy handling lives in the silence module. Frames are FRAME_MS long
+every HOP_MS, and every transform, MFCC and silence stage alike, has
+`FrameSequence.fft_size` points: the next power of two at or above the
+frame length.
 
 Memory does not grow with audio length beyond the outputs.
 `frame_signal` returns a read-only strided view of the samples, not a
@@ -51,9 +54,23 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 
-from .errors import InvalidConfig, MalformedWav, SignalTooShort, UnsupportedEncoding
+from .errors import (
+    InvalidConfig,
+    MalformedWav,
+    SampleRateTooLow,
+    SignalTooShort,
+    UnsupportedEncoding,
+)
 
 PCM16_FULL_SCALE = 32768.0
+
+# MFCC front end: frame geometry, mel filters, pre-emphasis and the floor
+# under the mel energies before the log.
+FRAME_MS = 25.0
+HOP_MS = 10.0
+NUM_MEL_FILTERS = 26
+PRE_EMPHASIS = 0.97
+LOG_FLOOR = 1e-10
 
 # Frames per chunk of every spectral pass (the last chunk holds up to twice
 # as many, see above).
@@ -131,7 +148,7 @@ class FrameSequence:
 
     @property
     def fft_size(self) -> int:
-        """Transform length of the silence stage: next power of two >= frame length."""
+        """Transform length of every spectral pass: next power of two >= frame length."""
         return next_power_of_two(self.frame_len_samples)
 
     def frame_onsets_sec(self) -> np.ndarray:
@@ -142,35 +159,11 @@ class FrameSequence:
 @dataclass(frozen=True)
 class MfccConfig:
     num_coefficients: int = 12
-    num_mel_filters: int = 26
-    fft_size: int | None = None      # MFCC transform; None: next power of two >= frame length
-    pre_emphasis: float = 0.97
-    frame_ms: float = 25.0
-    hop_ms: float = 10.0
-    log_floor: float = 1e-10
 
-    def frame_len(self, sample_rate_hz: int) -> int:
-        return int(round(self.frame_ms * sample_rate_hz / 1000.0))
-
-    def hop_len(self, sample_rate_hz: int) -> int:
-        return int(round(self.hop_ms * sample_rate_hz / 1000.0))
-
-    def resolve_fft_size(self, sample_rate_hz: int) -> int:
-        if self.fft_size is not None:
-            return self.fft_size
-        return next_power_of_two(self.frame_len(sample_rate_hz))
-
-    def validate(self, sample_rate_hz: int) -> None:
-        if self.num_coefficients < 1:
-            raise InvalidConfig("num_coefficients must be at least 1")
-        if self.num_coefficients > self.num_mel_filters:
-            raise InvalidConfig("num_coefficients must not exceed num_mel_filters")
-        if self.resolve_fft_size(sample_rate_hz) < self.frame_len(sample_rate_hz):
-            raise InvalidConfig("fft_size smaller than frame length")
-        if not 0.0 <= self.pre_emphasis < 1.0:
-            raise InvalidConfig("pre_emphasis must lie in [0, 1)")
-        if self.log_floor <= 0.0:
-            raise InvalidConfig("log_floor must be positive")
+    def __post_init__(self):
+        if not 1 <= self.num_coefficients <= NUM_MEL_FILTERS:
+            raise InvalidConfig(
+                f"num_coefficients must lie in [1, {NUM_MEL_FILTERS}] (the mel filters)")
 
 
 @dataclass(frozen=True)
@@ -239,13 +232,19 @@ def save_wav(path, signal: AudioSignal) -> None:
         wf.writeframes(pcm.astype("<i2").tobytes())
 
 
-def frame_signal(signal: AudioSignal, cfg: MfccConfig) -> FrameSequence:
-    """Slice the signal into fixed frames; a trailing partial frame is dropped.
+def frame_signal(signal: AudioSignal) -> FrameSequence:
+    """Slice the signal into FRAME_MS frames every HOP_MS; a trailing partial
+    frame is dropped.
 
     The frames are a read-only strided view of the samples: no copy is made.
+    Raises SampleRateTooLow where the hop rounds to no samples.
     """
-    frame_len = cfg.frame_len(signal.sample_rate_hz)
-    hop = cfg.hop_len(signal.sample_rate_hz)
+    rate = signal.sample_rate_hz
+    frame_len = int(round(FRAME_MS * rate / 1000.0))
+    hop = int(round(HOP_MS * rate / 1000.0))
+    if min(frame_len, hop) < 1:
+        raise SampleRateTooLow(f"sample rate {rate} Hz is too low: a {HOP_MS:g} ms "
+                               f"hop must hold at least one sample")
     n = len(signal.samples)
     if n < frame_len:
         raise SignalTooShort(f"{n} samples < one {frame_len}-sample frame")
@@ -372,18 +371,17 @@ def spectrum_chunks(
 
 def compute_mfcc(frames: FrameSequence, cfg: MfccConfig) -> FeatureMatrix:
     """Extract one MFCC row per frame (coefficients 1..num_coefficients)."""
-    cfg.validate(frames.sample_rate_hz)
-    fft_size = cfg.resolve_fft_size(frames.sample_rate_hz)
-    fb = mel_filterbank(cfg.num_mel_filters, fft_size, frames.sample_rate_hz)
+    fft_size = frames.fft_size
+    fb = mel_filterbank(NUM_MEL_FILTERS, fft_size, frames.sample_rate_hz)
 
     rows = np.empty((len(frames), cfg.num_coefficients))
 
     def work(chunks):
-        mel = np.empty((chunk_rows(len(frames)), cfg.num_mel_filters))
-        for start, spectrum in spectrum_chunks(frames, fft_size, cfg.pre_emphasis,
+        mel = np.empty((chunk_rows(len(frames)), NUM_MEL_FILTERS))
+        for start, spectrum in spectrum_chunks(frames, fft_size, PRE_EMPHASIS,
                                                chunks=chunks):
             log_mel = np.matmul(spectrum, fb.T, out=mel[:len(spectrum)])
-            np.maximum(log_mel, cfg.log_floor, out=log_mel)
+            np.maximum(log_mel, LOG_FLOOR, out=log_mel)
             np.log(log_mel, out=log_mel)
             cepstra = dct(log_mel, type=2, axis=1, norm="ortho")
             rows[start:start + len(spectrum)] = cepstra[:, 1:cfg.num_coefficients + 1]

@@ -116,7 +116,7 @@ def frontend_and_silence(
     memory beyond the outputs does not grow with the audio length.
     """
     def frontend():
-        frames = frame_signal(audio, cfg.mfcc)
+        frames = frame_signal(audio)
         return frames, compute_mfcc(frames, cfg.mfcc)
 
     frames, features = _stage("frontend", frontend)

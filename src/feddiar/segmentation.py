@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
-from .divergence import BicConfig, ComputeCounter, delta_bic, hotelling_t2
+from .divergence import ComputeCounter, delta_bic, hotelling_t2
 from .errors import InvalidConfig, WindowTooSmall
 from .frontend import FeatureMatrix
 from .silence import QuasiSilenceRegion
@@ -69,7 +69,10 @@ class SegConfig:
     def resolve_t2_threshold(self, d: int) -> float:
         if self.t2_threshold is not None:
             return self.t2_threshold
-        return float(chi2.ppf(0.95, d))
+        # the chi-squared(d) quantile from the regularized lower incomplete
+        # gamma function, without importing scipy.stats (most of a CLI
+        # process's import time); bit for bit chi2.ppf(0.95, d)
+        return float(2.0 * gammaincinv(d / 2.0, 0.95))
 
 
 @dataclass(frozen=True)
@@ -116,13 +119,13 @@ def scan_window(
     window,
     stride_fraction: float,
     method: str,
-    bic_cfg: BicConfig | None = None,
     counter: ComputeCounter | None = None,
 ) -> tuple[int, float]:
     """Evaluate the divergence at every stride-generated split of a window.
 
-    Returns (best_split_index, best_value); ties go to the split nearest
-    the window center, then to the lower index.
+    Method "bic" scores a split by delta BIC with the default BicConfig,
+    "t2" by Hotelling's T^2. Returns (best_split_index, best_value); ties go
+    to the split nearest the window center, then to the lower index.
     """
     w = np.asarray(window, dtype=np.float64)
     if w.ndim == 1:
@@ -132,16 +135,15 @@ def scan_window(
     if n < 2 * min_sub:
         raise WindowTooSmall(f"window of {n} rows cannot host two {min_sub}-row sub-windows")
 
-    cfg = bic_cfg or BicConfig()
     best_idx = -1
     best_val = -np.inf
     best_center_dist = np.inf
     for split in _split_positions(n, stride_fraction, min_sub):
         left, right = w[:split], w[split:]
         if method == METHOD_BIC:
-            value = delta_bic(left, right, cfg, counter)
+            value = delta_bic(left, right, counter=counter)
         else:
-            value = hotelling_t2(left, right, cfg.regularization_eps, counter)
+            value = hotelling_t2(left, right, counter)
         dist = abs(split - n / 2.0)
         if value > best_val or (value == best_val and dist < best_center_dist):
             best_idx, best_val, best_center_dist = split, value, dist
@@ -178,7 +180,6 @@ def _segment(
     d = features.d
     n_aw = max(1, int(round(cfg.analysis_window_sec / hop)))
     min_sub = _min_subwindow(cfg.method, d)
-    bic_cfg = BicConfig()
     # A split is detected when its score clears the gate; t2 then spends one
     # delta BIC to confirm it, while bic scored it with delta BIC already.
     gate = cfg.resolve_t2_threshold(d) if cfg.method == METHOD_T2 else 0.0
@@ -197,10 +198,10 @@ def _segment(
                 continue
             window = rows[w_start:w_start + w_len]
             best_idx, best_val = scan_window(
-                window, cfg.stride_fraction, cfg.method, bic_cfg, counter)
+                window, cfg.stride_fraction, cfg.method, counter)
             detected = best_val > gate
             if detected and (cfg.method == METHOD_BIC or delta_bic(
-                    window[:best_idx], window[best_idx:], bic_cfg, counter) > 0.0):
+                    window[:best_idx], window[best_idx:], counter=counter) > 0.0):
                 frame = w_start + best_idx
                 raw.append(ChangePoint(
                     frame_index=frame,

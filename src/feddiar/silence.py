@@ -12,15 +12,14 @@ chunks out among threads as the MFCC pass does (see the frontend module),
 with the same bits on any number of threads; the noise profile's passes
 over its few candidate frames, and its ordered sum of their spectra, stay
 on the calling thread. Each transform has `FrameSequence.fft_size`
-points, the next power of two at or above the frame length, whatever size
-the MFCC configuration sets for its own transform. No step transforms
-every frame. The noise profile ranks the frames by energy without an FFT:
-by Parseval's identity the mean of |rfft|^2 follows from each windowed
-frame's sum of squares and its first and Nyquist bins. Only the frames
-within a small margin of the quietest noise_percentile are transformed,
-to rank them by their exact FFT energies and to sum the spectra of the
-quietest, so the profile equals the one from a full-spectrum ranking bit
-for bit.
+points, the next power of two at or above the frame length, as the MFCC
+transform has. No step transforms every frame. The noise profile ranks
+the frames by energy without an FFT: by Parseval's identity the mean of
+|rfft|^2 follows from each windowed frame's sum of squares and its first
+and Nyquist bins. Only the frames within a small margin of the quietest
+noise_percentile are transformed, to rank them by their exact FFT
+energies and to sum the spectra of the quietest, so the profile equals
+the one from a full-spectrum ranking bit for bit.
 
 `find_quasi_silences` subtracts the noise only where the residual energy
 can decide a region. The same Parseval energy E_X bounds a frame's

@@ -239,6 +239,6 @@ def speaker_frame_corpus(
                               SAMPLE_RATE_HZ, rng)
         audio = AudioSignal(samples=wave, sample_rate_hz=SAMPLE_RATE_HZ,
                             source_id=f"solo-{speaker}")
-        features = compute_mfcc(frame_signal(audio, cfg), cfg)
+        features = compute_mfcc(frame_signal(audio), cfg)
         corpus[speaker] = features.rows
     return corpus

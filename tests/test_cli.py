@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -180,6 +181,9 @@ def bad_inputs(tmp_path_factory):
     (root / "two_bytes.wav").write_bytes(b"RI")
     (root / "typo.cfg").write_text("treshold_db = 5\n")
     (root / "thr30.cfg").write_text("threshold_db = 30\n")
+    (root / "seed.cfg").write_text("seed = 3\n")
+    # a 10 ms hop rounds to no samples at 1 Hz
+    save_wav(root / "rate1.wav", AudioSignal(np.zeros(100), 1))
     return root
 
 
@@ -211,17 +215,24 @@ BAD_INVOCATIONS = {
     "misspelt config key (used to run the defaults)": [
         "segment", "--audio", "{root}/a.wav", "--config", "{root}/typo.cfg"],
     "config key of another command": ["synth", "--config", "{root}/thr30.cfg"],
+    "seed key of a command that draws nothing": [
+        "segment", "--audio", "{root}/a.wav", "--config", "{root}/seed.cfg"],
+    "sample rate too low to frame": ["segment", "--audio", "{root}/rate1.wav"],
 }
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's feddiar."""
+    src = str(Path(feddiar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
 
 
 def run_cli_process(argv, out_dir) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter, so that warnings reach stderr."""
-    src = str(Path(feddiar.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run(
-        [sys.executable, "-m", "feddiar.cli", *argv, "--out-dir", str(out_dir)],
-        capture_output=True, text=True, env=env, timeout=120)
+    return run_python("-m", "feddiar.cli", *argv, "--out-dir", str(out_dir))
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INVOCATIONS))
@@ -232,6 +243,47 @@ def test_bad_input_exits_1_without_traceback(case, bad_inputs, tmp_path) -> None
     assert any(line.startswith("error: ") and line[len("error: "):].strip()
                for line in proc.stderr.splitlines()), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_import_leaves_out_scipy_stats() -> None:
+    # scipy.stats took about half of a CLI process's import time
+    proc = run_python("-c", "import sys, feddiar.cli; print('scipy.stats' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def readme_config_entries() -> dict[str, set[str] | None]:
+    """The report.json `config` entries that the README lists: each
+    section's keys, or None for a plain value."""
+    lines = (Path(feddiar.__file__).resolve().parents[2] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("`config` holds"))
+    bullets: list[str] = []
+    for line in lines[start + 1:]:
+        if line.startswith("- "):
+            bullets.append(line)
+        elif line.startswith("  ") and bullets:
+            bullets[-1] += line
+        elif bullets:
+            break
+    entries = {}
+    for bullet in bullets:
+        name, _, keys = bullet[2:].partition(":")
+        entries[name.strip("`")] = set(re.findall(r"`(\w+)`", keys)) if keys else None
+    return entries
+
+
+def test_report_config_holds_the_documented_keys(bad_inputs, tmp_path, capsys) -> None:
+    assert main(["diarize", "--audio", str(bad_inputs / "speech.wav"),
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    config = json.loads((tmp_path / "report.json").read_text())["config"]
+    documented = readme_config_entries()
+    assert set(config) == set(documented)
+    for name, keys in documented.items():
+        if keys is None:
+            assert not isinstance(config[name], dict), name
+        else:
+            assert set(config[name]) == keys, name
 
 
 def test_unknown_config_key_names_key_and_file(bad_inputs, tmp_path, capsys) -> None:
@@ -277,8 +329,7 @@ PIPELINE_KEYS = ("num_coefficients", "threshold_db", "min_region_frames",
                  "noise_percentile", "window_frames", "stride_fraction",
                  "analysis_window_sec", "slide_frames", "grow_frames", "method",
                  "t2_threshold", "lambda", "delta_k", "min_seg_frames", "collar_sec")
-AUDIO_KEYS = PIPELINE_KEYS + ("seed",)
-AUDIO_FLAG_KEYS = ("seed", "method", "window_frames", "stride_fraction",
+AUDIO_FLAG_KEYS = ("method", "window_frames", "stride_fraction",
                    "t2_threshold", "threshold_db", "min_seg_frames", "collar_sec")
 AUDIO = {"audio": "{root}/c.wav"}
 MODEL = {"model": "{root}/model.npz"}
@@ -292,18 +343,19 @@ HOSTILE_TARGETS = {
     "synth": ({"num_speakers": "2", "min_changes": "1", "max_changes": "1"},
               ("seed", "num_speakers", "min_changes", "max_changes", "gap_sec"),
               ("seed", "num_speakers", "min_changes", "max_changes")),
-    "segment": (AUDIO, AUDIO_KEYS, AUDIO_FLAG_KEYS),
-    "cluster": (AUDIO, AUDIO_KEYS, AUDIO_FLAG_KEYS),
-    "identify": ({**AUDIO, **MODEL}, AUDIO_KEYS, AUDIO_FLAG_KEYS),
+    "segment": (AUDIO, PIPELINE_KEYS, AUDIO_FLAG_KEYS),
+    "cluster": (AUDIO, PIPELINE_KEYS, AUDIO_FLAG_KEYS),
+    "identify": ({**AUDIO, **MODEL}, PIPELINE_KEYS, AUDIO_FLAG_KEYS),
+    # diarize still accepts --seed and ignores it
     "diarize": ({**AUDIO, **MODEL, "truth": "{root}/c.truth.json"},
-                AUDIO_KEYS, AUDIO_FLAG_KEYS),
+                PIPELINE_KEYS + ("seed",), AUDIO_FLAG_KEYS + ("seed",)),
     "sweep": ({"num_conversations": "1", "num_speakers": "2", "seed": "0"},
               PIPELINE_KEYS + ("num_conversations", "num_speakers", "seed"),
               ("num_conversations", "num_speakers", "seed")),
     "fedsim": ({"rounds": "1", "num_speakers": "2", "hidden": "4", "seed": "0"},
                FEDSIM_KEYS, FEDSIM_KEYS),
     "eval": ({"truth": "{root}/c.truth.json", "detected": "{root}/points.csv"},
-             ("collar_sec", "seed"), ("collar_sec", "seed")),
+             ("collar_sec",), ("collar_sec",)),
 }
 
 

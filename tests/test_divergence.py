@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from feddiar.divergence import (
+    REGULARIZATION_EPS,
     BicConfig,
     ComputeCounter,
     delta_bic,
@@ -15,7 +16,7 @@ from feddiar.divergence import (
     hotelling_t2,
     stacked_log_det,
 )
-from feddiar.errors import FeddiarError, NonFiniteInput, SingularCovariance, WindowTooSmall
+from feddiar.errors import FeddiarError, NonFiniteInput, WindowTooSmall
 
 
 def mle_loglik(window):
@@ -34,8 +35,9 @@ def reference_delta_bic(x, y, lambda_=1.0):
     return mle_loglik(x) + mle_loglik(y) - mle_loglik(s) - penalty
 
 
-def reference_gaussian_fit(window, estimator="mle", regularization_eps=1e-6):
+def reference_gaussian_fit(window, estimator="mle"):
     """The eigenvalue oracle: eigvalsh for the ridge test, slogdet for log|C|."""
+    eps = REGULARIZATION_EPS
     w = np.asarray(window, dtype=np.float64)
     n, d = w.shape
     mean = w.mean(axis=0)
@@ -43,17 +45,16 @@ def reference_gaussian_fit(window, estimator="mle", regularization_eps=1e-6):
     divisor = n if estimator == "mle" else n - 1
     cov = (centered.T @ centered) / divisor
     regularized = False
-    if regularization_eps > 0.0:
-        trace = float(np.trace(cov))
-        dust = 1e-24 * max(float(np.mean(w * w)), 1e-30) * d
-        if trace <= dust:
-            cov = cov + regularization_eps * np.eye(d)
+    trace = float(np.trace(cov))
+    dust = 1e-24 * max(float(np.mean(w * w)), 1e-30) * d
+    if trace <= dust:
+        cov = cov + eps * np.eye(d)
+        regularized = True
+    else:
+        min_eig = float(np.linalg.eigvalsh(cov)[0])
+        if min_eig <= eps * (trace / d):
+            cov = cov + (eps * trace / d) * np.eye(d)
             regularized = True
-        else:
-            min_eig = float(np.linalg.eigvalsh(cov)[0])
-            if min_eig <= regularization_eps * (trace / d):
-                cov = cov + (regularization_eps * trace / d) * np.eye(d)
-                regularized = True
     sign, log_det = np.linalg.slogdet(cov)
     if sign <= 0 or not np.isfinite(log_det):
         log_det = -np.inf
@@ -78,16 +79,12 @@ def log_det_tolerance(cov, log_det, regularized):
 
 WINDOW_KINDS = ("plain", "rank_deficient", "constant_column", "all_equal",
                 "two_rows", "d_plus_one")
-# windows whose covariance is either well posed or exactly zero in some
-# direction, so that the unridged (eps = 0) oracle is not rounding noise
-UNRIDGED_KINDS = ("plain", "constant_column", "all_equal", "d_plus_one")
 
 
-def draw_window(rng, kind, d, exact_constants=False):
-    """A window of one kind; exact_constants uses integer fill values, whose
-    column means are exact, so constant directions have exactly zero variance."""
+def draw_window(rng, kind, d):
+    """A window of one kind."""
     offset = rng.uniform(-5.0, 5.0, d)
-    fill = float(rng.integers(-8, 9)) if exact_constants else float(rng.uniform(-9.0, 9.0))
+    fill = float(rng.uniform(-9.0, 9.0))
     if kind == "plain":
         n = int(rng.integers(d + 2, 4 * d + 40))
         return rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d) + offset
@@ -115,13 +112,11 @@ def assert_log_det_close(got, want, cov, regularized):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from(WINDOW_KINDS),
-       st.integers(min_value=1, max_value=12), st.sampled_from(["mle", "unbiased"]),
-       st.sampled_from([1e-6, 0.0]))
-def test_fit_matches_eigenvalue_oracle(seed, kind, d, estimator, eps) -> None:
-    assume(eps > 0.0 or kind in UNRIDGED_KINDS)
-    w = draw_window(np.random.default_rng(seed), kind, d, exact_constants=eps == 0.0)
-    mean, cov, log_det, regularized = reference_gaussian_fit(w, estimator, eps)
-    got = gaussian_fit(w, estimator, eps)
+       st.integers(min_value=1, max_value=12), st.sampled_from(["mle", "unbiased"]))
+def test_fit_matches_eigenvalue_oracle(seed, kind, d, estimator) -> None:
+    w = draw_window(np.random.default_rng(seed), kind, d)
+    mean, cov, log_det, regularized = reference_gaussian_fit(w, estimator)
+    got = gaussian_fit(w, estimator)
     assert np.array_equal(got.mean, mean)
     assert np.array_equal(got.covariance, cov)
     assert got.regularized == regularized
@@ -131,32 +126,29 @@ def test_fit_matches_eigenvalue_oracle(seed, kind, d, estimator, eps) -> None:
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.lists(st.sampled_from(WINDOW_KINDS), min_size=1, max_size=6),
-       st.integers(min_value=1, max_value=12), st.sampled_from([1e-6, 0.0]))
-def test_stacked_log_det_matches_eigenvalue_oracle(seed, kinds, d, eps) -> None:
-    assume(eps > 0.0 or set(kinds) <= set(UNRIDGED_KINDS))
+       st.integers(min_value=1, max_value=12))
+def test_stacked_log_det_matches_eigenvalue_oracle(seed, kinds, d) -> None:
     rng = np.random.default_rng(seed)
-    windows = [draw_window(rng, kind, d, exact_constants=eps == 0.0) for kind in kinds]
+    windows = [draw_window(rng, kind, d) for kind in kinds]
     n = np.array([len(w) for w in windows])
     mean = np.stack([w.mean(axis=0) for w in windows])
     scatter = np.stack([(w - m).T @ (w - m) for w, m in zip(windows, mean)])
-    got = stacked_log_det(n, mean, scatter, eps)
+    got = stacked_log_det(n, mean, scatter)
     for w, value in zip(windows, got):
-        _, cov, log_det, regularized = reference_gaussian_fit(w, "mle", eps)
+        _, cov, log_det, regularized = reference_gaussian_fit(w, "mle")
         assert_log_det_close(float(value), log_det, cov, regularized)
 
 
-def reference_divergences(x, y, eps):
-    """delta BIC and T^2 from the oracle fits, or the error they raise."""
+def reference_divergences(x, y):
+    """delta BIC and T^2 from the oracle fits."""
     s = np.vstack([x, y])
-    fits = [reference_gaussian_fit(w, "mle", eps) for w in (s, x, y)]
+    fits = [reference_gaussian_fit(w, "mle") for w in (s, x, y)]
     d = x.shape[1]
     bic = (0.5 * len(s) * fits[0][2] - 0.5 * len(x) * fits[1][2] - 0.5 * len(y) * fits[2][2]
            - 0.5 * (d + d * (d + 1) // 2) * np.log(len(s)))
     bic_tol = sum(0.5 * len(w) * log_det_tolerance(f[1], f[2], f[3])
                   for w, f in zip((s, x, y), fits))
-    _, pooled, pooled_log_det, _ = reference_gaussian_fit(s, "unbiased", eps)
-    if eps <= 0.0 and not np.isfinite(pooled_log_det):
-        return bic, bic_tol, SingularCovariance
+    _, pooled, _, _ = reference_gaussian_fit(s, "unbiased")
     diff = x.mean(axis=0) - y.mean(axis=0)
     t2 = (len(x) * len(y) / len(s)) * float(diff @ np.linalg.solve(pooled, diff))
     return bic, bic_tol, max(0.0, t2)
@@ -164,27 +156,19 @@ def reference_divergences(x, y, eps):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from(WINDOW_KINDS),
-       st.sampled_from(WINDOW_KINDS), st.integers(min_value=1, max_value=12),
-       st.sampled_from([1e-6, 0.0]))
-def test_divergences_match_eigenvalue_oracle(seed, kind_x, kind_y, d, eps) -> None:
-    # two all-equal halves pool into a rank-one window, numerically singular
-    assume(eps > 0.0 or ({kind_x, kind_y} <= set(UNRIDGED_KINDS)
-                         and (kind_x, kind_y) != ("all_equal", "all_equal")))
+       st.sampled_from(WINDOW_KINDS), st.integers(min_value=1, max_value=12))
+def test_divergences_match_eigenvalue_oracle(seed, kind_x, kind_y, d) -> None:
     rng = np.random.default_rng(seed)
-    x = draw_window(rng, kind_x, d, exact_constants=eps == 0.0)
-    y = draw_window(rng, kind_y, d, exact_constants=eps == 0.0)
-    bic, bic_tol, t2 = reference_divergences(x, y, eps)
-    got = delta_bic(x, y, BicConfig(regularization_eps=eps))
+    x = draw_window(rng, kind_x, d)
+    y = draw_window(rng, kind_y, d)
+    bic, bic_tol, t2 = reference_divergences(x, y)
+    got = delta_bic(x, y)
     if math.isnan(bic) or math.isinf(bic):
         assert got == bic or (math.isnan(got) and math.isnan(bic))
     else:
         assert got == pytest.approx(bic, rel=1e-12, abs=bic_tol)
-    if t2 is SingularCovariance:
-        with pytest.raises(SingularCovariance):
-            hotelling_t2(x, y, eps)
-    else:
-        # the pooled covariance is bit-equal, so is the solve against it
-        assert hotelling_t2(x, y, eps) == t2
+    # the pooled covariance is bit-equal, so is the solve against it
+    assert hotelling_t2(x, y) == t2
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -194,13 +178,12 @@ def test_non_finite_rows_raise(bad) -> None:
     x = rng.standard_normal((20, 3))
     y = rng.standard_normal((20, 3))
     y[7, 1] = bad
-    for eps in (1e-6, 0.0):
-        with pytest.raises(NonFiniteInput):
-            gaussian_fit(y, regularization_eps=eps)
-        with pytest.raises(NonFiniteInput):
-            delta_bic(x, y, BicConfig(regularization_eps=eps))
-        with pytest.raises(NonFiniteInput):
-            hotelling_t2(x, y, eps)
+    with pytest.raises(NonFiniteInput):
+        gaussian_fit(y)
+    with pytest.raises(NonFiniteInput):
+        delta_bic(x, y)
+    with pytest.raises(NonFiniteInput):
+        hotelling_t2(x, y)
     mean = np.stack([x.mean(axis=0), np.full(3, bad)])
     scatter = np.stack([(x - mean[0]).T @ (x - mean[0]), np.eye(3)])
     with pytest.raises(NonFiniteInput):
@@ -254,13 +237,6 @@ def test_stacked_log_det_matches_fit_on_every_branch() -> None:
     got = stacked_log_det(n, mean, scatter)
     assert got == pytest.approx([f.log_det for f in fits], rel=1e-12, abs=1e-12)
     assert counter.covariance_count == 4
-
-
-def test_stacked_log_det_without_ridge_reports_singular() -> None:
-    w = np.full((10, 2), 1.0)
-    got = stacked_log_det(np.array([10]), w.mean(axis=0)[None], np.zeros((1, 2, 2)),
-                          regularization_eps=0.0)
-    assert got[0] == -np.inf == gaussian_fit(w, regularization_eps=0.0).log_det
 
 
 def test_fit_counts_one_covariance() -> None:
@@ -350,13 +326,6 @@ def test_t2_nonnegative() -> None:
         x = rng.standard_normal((20, 2))
         y = rng.standard_normal((25, 2))
         assert hotelling_t2(x, y) >= 0.0
-
-
-def test_t2_singular_without_regularization() -> None:
-    x = np.ones((10, 2))
-    y = np.ones((10, 2))
-    with pytest.raises(SingularCovariance):
-        hotelling_t2(x, y, regularization_eps=0.0)
 
 
 def test_counter_accounting_exact() -> None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from feddiar.divergence import BicConfig, ComputeCounter
+from feddiar.divergence import ComputeCounter
 from feddiar.errors import WindowTooSmall
 from feddiar.frontend import FeatureMatrix
 from feddiar.segmentation import (
@@ -59,7 +59,8 @@ def test_config_validation() -> None:
 
 def test_default_t2_threshold_is_chi2_quantile() -> None:
     cfg = SegConfig()
-    assert cfg.resolve_t2_threshold(12) == pytest.approx(chi2.ppf(0.95, 12))
+    for d in range(1, 65):
+        assert cfg.resolve_t2_threshold(d) == float(chi2.ppf(0.95, d))
     assert SegConfig(t2_threshold=5.0).resolve_t2_threshold(12) == 5.0
 
 
@@ -77,8 +78,7 @@ def test_scan_full_stride_evaluates_midpoint_only() -> None:
     assert idx == 40
     assert counter.t2_count == 1
     counter = ComputeCounter()
-    idx, _ = scan_window(window, stride_fraction=1.0, method="bic",
-                         bic_cfg=BicConfig(), counter=counter)
+    idx, _ = scan_window(window, stride_fraction=1.0, method="bic", counter=counter)
     assert idx == 40
     assert counter.delta_bic_count == 1
     assert counter.covariance_count == 3

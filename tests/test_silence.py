@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_frontend import (
@@ -19,7 +20,6 @@ from feddiar.frontend import (
     CHUNK_FRAMES,
     AudioSignal,
     FrameSequence,
-    MfccConfig,
     frame_signal,
     spectrum_chunks,
 )
@@ -63,10 +63,10 @@ def test_noise_profile_shape() -> None:
 
 
 def test_silence_transforms_whole_frames() -> None:
-    # 40 ms frames hold 640 samples: a 1024-point transform, where the 512
-    # points of the default MFCC transform would leave each frame's tail out
-    frames = frame_signal(bursty_signal(60, seed=4), MfccConfig(frame_ms=40.0))
-    assert frames.frame_len_samples == 640
+    # 40 ms frames hold 640 samples: a 1024-point transform, where 512
+    # points would leave each frame's tail out
+    samples = bursty_signal(60, seed=4).samples
+    frames = FrameSequence(sliding_window_view(samples, 640)[::160], 640, 160, 16000)
     noise = estimate_noise_profile(frames, SilenceConfig())
     assert noise.magnitude_spectrum_estimate.shape == (513,)
     assert frames.fft_size == 1024
@@ -88,7 +88,7 @@ def test_exact_cancellation_gives_zero_energy() -> None:
 
 def test_zero_profile_keeps_full_spectrum_energy() -> None:
     sig = AudioSignal(0.3 * np.sin(2 * np.pi * 440 * np.arange(8000) / 16000), 16000)
-    seq = frame_signal(sig, MfccConfig())
+    seq = frame_signal(sig)
     zero = NoiseProfile(np.zeros(257), 0)
     energy = spectral_subtract(seq, zero)
     assert np.all(energy > 0)
@@ -156,6 +156,10 @@ def test_region_csv(tmp_path) -> None:
 
 # -- chunked passes and vectorised run finding against the old code ---------
 
+# transform size of the 400-sample frames that the references are given
+REFERENCE_FFT_SIZE = 512
+
+
 def reference_magnitude_spectra(frames: FrameSequence, fft_size: int) -> np.ndarray:
     windowed = frames.frames * np.hamming(frames.frame_len_samples)
     return np.abs(np.fft.rfft(windowed, n=fft_size, axis=1))
@@ -163,7 +167,7 @@ def reference_magnitude_spectra(frames: FrameSequence, fft_size: int) -> np.ndar
 
 def reference_noise_profile(frames: FrameSequence, cfg: SilenceConfig) -> NoiseProfile:
     """Noise profile from the full (frames x bins) spectra."""
-    spectra = reference_magnitude_spectra(frames, MfccConfig().resolve_fft_size(16000))
+    spectra = reference_magnitude_spectra(frames, REFERENCE_FFT_SIZE)
     energies = np.mean(spectra ** 2, axis=1)
     k = max(1, int(np.floor(cfg.noise_percentile * len(frames))))
     quietest = np.argsort(energies, kind="stable")[:k]
@@ -171,7 +175,7 @@ def reference_noise_profile(frames: FrameSequence, cfg: SilenceConfig) -> NoiseP
 
 
 def reference_spectral_subtract(frames: FrameSequence, noise: NoiseProfile) -> np.ndarray:
-    spectra = reference_magnitude_spectra(frames, MfccConfig().resolve_fft_size(16000))
+    spectra = reference_magnitude_spectra(frames, REFERENCE_FFT_SIZE)
     residual = np.maximum(spectra - noise.magnitude_spectrum_estimate, 0.0)
     return np.mean(residual ** 2, axis=1)
 
@@ -216,8 +220,8 @@ def check_silence_stage_bit_equal(chunked: FrameSequence, dense: FrameSequence,
 @pytest.mark.parametrize("num_frames", [n for n in CHUNK_EDGE_COUNTS if n >= 10])
 def test_chunked_silence_stage_bit_equal_to_whole_matrix(num_frames) -> None:
     sig = bursty_signal(num_frames, seed=num_frames)
-    check_silence_stage_bit_equal(frame_signal(sig, MfccConfig()),
-                                  reference_frame_signal(sig, MfccConfig()))
+    check_silence_stage_bit_equal(frame_signal(sig),
+                                  reference_frame_signal(sig))
 
 
 @pytest.mark.parametrize("noise_percentile", [0.1, 0.9])   # 0.9: quietest in 2 chunks
@@ -279,7 +283,7 @@ def near_tie_group(seed: int, size: int = 40) -> np.ndarray:
 
 @pytest.mark.parametrize("fft_size", [511, 512, 1024])   # odd, padded
 def test_parseval_energies_match_fft_energies(fft_size) -> None:
-    frames = frame_signal(bursty_signal(3 * CHUNK_FRAMES + 7, seed=8), MfccConfig())
+    frames = frame_signal(bursty_signal(3 * CHUNK_FRAMES + 7, seed=8))
     spectra = np.abs(np.fft.rfft(frames.frames * np.hamming(400), n=fft_size, axis=1))
     want = np.mean(spectra ** 2, axis=1)
     np.testing.assert_allclose(parseval_energies(frames, fft_size), want, rtol=1e-13)
@@ -356,7 +360,7 @@ def three_minute_frames() -> FrameSequence:
     spec = random_conversation_spec(num_speakers=4, seed=11, min_changes=60, max_changes=60)
     audio, _ = synth_conversation(spec)
     assert audio.duration_sec > 120.0
-    return frame_signal(audio, MfccConfig())
+    return frame_signal(audio)
 
 
 def test_noise_profile_transforms_only_candidates(monkeypatch, three_minute_frames) -> None:
@@ -442,7 +446,7 @@ def conversations() -> list[FrameSequence]:
     for seed in range(3):
         spec = random_conversation_spec(num_speakers=2 + seed, seed=seed,
                                         min_changes=4, max_changes=8)
-        frames = frame_signal(synth_conversation(spec)[0], MfccConfig())
+        frames = frame_signal(synth_conversation(spec)[0])
         out.append(FrameSequence(np.array(frames.frames), 400, 160, 16000))
     return out
 
@@ -539,7 +543,7 @@ def test_find_quasi_silences_exact_on_ties_at_the_peak(seed, scale) -> None:
 @pytest.mark.parametrize("size", [0, 1, CHUNK_FRAMES - 1, CHUNK_FRAMES + 1, 2 * CHUNK_FRAMES - 1,
                                   2 * CHUNK_FRAMES + 1, 4 * CHUNK_FRAMES + 40])
 def test_spectral_subtract_index_equals_full_pass_rows(size) -> None:
-    frames = frame_signal(bursty_signal(3 * CHUNK_FRAMES + 7, seed=size), MfccConfig())
+    frames = frame_signal(bursty_signal(3 * CHUNK_FRAMES + 7, seed=size))
     noise = estimate_noise_profile(frames, SilenceConfig())
     # unsorted, with repeats
     index = np.random.default_rng(size).integers(0, len(frames), size=size)
