@@ -80,19 +80,23 @@ for variant in default noise90 thr30 thr80; do
         --truth "$long_truth" $flags
 done
 
-# The same runs on one CPU, where each spectral pass runs on one thread,
-# must give the same bytes as those on every CPU. They are removed again,
-# so that the listing does not depend on the CPU count.
+# The same runs on one CPU, where each spectral pass and each round's
+# clients run on one thread, must give the same bytes as those on every
+# CPU. They are removed again, so that the listing does not depend on the
+# CPU count.
 pin="taskset -c 0"
-run segment-long-1cpu segment --audio "$long_wav"
-run diarize-long-1cpu diarize --audio "$long_wav" --model "$model" --truth "$long_truth"
+run segment-long-default-1cpu segment --audio "$long_wav"
+run diarize-long-default-1cpu diarize --audio "$long_wav" --model "$model" \
+    --truth "$long_truth"
+run fedsim-non_iid-1cpu fedsim --mode non_iid
+run fedsim-iid-1cpu fedsim --mode iid
 pin=
-for cmd in segment diarize; do
-    if ! diff -r "$cmd-long-default" "$cmd-long-1cpu" > /dev/null; then
-        echo "$cmd on one CPU: outputs differ from those on every CPU" >&2
+for dir in segment-long-default diarize-long-default fedsim-non_iid fedsim-iid; do
+    if ! diff -r "$dir" "$dir-1cpu" > /dev/null; then
+        echo "$dir on one CPU: outputs differ from those on every CPU" >&2
         exit 1
     fi
-    rm -r "$cmd-long-1cpu"
+    rm -r "$dir-1cpu"
 done
 
 run segment-8k segment --audio "$wav8k"

@@ -7,6 +7,15 @@ to the members. Groups re-randomize every round, which is the only path by
 which information crosses group boundaries. Raw frames never leave their
 client; only ModelWeights move.
 
+A round's clients are independent until aggregation, as in FedAvg: each
+trains in copies of the shared parameters with its own AdamState. So
+their local training runs on the process's worker threads (see the
+workers module), as does the evaluation of the round's distinct group
+models. Grouping, aggregation and the divergence checks run on the
+calling thread once the training threads have returned, in the order of
+a serial round. The history and the models are the same bits on any
+number of threads.
+
 Modes: non_iid gives each client a single speaker's frames, iid deals every
 speaker's frames evenly across clients, centralized pools everything into
 one client (the upper-baseline configuration). Isolated training is the
@@ -38,6 +47,7 @@ from .identifier import (
     train_local,
 )
 from .seeding import substream
+from .workers import run_shared
 
 MODES = ("non_iid", "iid", "centralized")
 # share of each speaker's frames held out for the per-round evaluation
@@ -202,26 +212,32 @@ def lr_schedule(round: int, cfg: FederatedConfig) -> float:
 
 
 # A learning rate far too large overflows; TrainingDiverged reports that, so
-# numpy's overflow and invalid-value warnings would only repeat it.
+# numpy's overflow and invalid-value warnings would only repeat it. Pool
+# threads do not inherit this error state, so the work they run enters it too.
 @np.errstate(over="ignore", invalid="ignore")
 def run_round(state: FederatedNetworkState, cfg: FederatedConfig, seed: int) -> FederatedNetworkState:
     """Local training, grouping, per-group aggregation, evaluation.
 
-    Raises TrainingDiverged when a group's averaged weights or the round's
-    held-out loss are not finite (a learning rate far too large), so that
-    no NaN reaches the history.
+    The clients train on the process's worker threads, each in copies of
+    its parameters and its own AdamState, so the round's results are the
+    same on any number of threads. Raises TrainingDiverged when a group's
+    averaged weights or the round's held-out loss are not finite (a
+    learning rate far too large), so that no NaN reaches the history.
     """
     lr = lr_schedule(state.round, cfg)
 
-    trained: list[ClientDevice] = []
-    for client in state.clients:
-        if cfg.local_epochs > 0 and client.n_i > 0:
-            model, opt = train_local(client.model, client.frames, client.labels,
-                                     opt=client.opt_state, lr=lr,
-                                     epochs=cfg.local_epochs)
-        else:
-            model, opt = client.model, client.opt_state
-        trained.append(replace(client, model=model, opt_state=opt))
+    trained: list[ClientDevice] = list(state.clients)
+
+    def train(clients):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, client in clients:
+                model, opt = client.model, client.opt_state
+                if cfg.local_epochs > 0 and client.n_i > 0:
+                    model, opt = train_local(model, client.frames, client.labels,
+                                             opt=opt, lr=lr, epochs=cfg.local_epochs)
+                trained[i] = replace(client, model=model, opt_state=opt)
+
+    run_shared(list(enumerate(state.clients)), train)
 
     assignment = form_groups([c.id for c in trained], cfg.group_size,
                              state.round, seed)
@@ -253,11 +269,15 @@ def _evaluate_round(clients, state, cfg, lr) -> RoundRecord | None:
     if state.eval_frames is None or state.eval_labels is None:
         return None
     # Group members share one aggregated model object: evaluate it once.
+    models = {id(client.model): client.model for client in clients}
     scores: dict[int, tuple[float, float]] = {}
-    for client in clients:
-        if id(client.model) not in scores:
-            scores[id(client.model)] = evaluate(client.model, state.eval_frames,
-                                                state.eval_labels)
+
+    def score(items):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for key, model in items:
+                scores[key] = evaluate(model, state.eval_frames, state.eval_labels)
+
+    run_shared(list(models.items()), score)
     losses, accs = zip(*(scores[id(client.model)] for client in clients))
     return RoundRecord(round=state.round, mode=cfg.mode,
                        group_size=cfg.group_size,

@@ -26,29 +26,18 @@ default; code that runs later must not count on a frontend pass having
 raised it (identifier training keeps its own workspace for that reason).
 
 The full-length passes (MFCC here; the Parseval energies and spectral
-subtraction of the silence module) run on the calling thread and on pool
-threads, MAX_WORKERS threads in all or as many as the process's CPU
-affinity mask holds, if fewer (`taskset -c 0` gives one thread and no
-pool). Where numpy's BLAS runs threads of its own (OpenBLAS does unless
-OPENBLAS_NUM_THREADS=1), they already spread each chunk's mel product
-over the CPUs, and the passes keep to the calling thread. Each thread
-takes the next chunk from one shared iterator, holds its own buffers and
-writes only that chunk's output rows. A chunk's bits do not depend on the
-thread that transforms it, so the outputs are the same on any number of
-threads. numpy and scipy release the GIL in the FFT, BLAS and ufunc loops
-that take most of a chunk's time.
+subtraction of the silence module) share their chunks out among the
+process's worker threads (see the workers module): each thread takes the
+next chunk of `chunk_bounds`, holds its own buffers and writes only that
+chunk's output rows. A chunk's bits do not depend on the thread that
+transforms it, so the outputs are the same on any number of threads.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import os
 import struct
 import wave
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -61,6 +50,7 @@ from .errors import (
     SignalTooShort,
     UnsupportedEncoding,
 )
+from .workers import run_shared
 
 PCM16_FULL_SCALE = 32768.0
 
@@ -78,35 +68,6 @@ CHUNK_FRAMES = 128
 
 # Rows of each gathered copy of indexed frames (see spectrum_chunks).
 GATHER_ROWS = 32
-
-# Most threads that one spectral pass runs on, the calling one included.
-# Each holds its own chunk buffers (about 2.6 MB for 512-point transforms),
-# so this cap, not the machine, bounds the memory of a pass.
-MAX_WORKERS = 2
-
-
-@functools.cache
-def _workers() -> int:
-    """Threads per spectral pass: the CPUs in the process's affinity mask, up
-    to MAX_WORKERS, but one where numpy's BLAS runs threads of its own. Those
-    already spread each chunk's mel product over the CPUs, and the two kinds
-    of thread then compete for them."""
-    if _blas_threads() > 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return min(MAX_WORKERS, len(os.sched_getaffinity(0)))
-    return min(MAX_WORKERS, os.cpu_count() or 1)
-
-
-def _blas_threads() -> int:
-    """Threads of the OpenBLAS in numpy's wheel (scipy-openblas), or 1 where
-    there is none to ask."""
-    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"):
-        get = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None)
-        if get is not None:
-            get.restype = ctypes.c_int
-            return get()
-    return 1
 
 
 def next_power_of_two(n: int) -> int:
@@ -287,42 +248,6 @@ def chunk_rows(n: int) -> int:
     return min(n, 2 * CHUNK_FRAMES - 1)
 
 
-@functools.cache
-def _pool(threads: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(threads, thread_name_prefix="feddiar-chunks")
-
-
-def _run_chunked(n: int, work) -> None:
-    """Run work(chunks) on this thread and on up to _workers() - 1 pool threads.
-
-    chunks is one iterator over chunk_bounds(n) that all the calls share (a
-    list iterator: one next() is one step under the interpreter lock), so
-    each chunk goes to whichever call asks first, and the chunks, and with
-    them the bits, are those of one serial loop. work must hold its own
-    buffers, write only rows start:stop of its outputs and call only numpy,
-    scipy and private helpers: a tracer of the public functions (perfbench)
-    keeps one span stack. With one worker or one chunk no thread is used.
-    Returns when every call has; an exception of this thread's call is
-    raised first, then those of the pool's calls in order.
-    """
-    bounds = chunk_bounds(n)
-    chunks = iter(bounds)
-    helpers = min(_workers(), len(bounds)) - 1
-    if helpers <= 0:
-        work(chunks)
-        return
-    futures = [_pool(_workers() - 1).submit(work, chunks) for _ in range(helpers)]
-    try:
-        work(chunks)
-    finally:
-        # A call still queued would find no chunk left; a running one may
-        # still write into the outputs, so wait for it.
-        running = [f for f in futures if not f.cancel()]
-        wait(running)
-    for f in running:
-        f.result()
-
-
 def spectrum_chunks(
     frames: FrameSequence,
     fft_size: int,
@@ -338,7 +263,7 @@ def spectrum_chunks(
     pre-emphasised, keeping its first sample as-is. mag is a view of a
     buffer that the next chunk overwrites. chunks, when given, is an
     iterator over chunk_bounds(n) (n frames, or len(index)) that yields the
-    chunks to transform, as `_run_chunked` shares it; by default, all.
+    chunks to transform, as `workers.run_shared` shares it; by default, all.
     """
     n = len(frames) if index is None else len(index)
     rows = chunk_rows(n)
@@ -386,6 +311,6 @@ def compute_mfcc(frames: FrameSequence, cfg: MfccConfig) -> FeatureMatrix:
             cepstra = dct(log_mel, type=2, axis=1, norm="ortho")
             rows[start:start + len(spectrum)] = cepstra[:, 1:cfg.num_coefficients + 1]
 
-    _run_chunked(len(frames), work)
+    run_shared(chunk_bounds(len(frames)), work)
     return FeatureMatrix(rows=rows, frame_times_sec=frames.frame_onsets_sec())
 

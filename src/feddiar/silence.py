@@ -8,7 +8,7 @@ Spectra come from `frontend.spectrum_chunks`, CHUNK_FRAMES frames at a
 time through buffers allocated once per call, so memory stays flat in the
 audio length and results equal a whole-matrix pass bit for bit.
 `parseval_energies` and `spectral_subtract`, whole or indexed, share their
-chunks out among threads as the MFCC pass does (see the frontend module),
+chunks out among threads as the MFCC pass does (see the workers module),
 with the same bits on any number of threads; the noise profile's passes
 over its few candidate frames, and its ordered sum of their spectra, stay
 on the calling thread. Each transform has `FrameSequence.fft_size`
@@ -45,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, TooFewFrames
-from .frontend import FrameSequence, _run_chunked, chunk_rows, spectrum_chunks
+from .frontend import FrameSequence, chunk_bounds, chunk_rows, spectrum_chunks
+from .workers import run_shared
 
 ENERGY_FLOOR = 1e-12
 
@@ -125,7 +126,7 @@ def parseval_energies(frames: FrameSequence, fft_size: int) -> np.ndarray:
             out += ec[:, 0]
             out += ec[:, 1]
 
-    _run_chunked(len(frames), work)
+    run_shared(chunk_bounds(len(frames)), work)
     energies /= 2 * (fft_size // 2 + 1)
     return energies
 
@@ -202,7 +203,7 @@ def spectral_subtract(
             np.square(spectra, out=spectra)
             np.mean(spectra, axis=1, out=energy[start:start + len(spectra)])
 
-    _run_chunked(len(energy), work)
+    run_shared(chunk_bounds(len(energy)), work)
     return energy
 
 
