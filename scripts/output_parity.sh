@@ -11,14 +11,31 @@ src=$(cd "$1" && pwd)
 mkdir "$2"
 cd "$2"     # relative paths, so that printed paths match across checkouts
 
-# $pin, when set, is a command that run() starts the CLI under
+# $pin, when set, is a command that run() starts the CLI under; $blas is
+# the environment's BLAS thread setting, pinned to one thread unless a run
+# asks for numpy's default
 pin=
+blas="OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1"
 run() {
     name=$1
     shift
     mkdir -p "$name"
-    PYTHONPATH="$src" OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 \
+    env $blas PYTHONPATH="$src" \
         $pin python3 -m feddiar.cli "$@" --out-dir "$name" > "$name/stdout"
+}
+
+# same DIR RERUN: exit 1 unless RERUN holds DIR's outputs byte for byte (the
+# stdout of synth and sweep names its directory, so RERUN's name is put back
+# to DIR's there first), then remove RERUN, so that the listing depends on
+# neither the CPU count nor the BLAS setting
+same() {
+    sed "s|$2|$1|g" "$2/stdout" > "$2.stdout"
+    mv "$2.stdout" "$2/stdout"
+    if ! diff -r "$1" "$2" > /dev/null; then
+        echo "$2: outputs differ from those of $1" >&2
+        exit 1
+    fi
+    rm -r "$2"
 }
 
 run synth synth --seed 7 --num-speakers 4 --prefix conv
@@ -80,29 +97,35 @@ for variant in default noise90 thr30 thr80; do
         --truth "$long_truth" $flags
 done
 
-# The same runs on one CPU, where each spectral pass and each round's
-# clients run on one thread, must give the same bytes as those on every
-# CPU. They are removed again, so that the listing does not depend on the
-# CPU count.
-pin="taskset -c 0"
-run segment-long-default-1cpu segment --audio "$long_wav"
-run diarize-long-default-1cpu diarize --audio "$long_wav" --model "$model" \
-    --truth "$long_truth"
-run fedsim-non_iid-1cpu fedsim --mode non_iid
-run fedsim-iid-1cpu fedsim --mode iid
-pin=
-for dir in segment-long-default diarize-long-default fedsim-non_iid fedsim-iid; do
-    if ! diff -r "$dir" "$dir-1cpu" > /dev/null; then
-        echo "$dir on one CPU: outputs differ from those on every CPU" >&2
-        exit 1
-    fi
-    rm -r "$dir-1cpu"
-done
-
 run segment-8k segment --audio "$wav8k"
 run diarize-8k diarize --audio "$wav8k" --model "$model" --truth "$truth8k"
 
 run sweep sweep --num-conversations 2
 run eval eval --truth "$truth" --detected segment-default/change_points.csv
+
+# The same runs on one CPU, where each spectral pass, each round's clients
+# and each conversation's turns run on one thread, must give the same bytes
+# as those on every CPU; so must runs with numpy's BLAS left at its default
+# thread count, which the CLI pins to one thread itself.
+pin="taskset -c 0"
+run synth-long-1cpu synth --seed 11 --num-speakers 4 --min-changes 60 --max-changes 60 \
+    --prefix long
+run segment-long-default-1cpu segment --audio "$long_wav"
+run diarize-long-default-1cpu diarize --audio "$long_wav" --model "$model" \
+    --truth "$long_truth"
+run fedsim-non_iid-1cpu fedsim --mode non_iid
+run fedsim-iid-1cpu fedsim --mode iid
+run sweep-1cpu sweep --num-conversations 2
+pin=
+blas="-u OMP_NUM_THREADS -u OPENBLAS_NUM_THREADS"
+run diarize-long-default-unpinned diarize --audio "$long_wav" --model "$model" \
+    --truth "$long_truth"
+run sweep-unpinned sweep --num-conversations 2
+for dir in synth-long segment-long-default diarize-long-default fedsim-non_iid \
+           fedsim-iid sweep; do
+    same "$dir" "$dir-1cpu"
+done
+same diarize-long-default diarize-long-default-unpinned
+same sweep sweep-unpinned
 
 find . -type f | LC_ALL=C sort | xargs sha256sum

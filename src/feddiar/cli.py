@@ -17,6 +17,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import workers
 from .clustering import write_cluster_csv
 from .divergence import BicConfig
 from .errors import FeddiarError, InvalidConfig, InvalidSpec
@@ -376,9 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. numpy's OpenBLAS keeps to one thread while it runs,
+    so that the shared-out work takes the CPUs (see `feddiar.workers`);
+    the caller's BLAS thread count is given back on return."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with workers.one_blas_thread():
+            return args.func(args)
     except FeddiarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

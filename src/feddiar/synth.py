@@ -8,15 +8,21 @@ near-silent gaps (-80 dB noise) and the true change points sit at the gap
 midpoints between turns of different speakers. Consecutive turns may share
 a speaker: those pauses must not be counted as changes, which is what makes
 false-detection rates meaningful.
+
+Each turn, and each speaker's solo speech, draws from its own substream, so
+the turns of a conversation render on the pool of `feddiar.workers`, one
+turn per item, and the samples are the same on any number of threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .errors import InvalidSpec
 from .frontend import AudioSignal
 from .seeding import substream
@@ -100,74 +106,141 @@ def _validate(spec: SynthSpec) -> None:
     # the gap's sample count must be finite too: 1e308 s overflows it
     if not 0.0 <= spec.gap_sec * spec.sample_rate_hz < math.inf:
         raise InvalidSpec("gap_sec must be non-negative and finite")
+    for profile in spec.speaker_profiles:
+        values = (profile.f0_hz, *profile.band_centers_hz, *profile.band_widths_hz,
+                  *profile.band_gains)
+        if not all(math.isfinite(v) for v in values):
+            raise InvalidSpec(f"speaker profile values must be finite: {profile}")
+        if profile.f0_hz <= 0.0:
+            raise InvalidSpec(f"f0_hz must be positive, got {profile.f0_hz}")
     for speaker, duration in spec.turns:
         if not 0 <= speaker < spec.num_speakers:
             raise InvalidSpec(f"turn references speaker {speaker}")
-        if duration <= 0.0:
-            raise InvalidSpec("turn durations must be positive")
+        if not 0.0 < duration * spec.sample_rate_hz < math.inf:
+            raise InvalidSpec("turn durations must be positive and finite")
 
 
-def _turn_waveform(profile: SpeakerProfile, duration_sec: float,
-                   sample_rate_hz: int, rng: np.random.Generator) -> np.ndarray:
-    n = max(1, int(round(duration_sec * sample_rate_hz)))
-    t = np.arange(n) / sample_rate_hz
+def _turn_samples(duration_sec: float, sample_rate_hz: int) -> int:
+    return max(1, int(round(duration_sec * sample_rate_hz)))
 
-    vibrato = 0.004 * np.sin(2.0 * np.pi * 4.6 * t + rng.uniform(0.0, 2.0 * np.pi))
-    base_phase = 2.0 * np.pi * profile.f0_hz * (t + vibrato)
+
+def _turn_waveform(profile: SpeakerProfile, sample_rate_hz: int,
+                   rng: np.random.Generator, out: np.ndarray) -> None:
+    """Render one turn of the speaker's speech, at TURN_RMS, into `out`.
+
+    The signal is 0.004 * sin(2 pi 4.6 t + a) of vibrato, the harmonics
+    sin(k 2 pi f0 (t + vibrato) + b_k) / k, plus 0.35 white noise, shaped
+    by the spectral envelope and amplitude-modulated by 1 + AM_DEPTH *
+    sin(2 pi am_rate t + c). Each term is computed in place, one operation
+    at a time in the order of that formula, so that the bits are those of
+    the whole expressions while no more than 2.5 turn lengths of float64
+    are held besides `out`; the random values are drawn in the order they
+    appear.
+    """
+    n = out.shape[0]
+    t = np.arange(n, dtype=np.float64)
+    t /= sample_rate_hz
+
+    phase = np.multiply(2.0 * np.pi * 4.6, t)
+    phase += rng.uniform(0.0, 2.0 * np.pi)
+    np.sin(phase, out=phase)
+    phase *= 0.004
+    phase += t
+    del t
+    phase *= 2.0 * np.pi * profile.f0_hz
     k_max = max(1, min(36, int((sample_rate_hz / 2.0 - 300.0) // profile.f0_hz)))
-    x = np.zeros(n)
+    x = out
+    x[:] = 0.0
+    term = np.empty(n)
     for k in range(1, k_max + 1):
-        x += np.sin(k * base_phase + rng.uniform(0.0, 2.0 * np.pi)) / k
-    x += 0.35 * rng.standard_normal(n)
+        np.multiply(k, phase, out=term)
+        term += rng.uniform(0.0, 2.0 * np.pi)
+        np.sin(term, out=term)
+        term /= k
+        x += term
+    del phase
+    rng.standard_normal(out=term)
+    term *= 0.35
+    x += term
+    del term
 
     spectrum = np.fft.rfft(x)
     freqs = np.fft.rfftfreq(n, 1.0 / sample_rate_hz)
     envelope = np.full(freqs.shape, ENVELOPE_FLOOR)
+    band = np.empty_like(freqs)
     for center, width, gain in zip(profile.band_centers_hz,
                                    profile.band_widths_hz,
                                    profile.band_gains):
-        envelope += gain * np.exp(-0.5 * ((freqs - center) / width) ** 2)
-    x = np.fft.irfft(spectrum * envelope, n)
+        np.subtract(freqs, center, out=band)
+        band /= width
+        band **= 2
+        band *= -0.5
+        np.exp(band, out=band)
+        band *= gain
+        envelope += band
+    del freqs, band
+    spectrum *= envelope
+    del envelope
+    np.fft.irfft(spectrum, n, out=x)
+    del spectrum
 
     am_rate = rng.uniform(3.2, 4.8)
-    x *= 1.0 + AM_DEPTH * np.sin(2.0 * np.pi * am_rate * t + rng.uniform(0.0, 2.0 * np.pi))
+    am = np.arange(n, dtype=np.float64)
+    am /= sample_rate_hz
+    am *= 2.0 * np.pi * am_rate
+    am += rng.uniform(0.0, 2.0 * np.pi)
+    np.sin(am, out=am)
+    am *= AM_DEPTH
+    am += 1.0
+    x *= am
 
-    rms = float(np.sqrt(np.mean(x * x)))
+    np.multiply(x, x, out=am)
+    rms = float(np.sqrt(np.mean(am)))
     if rms > 0.0:
         x *= TURN_RMS / rms
-    return x
+
+
+def _render(turns: list[tuple[SpeakerProfile, int, tuple]],
+            outs: list[np.ndarray]) -> None:
+    """Render each (profile, sample_rate_hz, substream tags) turn into its
+    array of `outs`, on the calling thread and the pool, one turn per item;
+    each item writes only its own array."""
+    def work(shared) -> None:
+        for i in shared:
+            profile, sr, tags = turns[i]
+            _turn_waveform(profile, sr, substream(*tags), outs[i])
+
+    workers.run_shared(list(range(len(turns))), work)
 
 
 def synth_conversation(spec: SynthSpec) -> tuple[AudioSignal, GroundTruth]:
-    """Render a spec to audio plus exact change points and turn intervals."""
+    """Render a spec to audio plus exact change points and turn intervals.
+
+    The turns render straight into their spans of the samples, laid out
+    from the spec's durations: gap, turn, gap, ..., turn, gap."""
     _validate(spec)
     sr = spec.sample_rate_hz
     gap_n = int(round(spec.gap_sec * sr))
+    lengths = [_turn_samples(duration, sr) for _, duration in spec.turns]
+    starts = list(itertools.accumulate((n + gap_n for n in lengths[:-1]), initial=gap_n))
+    samples = np.empty(starts[-1] + lengths[-1] + gap_n)
+    _render([(spec.speaker_profiles[speaker], sr, (spec.seed, "audio", i))
+             for i, (speaker, _) in enumerate(spec.turns)],
+            [samples[start:start + n] for start, n in zip(starts, lengths)])
 
-    def gap_piece(index: int) -> np.ndarray:
+    gap_starts = [start - gap_n for start in starts] + [starts[-1] + lengths[-1]]
+    for index, start in enumerate(gap_starts):
         rng = substream(spec.seed, "gap", index)
-        return GAP_NOISE_AMPLITUDE * rng.standard_normal(gap_n)
+        samples[start:start + gap_n] = GAP_NOISE_AMPLITUDE * rng.standard_normal(gap_n)
 
-    pieces = [gap_piece(0)]
-    cursor = gap_n
     turns: list[TurnInterval] = []
     change_points: list[float] = []
-    for i, (speaker, duration) in enumerate(spec.turns):
-        rng = substream(spec.seed, "audio", i)
-        wave = _turn_waveform(spec.speaker_profiles[speaker], duration, sr, rng)
-        pieces.append(wave)
-        turns.append(TurnInterval(speaker_id=speaker,
-                                  start_sec=cursor / sr,
-                                  end_sec=(cursor + wave.shape[0]) / sr))
-        cursor += wave.shape[0]
-        if i + 1 < len(spec.turns):
-            if spec.turns[i + 1][0] != speaker:
-                change_points.append((cursor + gap_n / 2.0) / sr)
-            pieces.append(gap_piece(i + 1))
-            cursor += gap_n
-    pieces.append(gap_piece(len(spec.turns)))
+    for i, ((speaker, _), start, n) in enumerate(zip(spec.turns, starts, lengths)):
+        turns.append(TurnInterval(speaker_id=speaker, start_sec=start / sr,
+                                  end_sec=(start + n) / sr))
+        if i + 1 < len(spec.turns) and spec.turns[i + 1][0] != speaker:
+            change_points.append((start + n + gap_n / 2.0) / sr)
 
-    samples = np.concatenate(pieces)
     audio = AudioSignal(samples=samples, sample_rate_hz=sr,
                         source_id=f"synth-{spec.seed}")
     return audio, GroundTruth(change_points_sec=change_points, turns=turns)
@@ -227,16 +300,21 @@ def speaker_frame_corpus(
     seed: int,
     seconds_per_speaker: float = 8.0,
 ) -> dict[int, np.ndarray]:
-    """Per-speaker MFCC frame banks from solo synthetic speech."""
+    """Per-speaker MFCC frame banks from solo synthetic speech.
+
+    The solo waveforms render on the pool, one speaker per item; their
+    MFCCs are taken on this thread in speaker order, since `compute_mfcc`
+    shares out its own chunks."""
     from .frontend import MfccConfig, compute_mfcc, frame_signal
 
     profiles = make_profiles(num_speakers, seed)
     cfg = MfccConfig()
     corpus: dict[int, np.ndarray] = {}
-    for speaker in range(num_speakers):
-        rng = substream(seed, "solo", speaker)
-        wave = _turn_waveform(profiles[speaker], seconds_per_speaker,
-                              SAMPLE_RATE_HZ, rng)
+    n = _turn_samples(seconds_per_speaker, SAMPLE_RATE_HZ)
+    waves = [np.empty(n) for _ in range(num_speakers)]
+    _render([(profiles[speaker], SAMPLE_RATE_HZ, (seed, "solo", speaker))
+             for speaker in range(num_speakers)], waves)
+    for speaker, wave in enumerate(waves):
         audio = AudioSignal(samples=wave, sample_rate_hz=SAMPLE_RATE_HZ,
                             source_id=f"solo-{speaker}")
         features = compute_mfcc(frame_signal(audio), cfg)

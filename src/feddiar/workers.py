@@ -1,22 +1,26 @@
 """The process's worker threads: how many there are, their pool, and the
 runner that shares a list of work items out among them.
 
-Two kinds of work run here: the full-length spectral passes, shared out by
-chunk (MFCC in the frontend; the Parseval energies and spectral
-subtraction in the silence module), and a federated round's clients,
-shared out by client for local training and by group model for the
-held-out evaluation. Each runs on the calling thread and on pool threads,
-MAX_WORKERS threads in all or as many as the process's CPU affinity mask
-holds, if fewer (`taskset -c 0` gives one thread and no pool). Where
-numpy's BLAS runs threads of its own (OpenBLAS does unless
+Three kinds of work run here: the full-length spectral passes, shared out
+by chunk (MFCC in the frontend; the Parseval energies and spectral
+subtraction in the silence module); a federated round's clients, shared
+out by client for local training and by group model for the held-out
+evaluation; and synthesis, shared out by turn (a conversation's turns, or
+each speaker's solo speech). Each runs on the calling thread and on pool
+threads, MAX_WORKERS threads in all or as many as the process's CPU
+affinity mask holds, if fewer (`taskset -c 0` gives one thread and no
+pool). Where numpy's BLAS runs threads of its own (OpenBLAS does unless
 OPENBLAS_NUM_THREADS=1), those already spread each matrix product over
-the CPUs, and the work keeps to the calling thread.
+the CPUs, and the work keeps to the calling thread. The CLI pins BLAS to
+one thread while a command runs (`one_blas_thread`); a library caller
+keeps its own setting.
 
 Each thread takes the next item from one shared iterator and writes only
-that item's outputs: a chunk's rows, or a client's slot. An item's bits do
-not depend on the thread that runs it, so the outputs are the same on any
-number of threads. numpy and scipy release the interpreter lock in the
-FFT, BLAS and ufunc loops that take most of an item's time.
+that item's outputs: a chunk's rows, a client's slot, or a turn's
+waveform. An item's bits do not depend on the thread that runs it, so the
+outputs are the same on any number of threads. numpy and scipy release
+the interpreter lock in the FFT, BLAS and ufunc loops that take most of an
+item's time.
 
 A pool thread does not inherit the caller's numpy error state (a context
 variable in numpy 2): work that must run under `np.errstate` enters it
@@ -25,6 +29,7 @@ itself.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -36,16 +41,17 @@ import numpy as np
 # Most threads that one run of work items takes, the calling one included.
 # Each holds its own buffers (about 2.6 MB for chunks of 512-point
 # transforms, about 5 MB for the training workspace of a fedsim client with
-# 1.3k frames), so this cap, not the machine, bounds the memory of a run.
+# 1.3k frames, 3.5 times the turn's samples for a turn being synthesised),
+# so this cap, not the machine, bounds the memory of a run.
 MAX_WORKERS = 2
 
 
-@functools.cache
 def _workers() -> int:
     """Threads per run: the CPUs in the process's affinity mask, up to
     MAX_WORKERS, but one where numpy's BLAS runs threads of its own. Those
     already spread each matrix product over the CPUs, and the two kinds of
-    thread then compete for them."""
+    thread then compete for them. Read at each run, so that a run inside
+    `one_blas_thread` takes the CPUs."""
     if _blas_threads() > 1:
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -53,15 +59,39 @@ def _workers() -> int:
     return min(MAX_WORKERS, os.cpu_count() or 1)
 
 
-def _blas_threads() -> int:
-    """Threads of the OpenBLAS in numpy's wheel (scipy-openblas), or 1 where
-    there is none to ask."""
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS in numpy's wheel (scipy-openblas), or None where there
+    is none to ask."""
     for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"):
-        get = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None)
-        if get is not None:
-            get.restype = ctypes.c_int
-            return get()
-    return 1
+        lib = ctypes.CDLL(str(path))
+        if getattr(lib, "scipy_openblas_get_num_threads64_", None) is not None:
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            return lib
+    return None
+
+
+def _blas_threads() -> int:
+    """Threads of numpy's OpenBLAS, or 1 where there is none to ask."""
+    lib = _openblas()
+    return 1 if lib is None else lib.scipy_openblas_get_num_threads64_()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Pin numpy's OpenBLAS to one thread inside the block, so that the
+    runs there take the process's CPUs instead, and give the caller's
+    thread count back after it."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 @functools.cache
@@ -86,11 +116,12 @@ def run_shared(items: list, work) -> None:
     pool's calls in order.
     """
     shared = iter(items)
-    helpers = min(_workers(), len(items)) - 1
+    threads = _workers()
+    helpers = min(threads, len(items)) - 1
     if helpers <= 0:
         work(shared)
         return
-    futures = [_pool(_workers() - 1).submit(work, shared) for _ in range(helpers)]
+    futures = [_pool(threads - 1).submit(work, shared) for _ in range(helpers)]
     try:
         work(shared)
     finally:

@@ -328,6 +328,16 @@ def test_sweep_names_failing_segmentation(small_conv) -> None:
 
 # Values that stalled a run (a zero step) or wrote NaN or Infinity into its
 # outputs; each is now refused when the config is built or checked.
+def synth_bad_first_turn(duration=1.0, **profile_fields):
+    """Synthesise a two-speaker conversation whose first turn lasts
+    `duration` seconds and whose first speaker's profile takes the fields."""
+    spec = random_conversation_spec(num_speakers=2)
+    first = replace(spec.speaker_profiles[0], **profile_fields)
+    return synth_conversation(replace(
+        spec, turns=((0, duration), *spec.turns[1:]),
+        speaker_profiles=(first, *spec.speaker_profiles[1:])))
+
+
 REJECTED_CONFIGS = {
     "slide_frames 0": lambda: SegConfig(slide_frames=0),
     "grow_frames 0": lambda: SegConfig(grow_frames=0),
@@ -351,6 +361,16 @@ REJECTED_CONFIGS = {
     "gap_sec 1e308": lambda: synth_conversation(
         random_conversation_spec(num_speakers=2, gap_sec=1e308)),
     "seed -1": lambda: random_conversation_spec(num_speakers=2, seed=-1),
+    "turn duration nan": lambda: synth_bad_first_turn(math.nan),
+    "turn duration inf": lambda: synth_bad_first_turn(math.inf),
+    "turn duration 1e308": lambda: synth_bad_first_turn(1e308),
+    "f0_hz 0": lambda: synth_bad_first_turn(f0_hz=0.0),
+    "f0_hz -100": lambda: synth_bad_first_turn(f0_hz=-100.0),
+    "f0_hz nan": lambda: synth_bad_first_turn(f0_hz=math.nan),
+    "band_widths_hz nan": lambda: synth_bad_first_turn(
+        band_widths_hz=(math.nan, 120.0, 160.0)),
+    "band_centers_hz inf": lambda: synth_bad_first_turn(
+        band_centers_hz=(500.0, math.inf, 2800.0)),
 }
 
 

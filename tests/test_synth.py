@@ -1,10 +1,19 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from feddiar.errors import InvalidSpec
+from feddiar.seeding import substream
 from feddiar.synth import (
+    AM_DEPTH,
+    ENVELOPE_FLOOR,
+    TURN_RMS,
     SynthSpec,
     TurnInterval,
+    _turn_samples,
+    _turn_waveform,
     make_profiles,
     random_conversation_spec,
     speaker_frame_corpus,
@@ -142,3 +151,76 @@ def test_speaker_frame_corpus_shapes() -> None:
     again = speaker_frame_corpus(3, seed=2, seconds_per_speaker=2.0)
     assert all(np.array_equal(corpus[k], again[k]) for k in corpus)
     assert not np.allclose(corpus[0].mean(axis=0), corpus[1].mean(axis=0), atol=0.1)
+
+
+def whole_expression_turn(profile, duration_sec, sample_rate_hz, rng) -> np.ndarray:
+    """The turn waveform written as whole array expressions, the oracle for
+    the in-place `_turn_waveform`."""
+    n = max(1, int(round(duration_sec * sample_rate_hz)))
+    t = np.arange(n) / sample_rate_hz
+
+    vibrato = 0.004 * np.sin(2.0 * np.pi * 4.6 * t + rng.uniform(0.0, 2.0 * np.pi))
+    base_phase = 2.0 * np.pi * profile.f0_hz * (t + vibrato)
+    k_max = max(1, min(36, int((sample_rate_hz / 2.0 - 300.0) // profile.f0_hz)))
+    x = np.zeros(n)
+    for k in range(1, k_max + 1):
+        x += np.sin(k * base_phase + rng.uniform(0.0, 2.0 * np.pi)) / k
+    x += 0.35 * rng.standard_normal(n)
+
+    spectrum = np.fft.rfft(x)
+    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate_hz)
+    envelope = np.full(freqs.shape, ENVELOPE_FLOOR)
+    for center, width, gain in zip(profile.band_centers_hz,
+                                   profile.band_widths_hz,
+                                   profile.band_gains):
+        envelope += gain * np.exp(-0.5 * ((freqs - center) / width) ** 2)
+    x = np.fft.irfft(spectrum * envelope, n)
+
+    am_rate = rng.uniform(3.2, 4.8)
+    x *= 1.0 + AM_DEPTH * np.sin(2.0 * np.pi * am_rate * t + rng.uniform(0.0, 2.0 * np.pi))
+
+    rms = float(np.sqrt(np.mean(x * x)))
+    if rms > 0.0:
+        x *= TURN_RMS / rms
+    return x
+
+
+def rendered_turn(profile, duration_sec, sample_rate_hz, rng) -> np.ndarray:
+    out = np.empty(_turn_samples(duration_sec, sample_rate_hz))
+    _turn_waveform(profile, sample_rate_hz, rng, out)
+    return out
+
+
+# Sample counts: one, two, odd, and primes, whose transforms take
+# pocketfft's Bluestein path.
+@pytest.mark.parametrize("sample_rate_hz", [8000, 16000])
+@pytest.mark.parametrize("samples", [1, 2, 4993, 12007, 24001, 32003])
+def test_turn_waveform_bits_equal_whole_expressions(sample_rate_hz, samples) -> None:
+    profiles = make_profiles(4, seed=samples) + (
+        # high voices: a few harmonics below Nyquist - 300 Hz, or only one
+        dataclasses.replace(make_profiles(1, seed=1)[0], f0_hz=1900.0),
+        dataclasses.replace(make_profiles(1, seed=2)[0], f0_hz=5000.0))
+    duration = samples / sample_rate_hz
+    for seed, profile in enumerate(profiles):
+        got = rendered_turn(profile, duration, sample_rate_hz, substream(seed, "turn"))
+        want = whole_expression_turn(profile, duration, sample_rate_hz,
+                                     substream(seed, "turn"))
+        assert got.shape == (samples,)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seconds", [2.0, 16.0])
+def test_turn_waveform_memory_peak_within_five_outputs(seconds) -> None:
+    # Two turns rendered at once then hold less than one whole-expression
+    # render did (8 outputs' worth).
+    profile = make_profiles(2, seed=3)[1]
+    rendered_turn(profile, seconds, 16000, substream(0, "warm"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        wave = rendered_turn(profile, seconds, 16000, substream(0, "turn"))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * wave.nbytes

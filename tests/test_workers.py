@@ -1,5 +1,5 @@
-"""The chunked spectral passes and the federated rounds give the same bits
-on any number of threads."""
+"""The chunked spectral passes, the federated rounds and synthesis give the
+same bits on any number of threads."""
 
 import os
 import subprocess
@@ -13,9 +13,9 @@ import pytest
 import test_pipeline
 from test_frontend import assert_bits_equal, bursty_signal
 
-from feddiar import federated, frontend, silence, workers
+from feddiar import cli, federated, frontend, silence, workers
 from feddiar.cli import main
-from feddiar.errors import StageError, TrainingDiverged
+from feddiar.errors import InvalidSpec, StageError, TrainingDiverged
 from feddiar.federated import FederatedConfig, build_network, run_experiment
 from feddiar.frontend import CHUNK_FRAMES, MfccConfig, compute_mfcc, frame_signal
 from feddiar.identifier import ModelArch
@@ -26,7 +26,12 @@ from feddiar.silence import (
     parseval_energies,
     spectral_subtract,
 )
-from feddiar.synth import random_conversation_spec, speaker_frame_corpus, synth_conversation
+from feddiar.synth import (
+    random_conversation_spec,
+    speaker_frame_corpus,
+    synth_conversation,
+    synth_corpus,
+)
 from feddiar.workers import MAX_WORKERS
 
 WORKERS = (1, 2, 3)
@@ -134,6 +139,35 @@ def test_fedsim_bit_equal_on_any_worker_count(monkeypatch, tmp_path, capsys, run
         assert outputs[count] == outputs[1]
 
 
+def synthesised() -> list[np.ndarray]:
+    """Samples and truth of a conversation with more turns than threads and
+    of a two-conversation corpus, and each speaker's solo frames."""
+    spec = random_conversation_spec(num_speakers=3, seed=4, min_changes=5, max_changes=5)
+    out = []
+    for audio, truth in [synth_conversation(spec), *synth_corpus(2, 2, seed=6)]:
+        out.append(audio.samples)
+        out.append(np.array(truth.change_points_sec))
+        out.append(np.array([(t.speaker_id, t.start_sec, t.end_sec) for t in truth.turns]))
+    solo = speaker_frame_corpus(3, seed=2, seconds_per_speaker=1.5)
+    return out + [solo[s] for s in sorted(solo)]
+
+
+def test_synthesis_bit_equal_on_any_worker_count(monkeypatch) -> None:
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for count in WORKERS:
+            monkeypatch.setattr(workers, "_workers", lambda: count)
+            results[count] = synthesised()
+    finally:
+        sys.setswitchinterval(interval)
+    for count in WORKERS[1:]:
+        assert len(results[count]) == len(results[1])
+        for got, want in zip(results[count], results[1]):
+            assert np.array_equal(got, want)
+
+
 def fed_network(rounds=2, lr0=0.05):
     cfg = FederatedConfig(num_clients=4, group_size=2, rounds=rounds, lr0=lr0)
     corpus = speaker_frame_corpus(4, 0, seconds_per_speaker=2.0)
@@ -212,3 +246,37 @@ def test_one_thread_per_pass_where_blas_runs_threads() -> None:
         pytest.skip("numpy's BLAS cannot be asked for its thread count")
     assert workers_in_fresh_process(2) == [2, 1]
     assert workers_in_fresh_process(1) == [1, min(MAX_WORKERS, len(os.sched_getaffinity(0)))]
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_cli_runs_on_one_blas_thread_and_gives_the_count_back(monkeypatch, tmp_path,
+                                                               capsys, fails) -> None:
+    lib = workers._openblas()
+    if lib is None:
+        pytest.skip("numpy's BLAS cannot be asked for its thread count")
+    caller = workers._blas_threads()
+    lib.scipy_openblas_set_num_threads64_(2)
+    if workers._blas_threads() != 2:
+        lib.scipy_openblas_set_num_threads64_(caller)
+        pytest.skip("numpy's BLAS runs one thread at most here")
+    seen = []
+    real = cli.synth_conversation
+
+    def synth_conversation(spec):
+        seen.append((workers._blas_threads(), workers._workers()))
+        if fails:
+            raise InvalidSpec("bad spec")
+        return real(spec)
+
+    monkeypatch.setattr(cli, "synth_conversation", synth_conversation)
+    try:
+        code = main(["synth", "--min-changes", "1", "--max-changes", "1",
+                     "--out-dir", str(tmp_path)])
+        after = workers._blas_threads()
+    finally:
+        lib.scipy_openblas_set_num_threads64_(caller)
+    capsys.readouterr()
+    assert code == (1 if fails else 0)
+    assert seen == [(1, min(MAX_WORKERS, len(os.sched_getaffinity(0))))]
+    assert after == 2
+    assert workers._workers() == (1 if caller > 1 else seen[0][1])
