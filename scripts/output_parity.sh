@@ -65,6 +65,9 @@ truth8k=synth-8k/conv8k.truth.json
 run fedsim-non_iid fedsim --mode non_iid
 run fedsim-iid fedsim --mode iid
 run fedsim-centralized fedsim --mode centralized
+# centralized is one client in a group of one, whatever the counts asked for
+run fedsim-centralized-3-clients fedsim --mode centralized --num-clients 3 --group-size 2
+same fedsim-centralized fedsim-centralized-3-clients
 run fedsim-hidden fedsim --hidden 16,8
 model=fedsim-non_iid/fed_model.npz
 

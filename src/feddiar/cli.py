@@ -253,8 +253,6 @@ def _cmd_fedsim(args) -> int:
     num_clients = _get(opts, "num_clients", int, num_speakers)
     group_size = _get(opts, "group_size", int, 2)
     tuning = _given(opts, local_epochs=int, lr0=float, lr_decay=float, mode=str)
-    if tuning.get("mode") == "centralized":
-        num_clients, group_size = 1, 1
     cfg = FederatedConfig(num_clients=num_clients, group_size=group_size,
                           rounds=_get(opts, "rounds", int, 20), **tuning)
     corpus = speaker_frame_corpus(num_speakers, seed)

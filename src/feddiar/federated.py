@@ -10,23 +10,24 @@ client; only ModelWeights move.
 A round's clients are independent until aggregation, as in FedAvg: each
 trains in copies of the shared parameters with its own AdamState. So
 their local training runs on the process's worker threads (see the
-workers module), as does the evaluation of the round's distinct group
-models. Grouping, aggregation and the divergence checks run on the
-calling thread once the training threads have returned, in the order of
-a serial round. The history and the models are the same bits on any
-number of threads.
+workers module), as does the evaluation of the round's group models.
+Grouping, aggregation and the divergence checks run on the calling
+thread once the training threads have returned, in the order of a serial
+round. The history and the models are the same bits on any number of
+threads. Clients are addressed by their position in the state's list.
 
 Modes: non_iid gives each client a single speaker's frames, iid deals every
 speaker's frames evenly across clients, centralized pools everything into
-one client (the upper-baseline configuration). Isolated training is the
-degenerate group_size=1.
+one client in a group of one (the upper-baseline configuration; the config
+sets num_clients and group_size to 1). Isolated training is the degenerate
+group_size=1.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,7 +57,6 @@ HOLDOUT_FRACTION = 0.2
 
 @dataclass
 class ClientDevice:
-    id: int
     frames: np.ndarray
     labels: np.ndarray
     model: ModelWeights
@@ -69,7 +69,6 @@ class ClientDevice:
 
 @dataclass(frozen=True)
 class GroupAssignment:
-    round: int
     groups: list[list[int]]
     arbitrators: list[int]
 
@@ -90,6 +89,9 @@ class FederatedConfig:
     mode: str = "non_iid"
 
     def __post_init__(self):
+        if self.mode == "centralized":
+            object.__setattr__(self, "num_clients", 1)
+            object.__setattr__(self, "group_size", 1)
         if self.num_clients < 1:
             raise InvalidConfig("num_clients must be at least 1")
         if self.group_size < 1:
@@ -119,10 +121,10 @@ class RoundRecord:
 @dataclass(frozen=True)
 class FederatedNetworkState:
     clients: list[ClientDevice]
-    round: int = 0
-    history: list[RoundRecord] = field(default_factory=list)
-    eval_frames: np.ndarray | None = None
-    eval_labels: np.ndarray | None = None
+    round: int
+    history: list[RoundRecord]
+    eval_frames: np.ndarray
+    eval_labels: np.ndarray
 
 
 def partition_non_iid(corpus: dict[int, np.ndarray], num_clients: int):
@@ -174,7 +176,7 @@ def form_groups(client_ids, group_size: int, round: int, seed: int) -> GroupAssi
         groups.append(order[pos:pos + size])
         pos += size
     arbitrators = [g[int(rng.integers(len(g)))] for g in groups]
-    return GroupAssignment(round=round, groups=groups, arbitrators=arbitrators)
+    return GroupAssignment(groups=groups, arbitrators=arbitrators)
 
 
 def aggregate(models: list[ModelWeights], counts) -> ModelWeights:
@@ -212,8 +214,7 @@ def lr_schedule(round: int, cfg: FederatedConfig) -> float:
 
 
 # A learning rate far too large overflows; TrainingDiverged reports that, so
-# numpy's overflow and invalid-value warnings would only repeat it. Pool
-# threads do not inherit this error state, so the work they run enters it too.
+# numpy's overflow and invalid-value warnings would only repeat it.
 @np.errstate(over="ignore", invalid="ignore")
 def run_round(state: FederatedNetworkState, cfg: FederatedConfig, seed: int) -> FederatedNetworkState:
     """Local training, grouping, per-group aggregation, evaluation.
@@ -225,64 +226,49 @@ def run_round(state: FederatedNetworkState, cfg: FederatedConfig, seed: int) -> 
     learning rate far too large), so that no NaN reaches the history.
     """
     lr = lr_schedule(state.round, cfg)
+    clients = list(state.clients)
 
-    trained: list[ClientDevice] = list(state.clients)
-
-    def train(clients):
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, client in clients:
-                model, opt = client.model, client.opt_state
-                if cfg.local_epochs > 0 and client.n_i > 0:
-                    model, opt = train_local(model, client.frames, client.labels,
-                                             opt=opt, lr=lr, epochs=cfg.local_epochs)
-                trained[i] = replace(client, model=model, opt_state=opt)
+    def train(items):
+        for i, client in items:
+            model, opt = client.model, client.opt_state
+            if cfg.local_epochs > 0 and client.n_i > 0:
+                model, opt = train_local(model, client.frames, client.labels,
+                                         opt=opt, lr=lr, epochs=cfg.local_epochs)
+            clients[i] = replace(client, model=model, opt_state=opt)
 
     run_shared(list(enumerate(state.clients)), train)
 
-    assignment = form_groups([c.id for c in trained], cfg.group_size,
-                             state.round, seed)
-    by_id = {c.id: c for c in trained}
-    for group in assignment.groups:
-        merged = aggregate([by_id[i].model for i in group],
-                           [by_id[i].n_i for i in group])
+    groups = form_groups(range(len(clients)), cfg.group_size, state.round, seed).groups
+    models = []
+    group_of = [0] * len(clients)
+    for g, group in enumerate(groups):
+        merged = aggregate([clients[i].model for i in group],
+                           [clients[i].n_i for i in group])
         if not all(np.isfinite(p).all() for p in (*merged.weights, *merged.biases)):
             raise TrainingDiverged(f"round {state.round}: aggregated weights are "
                                    f"not finite at learning rate {lr:g}")
         for i in group:
-            by_id[i].model = merged
+            clients[i].model = merged
+            group_of[i] = g
+        models.append(merged)
 
-    new_clients = [by_id[c.id] for c in trained]
-    record = _evaluate_round(new_clients, state, cfg, lr)
-    if record and not math.isfinite(record.loss):
-        raise TrainingDiverged(f"round {state.round}: held-out loss is "
-                               f"{record.loss} at learning rate {lr:g}")
-    return FederatedNetworkState(
-        clients=new_clients,
-        round=state.round + 1,
-        history=state.history + [record] if record else state.history,
-        eval_frames=state.eval_frames,
-        eval_labels=state.eval_labels,
-    )
-
-
-def _evaluate_round(clients, state, cfg, lr) -> RoundRecord | None:
-    if state.eval_frames is None or state.eval_labels is None:
-        return None
-    # Group members share one aggregated model object: evaluate it once.
-    models = {id(client.model): client.model for client in clients}
-    scores: dict[int, tuple[float, float]] = {}
+    # Group members share their group's model: evaluate it once.
+    scores = [None] * len(models)
 
     def score(items):
-        with np.errstate(over="ignore", invalid="ignore"):
-            for key, model in items:
-                scores[key] = evaluate(model, state.eval_frames, state.eval_labels)
+        for g, model in items:
+            scores[g] = evaluate(model, state.eval_frames, state.eval_labels)
 
-    run_shared(list(models.items()), score)
-    losses, accs = zip(*(scores[id(client.model)] for client in clients))
-    return RoundRecord(round=state.round, mode=cfg.mode,
-                       group_size=cfg.group_size,
-                       accuracy=float(np.mean(accs)),
-                       loss=float(np.mean(losses)), lr=lr)
+    run_shared(list(enumerate(models)), score)
+    losses, accs = zip(*(scores[g] for g in group_of))
+    record = RoundRecord(round=state.round, mode=cfg.mode, group_size=cfg.group_size,
+                         accuracy=float(np.mean(accs)), loss=float(np.mean(losses)),
+                         lr=lr)
+    if not math.isfinite(record.loss):
+        raise TrainingDiverged(f"round {state.round}: held-out loss is "
+                               f"{record.loss} at learning rate {lr:g}")
+    return replace(state, clients=clients, round=state.round + 1,
+                   history=state.history + [record])
 
 
 def holdout_split(corpus: dict[int, np.ndarray], seed: int):
@@ -328,9 +314,9 @@ def build_network(
 
     shared_init = init_model(arch, substream(seed, "init"))
     clients = [
-        ClientDevice(id=i, frames=frames, labels=labels,
+        ClientDevice(frames=frames, labels=labels,
                      model=shared_init, opt_state=AdamState.for_model(shared_init))
-        for i, (frames, labels) in enumerate(datasets)
+        for frames, labels in datasets
     ]
     return FederatedNetworkState(clients=clients, round=0, history=[],
                                  eval_frames=eval_frames, eval_labels=eval_labels)

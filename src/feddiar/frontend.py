@@ -84,7 +84,6 @@ class AudioSignal:
 
     samples: np.ndarray
     sample_rate_hz: int
-    source_id: str = ""
 
     @property
     def duration_sec(self) -> float:
@@ -180,7 +179,7 @@ def load_wav(path) -> AudioSignal:
     if n_channels == 2:
         data = data.reshape(-1, 2).mean(axis=1)
     samples = data / PCM16_FULL_SCALE
-    return AudioSignal(samples=samples, sample_rate_hz=rate, source_id=str(path))
+    return AudioSignal(samples=samples, sample_rate_hz=rate)
 
 
 def save_wav(path, signal: AudioSignal) -> None:

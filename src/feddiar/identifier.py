@@ -107,7 +107,6 @@ class AdamState:
 @dataclass(frozen=True)
 class Embedding:
     values: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -337,7 +336,7 @@ def evaluate(model: ModelWeights, frames: np.ndarray, labels: np.ndarray) -> tup
     return loss, acc
 
 
-def embed_segment(model: ModelWeights, rows: np.ndarray, source: str = "") -> Embedding:
+def embed_segment(model: ModelWeights, rows: np.ndarray) -> Embedding:
     """Mean pre-softmax output over a segment's frames."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
@@ -347,7 +346,7 @@ def embed_segment(model: ModelWeights, rows: np.ndarray, source: str = "") -> Em
     if rows.shape[1] != model.arch.input_dim:
         raise DimensionMismatch(f"rows have dimension {rows.shape[1]}")
     logits = _forward_batch(model, rows)
-    return Embedding(values=logits.mean(axis=0), source=source)
+    return Embedding(values=logits.mean(axis=0))
 
 
 def _embedding_matrix(group) -> np.ndarray:
@@ -417,10 +416,7 @@ def online_update(
     for cid, member_ids in enumerate(clusters.clusters):
         rows = cluster_rows(segments, member_ids)
         speaker, _ = predict_cluster(model, rows)
-        cluster_embeddings = [
-            embed_segment(model, segments[i].rows, source=f"seg{i}")
-            for i in member_ids
-        ]
+        cluster_embeddings = [embed_segment(model, segments[i].rows) for i in member_ids]
         banked = bank.get(speaker)
         similarity = cosine_similarity(banked, cluster_embeddings) if banked else float("nan")
         updated = bool(similarity >= tau)

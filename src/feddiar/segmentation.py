@@ -80,7 +80,6 @@ class ChangePoint:
     frame_index: int
     time_sec: float
     divergence_value: float
-    anchor_silence: int       # index into the quasi-silence list
 
     def as_row(self, method: str) -> list:
         return [f"{self.time_sec:.6f}", self.frame_index,
@@ -185,7 +184,7 @@ def _segment(
     gate = cfg.resolve_t2_threshold(d) if cfg.method == METHOD_T2 else 0.0
 
     raw: list[ChangePoint] = []
-    for silence_idx, region in enumerate(silences):
+    for region in silences:
         center = (region.start_frame + region.end_frame + 1) // 2
         aw_start = max(0, center - n_aw // 2)
         aw_end = min(n_frames, aw_start + n_aw)
@@ -207,7 +206,6 @@ def _segment(
                     frame_index=frame,
                     time_sec=float(features.frame_times_sec[frame]),
                     divergence_value=best_val,
-                    anchor_silence=silence_idx,
                 ))
             # the window moves on after any detection, confirmed or not
             if detected:

@@ -118,6 +118,11 @@ def _validate(spec: SynthSpec) -> None:
             raise InvalidSpec(f"turn references speaker {speaker}")
         if not 0.0 < duration * spec.sample_rate_hz < math.inf:
             raise InvalidSpec("turn durations must be positive and finite")
+    # the samples must fit one numpy array: a gap of 1e14 s does not
+    total = (sum(_turn_samples(d, spec.sample_rate_hz) for _, d in spec.turns)
+             + (len(spec.turns) + 1) * int(round(spec.gap_sec * spec.sample_rate_hz)))
+    if 8 * total > np.iinfo(np.intp).max:     # 8 bytes per float64 sample
+        raise InvalidSpec(f"a conversation of {total} samples is too long")
 
 
 def _turn_samples(duration_sec: float, sample_rate_hz: int) -> int:
@@ -241,8 +246,7 @@ def synth_conversation(spec: SynthSpec) -> tuple[AudioSignal, GroundTruth]:
         if i + 1 < len(spec.turns) and spec.turns[i + 1][0] != speaker:
             change_points.append((start + n + gap_n / 2.0) / sr)
 
-    audio = AudioSignal(samples=samples, sample_rate_hz=sr,
-                        source_id=f"synth-{spec.seed}")
+    audio = AudioSignal(samples=samples, sample_rate_hz=sr)
     return audio, GroundTruth(change_points_sec=change_points, turns=turns)
 
 
@@ -315,8 +319,7 @@ def speaker_frame_corpus(
     _render([(profiles[speaker], SAMPLE_RATE_HZ, (seed, "solo", speaker))
              for speaker in range(num_speakers)], waves)
     for speaker, wave in enumerate(waves):
-        audio = AudioSignal(samples=wave, sample_rate_hz=SAMPLE_RATE_HZ,
-                            source_id=f"solo-{speaker}")
+        audio = AudioSignal(samples=wave, sample_rate_hz=SAMPLE_RATE_HZ)
         features = compute_mfcc(frame_signal(audio), cfg)
         corpus[speaker] = features.rows
     return corpus

@@ -22,14 +22,15 @@ outputs are the same on any number of threads. numpy and scipy release
 the interpreter lock in the FFT, BLAS and ufunc loops that take most of an
 item's time.
 
-A pool thread does not inherit the caller's numpy error state (a context
-variable in numpy 2): work that must run under `np.errstate` enters it
-itself.
+Pool work runs in a copy of the caller's context (`contextvars`), so it
+sees the caller's context variables, numpy's error state among them
+(`np.errstate` is a context variable in numpy 2).
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import functools
 import os
@@ -110,10 +111,10 @@ def run_shared(items: list, work) -> None:
     federated round's work calls `train_local` and `evaluate`, so that a
     tracer of them counts every call; a tracer that keeps one span stack
     for the process (perfbench's) then nests a pool thread's spans under
-    whatever span is open, and its self times do not hold. With one worker
-    or one item no thread is used. Returns when every call has; an
-    exception of this thread's call is raised first, then those of the
-    pool's calls in order.
+    whatever span is open, and its self times do not hold. Each pool call
+    runs in a copy of the caller's context. With one worker or one item no
+    thread is used. Returns when every call has; an exception of this
+    thread's call is raised first, then those of the pool's calls in order.
     """
     shared = iter(items)
     threads = _workers()
@@ -121,7 +122,8 @@ def run_shared(items: list, work) -> None:
     if helpers <= 0:
         work(shared)
         return
-    futures = [_pool(threads - 1).submit(work, shared) for _ in range(helpers)]
+    futures = [_pool(threads - 1).submit(contextvars.copy_context().run, work, shared)
+               for _ in range(helpers)]
     try:
         work(shared)
     finally:

@@ -320,6 +320,18 @@ def test_diverging_fedsim_prints_only_its_error(tmp_path) -> None:
     assert len(lines) == 1 and lines[0].startswith("error: round 0: "), proc.stderr
 
 
+@pytest.mark.parametrize("gap_sec", ["1e300", "1e14"])
+def test_huge_gap_is_refused_with_one_error_line(tmp_path, gap_sec) -> None:
+    # numpy's "Maximum allowed dimension exceeded" and "array is too big"
+    # used to escape as tracebacks
+    config = tmp_path / "gap.cfg"
+    config.write_text(f"gap_sec = {gap_sec}\n")
+    proc = run_cli_process(["synth", "--config", str(config)], tmp_path / "out")
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 # Hostile values for any flag or config key: every invocation must exit 0,
 # or exit 1 with an `error:` line (or 2, where argparse refuses a flag's
 # type); no exception may escape and no run may hang.

@@ -203,6 +203,20 @@ def test_centralized_pools_everything() -> None:
     assert state.clients[0].n_i == total - held_out
 
 
+def test_centralized_config_is_one_client_in_a_group_of_one() -> None:
+    # a library caller's group_size used to reach form_groups: BadGroupSize
+    corpus = small_corpus()
+    histories = []
+    for num_clients, group_size in [(3, 2), (1, 1)]:
+        cfg = FederatedConfig(num_clients=num_clients, group_size=group_size,
+                              rounds=2, mode="centralized")
+        state = build_network(corpus, cfg, ModelArch(12, (8,), 4), seed=0)
+        histories.append(run_experiment(state, cfg, seed=0).history)
+        assert (cfg.num_clients, cfg.group_size) == (1, 1)
+    assert len(histories[0]) == 2
+    assert histories[0] == histories[1]
+
+
 def test_round_with_zero_epochs_aggregates_unchanged_weights() -> None:
     cfg, state = fed_setup(local_epochs=0)
     arch = state.clients[0].model.arch

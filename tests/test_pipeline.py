@@ -55,7 +55,7 @@ def feature_matrix(n, d=12, hop_sec=0.010):
 
 
 def change_list(indices, hop_sec=0.010):
-    points = [ChangePoint(i, i * hop_sec, 1.0, (0, 0)) for i in indices]
+    points = [ChangePoint(i, i * hop_sec, 1.0) for i in indices]
     return ChangePointList(points, None)
 
 
@@ -360,10 +360,15 @@ REJECTED_CONFIGS = {
         random_conversation_spec(num_speakers=2, gap_sec=math.nan)),
     "gap_sec 1e308": lambda: synth_conversation(
         random_conversation_spec(num_speakers=2, gap_sec=1e308)),
+    "gap_sec 1e300": lambda: synth_conversation(
+        random_conversation_spec(num_speakers=2, gap_sec=1e300)),
+    "gap_sec 1e14": lambda: synth_conversation(
+        random_conversation_spec(num_speakers=2, gap_sec=1e14)),
     "seed -1": lambda: random_conversation_spec(num_speakers=2, seed=-1),
     "turn duration nan": lambda: synth_bad_first_turn(math.nan),
     "turn duration inf": lambda: synth_bad_first_turn(math.inf),
     "turn duration 1e308": lambda: synth_bad_first_turn(1e308),
+    "turn duration 1e300": lambda: synth_bad_first_turn(1e300),
     "f0_hz 0": lambda: synth_bad_first_turn(f0_hz=0.0),
     "f0_hz -100": lambda: synth_bad_first_turn(f0_hz=-100.0),
     "f0_hz nan": lambda: synth_bad_first_turn(f0_hz=math.nan),

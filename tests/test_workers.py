@@ -1,6 +1,7 @@
 """The chunked spectral passes, the federated rounds and synthesis give the
 same bits on any number of threads."""
 
+import contextvars
 import os
 import subprocess
 import sys
@@ -200,6 +201,29 @@ def test_diverging_round_on_pool_threads_warns_nothing(monkeypatch) -> None:
         warnings.simplefilter("error")
         with pytest.raises(TrainingDiverged, match="weights"):
             run_experiment(state, cfg, seed=0)
+
+
+CALLER = contextvars.ContextVar("caller")
+
+
+def test_pool_work_sees_the_callers_context(monkeypatch) -> None:
+    monkeypatch.setattr(workers, "_workers", lambda: 2)
+    # each thread holds its item until the other has taken one
+    both_taken = threading.Barrier(2, timeout=30)
+    seen = []
+
+    def work(items):
+        for _ in items:
+            seen.append((threading.current_thread().name, CALLER.get("unset")))
+            both_taken.wait()
+
+    token = CALLER.set("test")
+    try:
+        workers.run_shared([0, 1], work)
+    finally:
+        CALLER.reset(token)
+    assert sorted(value for _, value in seen) == ["test", "test"]
+    assert any(name.startswith("feddiar-workers") for name, _ in seen)
 
 
 class ClientFailed(Exception):
