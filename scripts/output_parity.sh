@@ -46,6 +46,10 @@ run synth-long synth --seed 11 --num-speakers 4 --min-changes 60 --max-changes 6
     --prefix long
 long_wav=synth-long/long.wav
 long_truth=synth-long/long.truth.json
+# about 10 minutes: greedy clustering's cost grows fastest at this length
+run synth-xl synth --seed 13 --min-changes 200 --max-changes 200 --prefix xl
+xl_wav=synth-xl/xl.wav
+xl_truth=synth-xl/xl.truth.json
 # 8 kHz, where 25 ms frames take a 256-point FFT instead of 512
 mkdir synth-8k
 PYTHONPATH="$src" python3 -c '
@@ -99,6 +103,8 @@ for variant in default noise90 thr30 thr80; do
     run "diarize-long-$variant" diarize --audio "$long_wav" --model "$model" \
         --truth "$long_truth" $flags
 done
+
+run diarize-xl diarize --audio "$xl_wav" --model "$model" --truth "$xl_truth"
 
 run segment-8k segment --audio "$wav8k"
 run diarize-8k diarize --audio "$wav8k" --model "$model" --truth "$truth8k"

@@ -382,10 +382,9 @@ def main(argv=None) -> int:
     try:
         with workers.one_blas_thread():
             return args.func(args)
-    except FeddiarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FeddiarError, OSError, MemoryError) as exc:
+        # numpy refuses an allocation beyond the machine's memory at once,
+        # before touching any of it
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

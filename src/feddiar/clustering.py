@@ -13,9 +13,25 @@ parallel update S_ab = S_a + S_b + (n_a n_b / n_ab) dd^T, d = mean_b - mean_a,
 instead of stacking rows. Pair costs are evaluated in batches with
 divergence.stacked_log_det and equal merge_cost (delta_bic of the
 concatenated rows) up to rounding. A k x k cost matrix holds the upper
-triangle; after a merge only the merged cluster's row is recomputed.
-Each pair cost counts one merge_cost_count; the covariance and delta BIC
-counters are left to the oracles.
+triangle; after a merge only the merged cluster's row is recomputed. Beside
+it, a k x k array keeps each priced pair's log|C_ab|, which becomes the
+merged cluster's log|C| when the pair merges: no factorisation repeats it.
+
+Most pairs are never priced. With C = S / n, w_a = n_a / n_ab and
+C_ab = M + w_a w_b dd^T, M = w_a C_a + w_b C_b, the matrix determinant lemma
+gives log|C_ab| = log|M| + log(1 + w_a w_b d^T M^-1 d), and log det is
+concave, so log|M| >= w_a log|C_a| + w_b log|C_b|; and d^T M^-1 d >=
+|d|^2 / lambda_max(M), lambda_max(M) <= w_a lambda_max(C_a) + w_b
+lambda_max(C_b). Where neither cluster is ridged (a ridge on the merged
+covariance only raises its log-determinant), the unpenalised cost is
+therefore at least
+0.5 n_ab log(1 + w_a w_b |d|^2 / (w_a lambda_max(C_a) + w_b lambda_max(C_b))).
+Each cluster keeps lambda_max of its covariance (one batched eigvalsh at the
+start, one eigvalsh per merge), and a pair whose bound clears the penalty
+by a margin (see _settled) keeps the cost +inf. A pair of positive cost
+never merges, so the merges, their order and their costs are those of
+pricing every pair. Each priced pair counts one merge_cost_count; the
+covariance and delta BIC counters are left to the oracles.
 """
 
 from __future__ import annotations
@@ -25,8 +41,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergence import BicConfig, ComputeCounter, delta_bic, stacked_log_det
+from .divergence import (
+    BicConfig,
+    ComputeCounter,
+    delta_bic,
+    stacked_log_det,
+    stacked_ridge,
+)
 from .errors import DimensionMismatch, NoSegments, WindowTooSmall
+from .silence import CANDIDATE_MARGIN
 
 
 @dataclass(frozen=True)
@@ -102,7 +125,12 @@ def cluster_segments(
     if k >= 2:
         n, mean, scatter = _segment_stats([segments[i].rows for i in eligible])
         log_det = stacked_log_det(n, mean, scatter)
+        top = _top_eigenvalues(n, mean, scatter)
         penalty_scale = 0.5 * cfg.lambda_ * cfg.resolve_delta_k(mean.shape[1])
+        # the upper triangle: each pair's cost, +inf where it is not priced,
+        # and its log|C_ab|, which a merged cluster keeps as its log|C|
+        costs = np.full((k, k), np.inf)
+        pair_log_det = np.empty((k, k))
 
         def merged(a, b):
             n_ab = n[a] + n[b]
@@ -113,22 +141,26 @@ def cluster_segments(
                           * diff[..., :, None] * diff[..., None, :])
             return n_ab, mean_ab, scatter_ab
 
-        def pair_costs(a, b):
+        def price(a, b):
+            """Write the costs of the pairs (a, b) that the bound leaves open."""
+            open_ = ~_settled(n, mean, top, penalty_scale, a, b)
+            a, b = a[open_], b[open_]
+            if not len(a):
+                return
             n_ab, mean_ab, scatter_ab = merged(a, b)
-            value = (0.5 * n_ab * stacked_log_det(n_ab, mean_ab, scatter_ab)
+            pair_log_det[a, b] = stacked_log_det(n_ab, mean_ab, scatter_ab)
+            value = (0.5 * n_ab * pair_log_det[a, b]
                      - 0.5 * n[a] * log_det[a]
                      - 0.5 * n[b] * log_det[b]
                      - penalty_scale * np.log(n_ab))
             if counter is not None:
                 counter.merge_cost_count += len(value)
             # a NaN cost (-inf log-determinants on both sides) never attracts
-            return np.where(np.isnan(value), np.inf, value)
+            costs[a, b] = np.where(np.isnan(value), np.inf, value)
 
-        costs = np.full((k, k), np.inf)
         rows_a, rows_b = np.triu_indices(k, 1)
         for lo in range(0, len(rows_a), PAIR_BATCH):
-            a, b = rows_a[lo:lo + PAIR_BATCH], rows_b[lo:lo + PAIR_BATCH]
-            costs[a, b] = pair_costs(a, b)
+            price(rows_a[lo:lo + PAIR_BATCH], rows_b[lo:lo + PAIR_BATCH])
 
         while True:
             # first minimum in row-major order: the lowest (a, b) among ties
@@ -138,15 +170,16 @@ def cluster_segments(
                 break
             members[a] = members[a] + members.pop(b)
             n[a], mean[a], scatter[a] = merged(a, b)
-            log_det[a] = stacked_log_det(n[a:a + 1], mean[a:a + 1],
-                                         scatter[a:a + 1])[0]
+            log_det[a] = pair_log_det[a, b]
+            top[a] = _top_eigenvalues(n[a:a + 1], mean[a:a + 1], scatter[a:a + 1])[0]
             costs[b, :] = costs[:, b] = np.inf
             trace.append((a, b, best_cost))
             others = np.array([c for c in members if c != a], dtype=np.intp)
             if not len(others):
                 break
             lower, upper = np.minimum(others, a), np.maximum(others, a)
-            costs[lower, upper] = pair_costs(lower, upper)
+            costs[lower, upper] = np.inf
+            price(lower, upper)
 
     ordered = sorted(members.values(), key=lambda m: min(m))
     clusters = [sorted(m) for m in ordered]
@@ -154,6 +187,35 @@ def cluster_segments(
         for seg in m:
             assignments[seg] = label
     return ClusterSet(clusters=clusters, assignments=assignments, merge_trace=trace)
+
+
+def _settled(n, mean, top, penalty_scale, a, b) -> np.ndarray:
+    """Pairs (a, b) whose cost the lower bound shows to be positive.
+
+    The bound 0.5 n_ab log(1 + w_a w_b |d|^2 / (w_a top_a + w_b top_b)),
+    w = n / n_ab, must clear the penalty by CANDIDATE_MARGIN of the
+    penalty plus d per row: the cost sums n_ab * d logarithms of
+    eigenvalues, each far closer to exact than that.
+    """
+    n_ab = n[a] + n[b]
+    w_a, w_b = n[a] / n_ab, n[b] / n_ab
+    diff = mean[b] - mean[a]
+    bound = 0.5 * n_ab * np.log1p(w_a * w_b * np.einsum("ki,ki->k", diff, diff)
+                                  / (w_a * top[a] + w_b * top[b]))
+    penalty = penalty_scale * np.log(n_ab)
+    return bound - penalty > CANDIDATE_MARGIN * (penalty + mean.shape[1] * n_ab)
+
+
+def _top_eigenvalues(n, mean, scatter) -> np.ndarray:
+    """lambda_max of each MLE covariance that stacked_log_det certainly leaves
+    unridged (its smallest eigenvalue clears the ridge by CANDIDATE_MARGIN
+    of lambda_max, far beyond the rounding of eigvalsh and of the Cholesky
+    ridge test), and +inf for every other one, which makes each of its
+    pair bounds 0."""
+    cov, ridge, zero_variance = stacked_ridge(n, mean, scatter)
+    eig = np.linalg.eigvalsh(cov)
+    clear = ~zero_variance & (eig[:, 0] - ridge > CANDIDATE_MARGIN * eig[:, -1])
+    return np.where(clear, eig[:, -1], np.inf)
 
 
 def _segment_stats(windows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -50,7 +50,7 @@ class ComputeCounter:
 
     covariance_count, delta_bic_count and t2_count count calls of
     gaussian_fit, delta_bic and hotelling_t2; merge_cost_count counts the
-    cluster-pair costs clustering evaluates from sufficient statistics.
+    cluster-pair costs clustering prices from sufficient statistics.
     """
 
     covariance_count: int = 0
@@ -182,17 +182,18 @@ def _stacked_cholesky_log_det(stack: np.ndarray) -> np.ndarray:
     return 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
 
 
-def stacked_log_det(n, mean: np.ndarray, scatter: np.ndarray) -> np.ndarray:
-    """log|C| of k MLE covariances given as sufficient statistics.
+def stacked_ridge(n, mean: np.ndarray,
+                  scatter: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """gaussian_fit's ridge rule on a stack of sufficient statistics.
 
     n has shape (k,), mean (k, d) and scatter (k, d, d), where scatter is
     the centred sum of outer products sum (x - mean)(x - mean)^T of each
-    window. Applies gaussian_fit's ridge rule to every matrix of the stack,
-    with the mean square of the raw rows recovered as
-    (tr S + n |mean|^2) / (n d), and returns the (k,) log-determinants from
-    batched Cholesky factors (-inf where the covariance is not positive
-    definite). Raises NonFiniteInput when a mean or scatter trace is NaN or
-    inf. Counts nothing: callers account for their own work.
+    window. Returns the (k, d, d) MLE covariances, the (k,) ridges and the
+    (k,) zero-variance mask: a zero-variance covariance takes its ridge
+    (REGULARIZATION_EPS) as it is, any other one only if its smallest
+    eigenvalue is at most its ridge (REGULARIZATION_EPS * trace / d). The
+    mean square of the raw rows is recovered as (tr S + n |mean|^2) / (n d).
+    Raises NonFiniteInput when a mean or scatter trace is NaN or inf.
     """
     n = np.asarray(n, dtype=np.float64)
     d = scatter.shape[-1]
@@ -202,9 +203,21 @@ def stacked_log_det(n, mean: np.ndarray, scatter: np.ndarray) -> np.ndarray:
                 + n * np.einsum("ki,ki->k", mean, mean)) / (n * d))
     if not np.isfinite(mean_sq).all():
         raise NonFiniteInput("sufficient statistics hold NaN or inf")
-    eye = np.eye(d)
     zero_variance = trace <= 1e-24 * np.maximum(mean_sq, 1e-30) * d
     ridge = np.where(zero_variance, REGULARIZATION_EPS, REGULARIZATION_EPS * trace / d)
+    return cov, ridge, zero_variance
+
+
+def stacked_log_det(n, mean: np.ndarray, scatter: np.ndarray) -> np.ndarray:
+    """log|C| of k MLE covariances given as sufficient statistics.
+
+    Applies stacked_ridge's rule to every matrix of the stack and returns
+    the (k,) log-determinants from batched Cholesky factors (-inf where the
+    covariance is not positive definite). Raises NonFiniteInput as
+    stacked_ridge does. Counts nothing: callers account for their own work.
+    """
+    cov, ridge, zero_variance = stacked_ridge(n, mean, scatter)
+    eye = np.eye(cov.shape[-1])
     # the smallest eigenvalue is above the proportional ridge exactly
     # where C - ridge * I factors; those covariances are left as they are
     clear = np.zeros(len(cov), dtype=bool)

@@ -18,7 +18,12 @@ each call allocates once and overwrites with `out=` for every chunk. A
 chunk holds CHUNK_FRAMES frames; the last one also takes the remainder, so
 that no chunk is a small matrix unless the whole input is: BLAS multiplies
 small matrices with other kernels, whose rounding differs. The results are
-then bit-identical to one pass over the whole frame matrix. Holding the
+then bit-identical to one pass over the whole frame matrix. Pre-emphasis
+(MFCC only) touches each sample once where the frames are a framing of one
+signal, as frame_signal's view is: a chunk's sample span is pre-emphasised
+as a whole, and each frame is windowed from it, its first sample put back
+to the raw one; frames in any other layout are pre-emphasised one by one,
+with the same operands and operations, so the bits agree. Holding the
 buffers for a whole call also keeps the number of large allocations, and
 with them page faults, independent of the audio length. Since no large
 block is freed here, glibc's dynamic mmap threshold is left at its
@@ -40,7 +45,7 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.fft import dct
 
 from .errors import (
@@ -273,24 +278,64 @@ def spectrum_chunks(
     x = np.zeros((rows, fft_size))
     spectrum = np.empty((rows, fft_size // 2 + 1), dtype=np.complex128)
     mag = np.empty((rows, fft_size // 2 + 1))
+    # Where the frames are a framing of one signal, as frame_signal's view
+    # is (frame i + 1 starts hop samples after frame i, and with hop <=
+    # frame_len every sample between lies in a frame), a chunk's samples
+    # are pre-emphasised once, as one span, into mag, which is free until
+    # the FFT (see _window_span).
+    hop = frames.hop_samples
+    row_step, sample_step = frames.frames.strides
+    one_signal = (pre_emphasis > 0.0 and index is None and hop <= frame_len
+                  and row_step == hop * sample_step)
     for start, stop in chunk_bounds(n) if chunks is None else chunks:
-        # Indexed frames are gathered (not with np.take: it would first copy
-        # a strided view whole) GATHER_ROWS at a time, so that no copy of a
-        # whole chunk adds to each thread's buffers.
-        step = stop - start if index is None else GATHER_ROWS
-        for a in range(start, stop, step):
-            b = min(a + step, stop)
-            block = frames.frames[a:b] if index is None else frames.frames[index[a:b]]
-            xc = x[a - start:b - start, :frame_len]
-            if pre_emphasis > 0.0:
-                np.multiply(block[:, :-1], pre_emphasis, out=xc[:, 1:])
-                np.subtract(block[:, 1:], xc[:, 1:], out=xc[:, 1:])
-                xc[:, 0] = block[:, 0]
-                xc *= window
-            else:
-                np.multiply(block, window, out=xc)
+        if one_signal and (stop - start - 1) * hop + frame_len <= mag.size:
+            _window_span(frames, start, stop, pre_emphasis, window,
+                         mag.reshape(-1), x[:stop - start, :frame_len])
+        else:
+            # Indexed frames are gathered (not with np.take: it would first
+            # copy a strided view whole) GATHER_ROWS at a time, so that no
+            # copy of a whole chunk adds to each thread's buffers.
+            step = stop - start if index is None else GATHER_ROWS
+            for a in range(start, stop, step):
+                b = min(a + step, stop)
+                block = frames.frames[a:b] if index is None else frames.frames[index[a:b]]
+                xc = x[a - start:b - start, :frame_len]
+                if pre_emphasis > 0.0:
+                    np.multiply(block[:, :-1], pre_emphasis, out=xc[:, 1:])
+                    np.subtract(block[:, 1:], xc[:, 1:], out=xc[:, 1:])
+                    xc[:, 0] = block[:, 0]
+                    xc *= window
+                else:
+                    np.multiply(block, window, out=xc)
         sc = np.fft.rfft(x[:stop - start], n=fft_size, axis=1, out=spectrum[:stop - start])
         yield start, np.abs(sc, out=mag[:stop - start])
+
+
+def _window_span(frames: FrameSequence, start: int, stop: int, pre_emphasis: float,
+                 window: np.ndarray, room: np.ndarray, out: np.ndarray) -> None:
+    """Pre-emphasised, windowed frames start..stop of a framing of one signal.
+
+    The samples under the frames are pre-emphasised once, as one span, into
+    room; then every frame of the span is windowed into out, and each
+    frame's first sample is put back to the raw one times window[0]. Each
+    value takes the operations of the per-frame path, so the spectrum's
+    bits agree.
+    """
+    hop, frame_len = frames.hop_samples, frames.frame_len_samples
+    span = (stop - start - 1) * hop + frame_len
+    samples = as_strided(frames.frames[start:], shape=(span,),
+                         strides=(frames.frames.strides[1],), writeable=False)
+    emphasised = room[:span]
+    emphasised[0] = samples[0]      # a first sample: put back below, but set
+    np.multiply(samples[:-1], pre_emphasis, out=emphasised[1:])
+    np.subtract(samples[1:], emphasised[1:], out=emphasised[1:])
+    rows = as_strided(emphasised, shape=out.shape,
+                      strides=(hop * emphasised.itemsize, emphasised.itemsize))
+    # one product per value, as np.multiply makes, in half its time on
+    # these overlapping rows; einsum adds it to a zeroed output, which
+    # turns a -0.0 into +0.0, a sign that the magnitude spectrum drops
+    np.einsum("ij,j->ij", rows, window, out=out)
+    np.multiply(frames.frames[start:stop, 0], window[0], out=out[:, 0])
 
 
 def compute_mfcc(frames: FrameSequence, cfg: MfccConfig) -> FeatureMatrix:

@@ -320,10 +320,11 @@ def test_diverging_fedsim_prints_only_its_error(tmp_path) -> None:
     assert len(lines) == 1 and lines[0].startswith("error: round 0: "), proc.stderr
 
 
-@pytest.mark.parametrize("gap_sec", ["1e300", "1e14"])
+@pytest.mark.parametrize("gap_sec", ["1e300", "1e14", "1e12"])
 def test_huge_gap_is_refused_with_one_error_line(tmp_path, gap_sec) -> None:
-    # numpy's "Maximum allowed dimension exceeded" and "array is too big"
-    # used to escape as tracebacks
+    # numpy's "Maximum allowed dimension exceeded", "array is too big" and
+    # "Unable to allocate 1.44 EiB" (1e12 s) used to escape as tracebacks;
+    # numpy refuses each before allocating anything
     config = tmp_path / "gap.cfg"
     config.write_text(f"gap_sec = {gap_sec}\n")
     proc = run_cli_process(["synth", "--config", str(config)], tmp_path / "out")

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from feddiar import clustering
 from feddiar.clustering import (
     ClusterSet,
     Segment,
@@ -15,6 +16,7 @@ from feddiar.clustering import (
 )
 from feddiar.divergence import BicConfig, ComputeCounter
 from feddiar.errors import DimensionMismatch, NoSegments, WindowTooSmall
+from feddiar.silence import CANDIDATE_MARGIN
 
 
 def make_segment(start, rows):
@@ -173,9 +175,13 @@ MIN_FRAMES = 12
 KINDS = ("speaker", "speaker", "short", "collinear", "constant")
 
 
-def draw_segments(seed, kinds):
+def draw_segments(seed, kinds, lambda_=1.0):
     """Segments of mixed speakers, too-short runs, rank-one rows (ridge) and
-    all-equal rows (zero covariance), all of one feature dimension."""
+    all-equal rows (zero covariance), all of one feature dimension. A twin
+    is two segments of equal covariance whose means lie apart along its top
+    eigenvector, so that the pair's lower bound is its exact unpenalised
+    cost. The shift puts that cost (at lambda_) half the bound's margin
+    below zero, so the pair merges unless the bound wrongly settles it."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 6))
     segs, cursor = [], 0
@@ -188,6 +194,16 @@ def draw_segments(seed, kinds):
             rows = rng.standard_normal((n, d))
         elif kind == "collinear":
             rows = rng.standard_normal((n, 1)) * rng.standard_normal(d) + rng.uniform(-3, 3)
+        elif kind == "twin":
+            rows = rng.standard_normal((n, d))
+            eigenvalues, vectors = np.linalg.eigh(np.cov(rows.T, bias=True).reshape(d, d))
+            cfg = BicConfig(lambda_=lambda_)
+            penalty = 0.5 * lambda_ * cfg.resolve_delta_k(d) * math.log(2 * n)
+            target = penalty - 0.5 * CANDIDATE_MARGIN * (penalty + d * 2 * n)
+            shift = math.sqrt(4 * eigenvalues[-1] * math.expm1(max(target, 0.0) / n))
+            segs.append(make_segment(cursor, rows))
+            cursor += n + 5
+            rows = rows + shift * vectors[:, -1]
         else:
             rows = np.full((n, d), rng.uniform(-5, 5))
         segs.append(make_segment(cursor, rows))
@@ -214,21 +230,92 @@ def test_statistics_clustering_matches_row_oracle(seed, kinds) -> None:
         assert math.isclose(cost, ref_cost, rel_tol=1e-9, abs_tol=1e-8 * sizes[a])
 
 
+def priced_and_settled(segs, cfg=None, min_segment_frames=25, counter=None):
+    """Cluster, and list every pair the greedy loop visits as (rows of one
+    cluster, rows of the other, whether the lower bound settled it). The
+    loop visits the initial upper triangle, then after each merge the
+    merged cluster against the alive others; the merge trace replays the
+    members that each visit saw."""
+    visits = []
+    real = clustering._settled
+
+    def spy(n, mean, top, penalty_scale, a, b):
+        settled = real(n, mean, top, penalty_scale, a, b)
+        visits.append((a.copy(), b.copy(), settled.copy(), n[a].copy(), n[b].copy()))
+        return settled
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clustering, "_settled", spy)
+        result = cluster_segments(segs, cfg, min_segment_frames, counter)
+    eligible = [i for i, s in enumerate(segs) if s.n_frames >= min_segment_frames]
+    members = {cid: [seg] for cid, seg in enumerate(eligible)}
+    initial = len(eligible) * (len(eligible) - 1) // 2
+    merges = iter(result.merge_trace)
+    pairs, seen = [], 0
+    for a, b, settled, n_a, n_b in visits:
+        if seen >= initial:
+            x, y, _ = next(merges)
+            members[x] = members[x] + members.pop(y)
+        seen += len(a)
+        for i, j, s, size_i, size_j in zip(a, b, settled, n_a, n_b):
+            rows_i, rows_j = cluster_rows(segs, members[i]), cluster_rows(segs, members[j])
+            assert (len(rows_i), len(rows_j)) == (size_i, size_j)
+            pairs.append((rows_i, rows_j, bool(s)))
+    # no visit follows a merge that leaves one cluster
+    assert len(list(merges)) == (len(result.clusters) == 1 and len(eligible) > 1)
+    return result, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.lists(st.sampled_from(KINDS + ("twin",)), min_size=1, max_size=9),
+       st.sampled_from([0.0, 1.0, 2.0]))
+@example(0, ["twin"], 1.0)
+@example(1, ["speaker", "twin", "collinear", "twin"], 1.0)
+def test_pairs_the_bound_settles_never_merge(seed, kinds, lambda_) -> None:
+    segs = draw_segments(seed, kinds, lambda_)
+    cfg = BicConfig(lambda_=lambda_)
+    _, pairs = priced_and_settled(segs, cfg, min_segment_frames=MIN_FRAMES)
+    for rows_a, rows_b, settled in pairs:
+        if settled:
+            assert merge_cost(rows_a, rows_b, cfg) >= 0.0
+
+
+def test_twin_pair_inside_the_margin_is_priced_and_merges() -> None:
+    # the twin's exact cost is half the bound's margin below zero
+    segs = draw_segments(3, ["twin"])
+    counter = ComputeCounter()
+    result, pairs = priced_and_settled(segs, min_segment_frames=MIN_FRAMES,
+                                       counter=counter)
+    assert [settled for _, _, settled in pairs] == [False]
+    assert counter.merge_cost_count == 1
+    assert [m[:2] for m in result.merge_trace] == [(0, 1)]
+    assert result.merge_trace[0][2] < 0.0
+
+
 def test_merge_cost_count_is_pairs_evaluated() -> None:
     means = [0.0 if i % 2 == 0 else 6.0 for i in range(8)]
     segs = gaussian_segments(means, seed=2)
     counter = ComputeCounter()
-    result = cluster_segments(segs, counter=counter)
+    result, pairs = priced_and_settled(segs, counter=counter)
     k, merges = 8, len(result.merge_trace)
     assert merges == 6
-    # the initial upper triangle, then the merged cluster's row against the
-    # alive - 1 others after each merge
-    expected = k * (k - 1) // 2 + sum(k - 1 - m - 1 for m in range(merges))
-    assert counter.merge_cost_count == expected == 49
+    # the loop visits the initial upper triangle, then the merged cluster's
+    # row against the alive - 1 others after each merge; it prices the
+    # visited pairs that the lower bound leaves open
+    visited = k * (k - 1) // 2 + sum(k - 1 - m - 1 for m in range(merges))
+    assert len(pairs) == visited == 49
+    priced = sum(not settled for _, _, settled in pairs)
+    assert counter.merge_cost_count == priced == 34
+    # only pairs across the two means are settled: a same-mean pair is
+    # cheap enough to merge
+    for rows_a, rows_b, settled in pairs:
+        if settled:
+            assert abs(rows_a.mean() - rows_b.mean()) > 3.0
     assert (counter.covariance_count, counter.delta_bic_count, counter.t2_count) == (0, 0, 0)
     oracle = ComputeCounter()
     reference_cluster_segments(segs, counter=oracle)
-    assert oracle.delta_bic_count == expected
+    assert oracle.delta_bic_count == visited
 
 
 def test_unpriceable_segments_rejected() -> None:

@@ -12,13 +12,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 import test_pipeline
-from test_frontend import assert_bits_equal, bursty_signal
+from test_frontend import CHUNK_EDGE_COUNTS, assert_bits_equal, bursty_signal
 
 from feddiar import cli, federated, frontend, silence, workers
 from feddiar.cli import main
 from feddiar.errors import InvalidSpec, StageError, TrainingDiverged
 from feddiar.federated import FederatedConfig, build_network, run_experiment
-from feddiar.frontend import CHUNK_FRAMES, MfccConfig, compute_mfcc, frame_signal
+from feddiar.frontend import (
+    CHUNK_FRAMES,
+    FRAME_MS,
+    HOP_MS,
+    AudioSignal,
+    FrameSequence,
+    MfccConfig,
+    compute_mfcc,
+    frame_signal,
+)
 from feddiar.identifier import ModelArch
 from feddiar.pipeline import PipelineConfig, frontend_and_silence
 from feddiar.silence import (
@@ -70,6 +79,56 @@ def test_passes_bit_equal_on_any_worker_count(monkeypatch, chunks) -> None:
     for count in WORKERS[1:]:
         for got, want in zip(results[count], results[1]):
             assert_bits_equal(got, want)
+
+
+def noisy_signal(num_frames: int, sample_rate: int, seed: int) -> AudioSignal:
+    """Noise of changing loudness that frames into num_frames frames."""
+    frame_len = round(FRAME_MS * sample_rate / 1000)
+    hop = round(HOP_MS * sample_rate / 1000)
+    rng = np.random.default_rng(seed)
+    n = frame_len + hop * (num_frames - 1) + int(rng.integers(0, hop))
+    return AudioSignal(rng.standard_normal(n) * rng.uniform(0.0, 1.0, n) ** 4, sample_rate)
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 16000])
+@pytest.mark.parametrize("num_frames", CHUNK_EDGE_COUNTS)
+def test_mfcc_of_the_frame_view_bit_equal_to_a_dense_copy(monkeypatch, sample_rate,
+                                                          num_frames) -> None:
+    # frame_signal's view takes the once-per-sample pre-emphasis wherever a
+    # chunk's span fits the magnitude buffer; a dense copy of the same
+    # frames takes the per-frame path
+    frames = frame_signal(noisy_signal(num_frames, sample_rate, seed=num_frames))
+    assert len(frames) == num_frames
+    dense = FrameSequence(np.array(frames.frames), frames.frame_len_samples,
+                          frames.hop_samples, frames.sample_rate_hz)
+    spans = []
+    real = frontend._window_span
+
+    def window_span(frames, start, stop, *args):
+        spans.append((frames.frames.flags.owndata, stop - start))
+        real(frames, start, stop, *args)
+
+    monkeypatch.setattr(frontend, "_window_span", window_span)
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for count in WORKERS:
+            monkeypatch.setattr(workers, "_workers", lambda: count)
+            results[count] = [compute_mfcc(frames, MfccConfig()).rows,
+                              compute_mfcc(dense, MfccConfig()).rows]
+    finally:
+        sys.setswitchinterval(interval)
+    # the span path served every chunk of the view (each has >= 3 frames
+    # unless the input is shorter), and no chunk of the dense copy
+    if num_frames >= 3:
+        assert spans and not any(owned for owned, _ in spans)
+        assert sum(rows for _, rows in spans) == num_frames * len(WORKERS)
+    else:
+        assert spans == []
+    for count in WORKERS:
+        for got in results[count]:
+            assert_bits_equal(got, results[1][1])
 
 
 class ChunkFailed(Exception):
