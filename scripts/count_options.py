@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
+def is_dataclass(node: ast.ClassDef) -> bool:
     for deco in node.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
         name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
@@ -39,7 +39,7 @@ def settable_values(tree: ast.AST) -> list[tuple[int, str]]:
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
                     found.append((arg.lineno, f"{owner}({arg.arg})"))
-        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+        elif isinstance(node, ast.ClassDef) and is_dataclass(node):
             for stmt in node.body:
                 if (isinstance(stmt, ast.AnnAssign) and stmt.value is not None
                         and isinstance(stmt.target, ast.Name)):

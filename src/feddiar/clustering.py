@@ -79,9 +79,6 @@ class ClusterSet:
     def __len__(self) -> int:
         return len(self.clusters)
 
-    def noise_segments(self) -> list[int]:
-        return [i for i, a in enumerate(self.assignments) if a is None]
-
 
 def merge_cost(
     a: np.ndarray,

@@ -228,16 +228,6 @@ def stacked_log_det(n, mean: np.ndarray, scatter: np.ndarray) -> np.ndarray:
     return _stacked_cholesky_log_det(cov)
 
 
-def gaussian_log_likelihood(window, stats: GaussianStats) -> float:
-    """Sum of per-row Gaussian log densities under the fitted parameters."""
-    w = _as_window(window)
-    d = w.shape[1]
-    centered = w - stats.mean
-    solved = np.linalg.solve(stats.covariance, centered.T).T
-    mahal = np.einsum("ij,ij->i", centered, solved)
-    return float(-0.5 * np.sum(mahal + d * np.log(2.0 * np.pi) + stats.log_det))
-
-
 def delta_bic(
     x_window,
     y_window,

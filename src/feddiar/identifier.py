@@ -60,10 +60,6 @@ class ModelArch:
     def layer_sizes(self) -> list[int]:
         return [self.input_dim, *self.hidden_sizes, self.num_classes]
 
-    def num_params(self) -> int:
-        sizes = self.layer_sizes
-        return sum(sizes[i] * sizes[i + 1] + sizes[i + 1] for i in range(len(sizes) - 1))
-
 
 @dataclass(frozen=True)
 class ModelWeights:
@@ -164,16 +160,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def forward(model: ModelWeights, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-frame pass: (pre-softmax embedding, class probabilities)."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape != (model.arch.input_dim,):
-        raise DimensionMismatch(
-            f"frame shape {frame.shape}, expected ({model.arch.input_dim},)")
-    logits = _forward_batch(model, frame[None, :])
-    return logits[0], softmax(logits)[0]
 
 
 def _check_training_data(model: ModelWeights, frames, labels):

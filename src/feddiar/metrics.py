@@ -10,7 +10,7 @@ prediction counts as a rejection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EmptyCorpus, InvalidConfig, LengthMismatch, UnsortedInput
 
@@ -40,8 +40,6 @@ class SegScores:
 class CorpusScores:
     purity: float
     coverage: float
-    per_conversation: list[tuple[int, int, int]] = field(default_factory=list)
-    # per-conversation tallies: (matched, detected, true)
 
 
 @dataclass(frozen=True)
@@ -103,14 +101,12 @@ def corpus_scores(results: list[MatchResult]) -> CorpusScores:
     """Purity and coverage from summed per-conversation tallies."""
     if not results:
         raise EmptyCorpus("no conversations to score")
-    tallies = [(m.n_matched, len(m.detected_points), len(m.true_points))
-               for m in results]
-    matched = sum(t[0] for t in tallies)
-    detected = sum(t[1] for t in tallies)
-    true = sum(t[2] for t in tallies)
+    matched = sum(m.n_matched for m in results)
+    detected = sum(len(m.detected_points) for m in results)
+    true = sum(len(m.true_points) for m in results)
     purity = matched / detected if detected else 1.0
     coverage = matched / true if true else 1.0
-    return CorpusScores(purity=purity, coverage=coverage, per_conversation=tallies)
+    return CorpusScores(purity=purity, coverage=coverage)
 
 
 def id_scores(predictions, truths) -> IdScores:

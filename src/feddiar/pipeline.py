@@ -164,22 +164,31 @@ def true_cluster_speakers(
     truth: GroundTruth,
     hop_sec: float,
 ) -> list[int | None]:
-    """Dominant ground-truth speaker per cluster by overlapped time."""
+    """Dominant ground-truth speaker per cluster by overlapped time.
+
+    The lowest speaker id wins a tie, and a cluster that overlaps no turn
+    for a positive time gets None. Positive overlaps are summed per speaker
+    segment by segment, turn by turn, the order of a loop over the pairs.
+    """
+    starts = np.array([t.start_sec for t in truth.turns], dtype=np.float64)
+    ends = np.array([t.end_sec for t in truth.turns], dtype=np.float64)
+    # object ids keep any integer exact and cost one slot per distinct id
+    ids, speaker = np.unique(np.array([t.speaker_id for t in truth.turns], dtype=object),
+                             return_inverse=True)
     out: list[int | None] = []
     for members in clusters.clusters:
-        overlap: dict[int, float] = {}
-        for seg_idx in members:
-            seg = segments[seg_idx]
-            s0, s1 = seg.start_frame * hop_sec, seg.end_frame * hop_sec
-            for turn in truth.turns:
-                shared = min(s1, turn.end_sec) - max(s0, turn.start_sec)
-                if shared > 0.0:
-                    overlap[turn.speaker_id] = overlap.get(turn.speaker_id, 0.0) + shared
-        if overlap:
-            best = max(sorted(overlap), key=lambda k: overlap[k])
-            out.append(best)
-        else:
+        frames = np.array([(segments[i].start_frame, segments[i].end_frame)
+                           for i in members]).reshape(-1, 2)
+        bounds = frames * hop_sec
+        # fmin/fmax pass over a NaN turn bound, as the builtins min/max do
+        shared = np.fmin(bounds[:, 1:], ends) - np.fmax(bounds[:, :1], starts)
+        hit = shared > 0.0
+        if not hit.any():
             out.append(None)
+            continue
+        totals = np.bincount(np.broadcast_to(speaker, shared.shape)[hit],
+                             weights=shared[hit], minlength=len(ids))
+        out.append(ids[np.argmax(totals)])
     return out
 
 

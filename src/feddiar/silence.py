@@ -79,7 +79,6 @@ class SilenceConfig:
 @dataclass(frozen=True)
 class NoiseProfile:
     magnitude_spectrum_estimate: np.ndarray   # per rfft bin, >= 0
-    frames_used: int
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ def estimate_noise_profile(frames: FrameSequence, cfg: SilenceConfig) -> NoisePr
     for _, spectra in spectrum_chunks(frames, fft_size, index=quietest):
         for row in spectra:
             total += row
-    return NoiseProfile(magnitude_spectrum_estimate=total / k, frames_used=k)
+    return NoiseProfile(magnitude_spectrum_estimate=total / k)
 
 
 def spectral_subtract(

@@ -70,10 +70,6 @@ class SynthSpec:
     sample_rate_hz: int = SAMPLE_RATE_HZ
     seed: int = 0
 
-    def num_change_points(self) -> int:
-        speakers = [s for s, _ in self.turns]
-        return sum(1 for a, b in zip(speakers, speakers[1:]) if a != b)
-
 
 def make_profiles(num_speakers: int, seed: int = 0) -> tuple[SpeakerProfile, ...]:
     """Distinct per-speaker envelopes: spread pitches, jittered band layout."""
@@ -228,7 +224,13 @@ def synth_conversation(spec: SynthSpec) -> tuple[AudioSignal, GroundTruth]:
     gap_n = int(round(spec.gap_sec * sr))
     lengths = [_turn_samples(duration, sr) for _, duration in spec.turns]
     starts = list(itertools.accumulate((n + gap_n for n in lengths[:-1]), initial=gap_n))
-    samples = np.empty(starts[-1] + lengths[-1] + gap_n)
+    total = starts[-1] + lengths[-1] + gap_n
+    try:
+        # numpy refuses more than the machine's memory at once, before
+        # touching any of it
+        samples = np.empty(total)
+    except MemoryError as exc:
+        raise InvalidSpec(f"a conversation of {total} samples does not fit in memory") from exc
     _render([(spec.speaker_profiles[speaker], sr, (spec.seed, "audio", i))
              for i, (speaker, _) in enumerate(spec.turns)],
             [samples[start:start + n] for start, n in zip(starts, lengths)])

@@ -22,10 +22,10 @@ from feddiar.identifier import (
     EmbeddingBank,
     ModelArch,
     ModelWeights,
+    _forward_batch,
     cosine_similarity,
     embed_segment,
     evaluate,
-    forward,
     gradients,
     init_model,
     load_checkpoint,
@@ -52,11 +52,6 @@ def two_blob_data(n_per=60, d=12, seed=0):
     return frames, labels
 
 
-def test_param_count_formula() -> None:
-    arch = ModelArch(input_dim=12, hidden_sizes=(64, 64), num_classes=12)
-    assert arch.num_params() == (12 * 64 + 64) + (64 * 64 + 64) + (64 * 12 + 12) == 5772
-
-
 def test_arch_validation() -> None:
     with pytest.raises(InvalidArch):
         ModelArch(input_dim=0, hidden_sizes=(4,), num_classes=2)
@@ -78,20 +73,6 @@ def test_init_seeded_and_bounded() -> None:
     assert np.max(np.abs(a.weights[0])) <= 1 / np.sqrt(12)
     assert np.max(np.abs(a.weights[1])) <= 1 / np.sqrt(8)
     assert a.version == 0
-
-
-def test_forward_zero_model_uniform() -> None:
-    arch = ModelArch(12, (8,), 5)
-    model = zero_model(arch)
-    logits, probs = forward(model, np.ones(12))
-    assert np.allclose(logits, 0.0)
-    assert np.allclose(probs, 0.2)
-
-
-def test_forward_checks_input_dim() -> None:
-    model = zero_model(ModelArch(12, (8,), 3))
-    with pytest.raises(DimensionMismatch):
-        forward(model, np.ones(11))
 
 
 def test_softmax_shift_invariant_simplex() -> None:
@@ -174,7 +155,7 @@ def test_train_deterministic_without_rng() -> None:
 def test_embed_single_frame_is_logits() -> None:
     model = init_model(ModelArch(12, (8,), 4), seed=5)
     frame = np.full(12, 0.3)
-    logits, _ = forward(model, frame)
+    logits = _forward_batch(model, frame[None, :])[0]
     emb = embed_segment(model, frame.reshape(1, -1))
     assert np.allclose(emb.values, logits)
     with pytest.raises(EmptySegment):

@@ -68,7 +68,6 @@ def test_corpus_pools_counts_not_ratios() -> None:
     scores = corpus_scores([a, b])
     assert scores.purity == pytest.approx(3.0 / 4.0)
     assert scores.coverage == pytest.approx(3.0 / 5.0)
-    assert scores.per_conversation == [(1, 2, 3), (2, 2, 2)]
 
 
 def test_corpus_empty_rejected_and_degenerate_is_perfect() -> None:

@@ -137,6 +137,57 @@ def test_true_cluster_speakers_no_overlap_is_none() -> None:
     assert true_cluster_speakers(segments, clusters, truth, 0.010) == [None]
 
 
+def loop_true_cluster_speakers(segments, clusters, truth, hop_sec):
+    """Oracle: the pair-by-pair loop that true_cluster_speakers replaced."""
+    out = []
+    for members in clusters.clusters:
+        overlap = {}
+        for seg_idx in members:
+            seg = segments[seg_idx]
+            s0, s1 = seg.start_frame * hop_sec, seg.end_frame * hop_sec
+            for turn in truth.turns:
+                shared = min(s1, turn.end_sec) - max(s0, turn.start_sec)
+                if shared > 0.0:
+                    overlap[turn.speaker_id] = overlap.get(turn.speaker_id, 0.0) + shared
+        out.append(max(sorted(overlap), key=lambda k: overlap[k]) if overlap else None)
+    return out
+
+
+# bounds on the frame grid, so that segments and turns often share an end
+# (shared time 0) and overlaps often tie; ids negative, beyond int64, and
+# 2**63 + 1, which float64 would round onto 2**63
+TURN_BOUND = st.one_of(st.integers(0, 40).map(lambda k: k * 0.010), st.just(math.nan))
+SPEAKER_ID = st.sampled_from([-(2 ** 70), -3, 0, 1, 2, 2 ** 63, 2 ** 63 + 1, 10 ** 30])
+
+
+@settings(max_examples=300, deadline=None)
+@given(spans=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 15)), min_size=1, max_size=6),
+       groups=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+       turns=st.lists(st.tuples(SPEAKER_ID, TURN_BOUND, TURN_BOUND), max_size=8))
+def test_true_cluster_speakers_matches_pair_loop(spans, groups, turns) -> None:
+    rows = np.zeros((15, 12))
+    segments = [Segment(s, s + n, rows[:n]) for s, n in spans]
+    # cluster 3 may hold no segment at all
+    members = [[i for i in range(len(segments)) if groups[i] == c] for c in range(4)]
+    clusters = ClusterSet(clusters=members, assignments=groups[:len(segments)])
+    truth = GroundTruth(change_points_sec=[],
+                        turns=[TurnInterval(s, a, b) for s, a, b in turns])
+    got = true_cluster_speakers(segments, clusters, truth, 0.010)
+    assert got == loop_true_cluster_speakers(segments, clusters, truth, 0.010)
+    assert all(type(g) is int for g in got if g is not None)
+
+
+def test_true_cluster_speakers_tie_and_touching_turns() -> None:
+    segments = [Segment(100, 200, np.zeros((100, 12)))]      # 1.0 .. 2.0 sec
+    clusters = ClusterSet(clusters=[[0]], assignments=[0])
+    truth = GroundTruth(change_points_sec=[], turns=[
+        TurnInterval(9, 0.0, 1.0),          # ends where the segment starts
+        TurnInterval(5, 1.5, 2.0), TurnInterval(-2, 1.0, 1.5),
+        TurnInterval(7, 2.0, 3.0)])         # starts where the segment ends
+    # speakers 5 and -2 tie at 0.5 s; the lower id wins
+    assert true_cluster_speakers(segments, clusters, truth, 0.010) == [-2]
+
+
 def test_pipeline_smoke_with_truth(small_conv) -> None:
     audio, truth = small_conv
     result = run_pipeline(audio, PipelineConfig(), truth=truth)

@@ -1,0 +1,62 @@
+"""Every public name of the library has a reader outside the tests, or a
+reason below for staying; `scripts/count_public.py` does the scan."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the public names that nothing outside the tests reads, each with its reason
+KEPT = {
+    "clustering.merge_cost":
+        "perfbench traces it by name, and it is the clustering tests' row oracle",
+    "identifier.online_update":
+        "criterion 12's target, to be wired into diarize for online adaptation",
+}
+
+
+@pytest.fixture
+def count_public(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    return importlib.import_module("count_public")
+
+
+def test_only_the_kept_names_lack_a_reader(count_public) -> None:
+    assert set(count_public.unread_names(ROOT)) == set(KEPT)
+
+
+def test_package_root_holds_only_its_docstring_and_version() -> None:
+    body = ast.parse((ROOT / "src" / "feddiar" / "__init__.py").read_text()).body
+    assert isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+    assert [ast.unparse(node) for node in body[1:]] == ["__version__ = '0.1.0'"]
+
+
+def test_scan_counts_reads_outside_the_tests(count_public, tmp_path) -> None:
+    files = {
+        "src/feddiar/__init__.py": "from .mod import unused\n",
+        "src/feddiar/mod.py": (
+            "from dataclasses import dataclass\n"
+            "LIMIT = 3\n"
+            "def used(): return LIMIT\n"
+            "def unused(): pass\n"
+            "def _private(): pass\n"
+            "@dataclass\n"
+            "class Box:\n"
+            "    written: int\n"
+            "    read: int\n"
+            "    counted: int\n"
+            "    def method(self): return self.read\n"
+            "def make(): return Box(written=1, read=2, counted=0)\n"),
+        "src/feddiar/other.py": "from .mod import used\ndef bump(box): box.counted += 1\n",
+        "scripts/run.sh": "python3 -c 'from feddiar.mod import make; make()'\n",
+        "tests/test_mod.py": "from feddiar.mod import unused\nunused()\nBox(1, 2, 3).method()\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    (tmp_path / "perfbench").mkdir()
+    assert count_public.unread_names(tmp_path) == [
+        "mod.unused", "mod.Box.written", "mod.Box.method", "other.bump"]

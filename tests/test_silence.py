@@ -55,11 +55,17 @@ def test_noise_profile_needs_ten_frames() -> None:
 
 
 def test_noise_profile_shape() -> None:
-    frame = np.random.default_rng(1).standard_normal(400)
-    prof = estimate_noise_profile(repeated_frame_sequence(frame, 20), SilenceConfig())
+    rng = np.random.default_rng(1)
+    # one frame at 20 distinct scales, so 20 distinct energies; the default
+    # 10th percentile averages the 2 quietest, those scaled by 1 and 2
+    scales = rng.permutation(np.arange(1.0, 21.0))
+    frames = FrameSequence(scales[:, None] * rng.standard_normal(400), 400, 200, 16000)
+    prof = estimate_noise_profile(frames, SilenceConfig())
     assert prof.magnitude_spectrum_estimate.shape == (257,)
     assert np.all(prof.magnitude_spectrum_estimate >= 0)
-    assert prof.frames_used == 2
+    quietest = [np.flatnonzero(scales == 1.0)[0], np.flatnonzero(scales == 2.0)[0]]
+    want = reference_magnitude_spectra(frames, 512)[quietest].mean(axis=0)
+    np.testing.assert_allclose(prof.magnitude_spectrum_estimate, want, rtol=1e-12)
 
 
 def test_silence_transforms_whole_frames() -> None:
@@ -89,7 +95,7 @@ def test_exact_cancellation_gives_zero_energy() -> None:
 def test_zero_profile_keeps_full_spectrum_energy() -> None:
     sig = AudioSignal(0.3 * np.sin(2 * np.pi * 440 * np.arange(8000) / 16000), 16000)
     seq = frame_signal(sig)
-    zero = NoiseProfile(np.zeros(257), 0)
+    zero = NoiseProfile(np.zeros(257))
     energy = spectral_subtract(seq, zero)
     assert np.all(energy > 0)
 
@@ -98,7 +104,7 @@ def test_profile_dimension_checked() -> None:
     frame = np.random.default_rng(3).standard_normal(400)
     seq = repeated_frame_sequence(frame, 12)
     with pytest.raises(DimensionMismatch):
-        spectral_subtract(seq, NoiseProfile(np.zeros(100), 0))
+        spectral_subtract(seq, NoiseProfile(np.zeros(100)))
 
 
 def test_detects_single_quiet_stretch() -> None:
@@ -171,7 +177,7 @@ def reference_noise_profile(frames: FrameSequence, cfg: SilenceConfig) -> NoiseP
     energies = np.mean(spectra ** 2, axis=1)
     k = max(1, int(np.floor(cfg.noise_percentile * len(frames))))
     quietest = np.argsort(energies, kind="stable")[:k]
-    return NoiseProfile(spectra[quietest].mean(axis=0), k)
+    return NoiseProfile(spectra[quietest].mean(axis=0))
 
 
 def reference_spectral_subtract(frames: FrameSequence, noise: NoiseProfile) -> np.ndarray:
@@ -210,7 +216,6 @@ def check_silence_stage_bit_equal(chunked: FrameSequence, dense: FrameSequence,
                                   cfg: SilenceConfig = SilenceConfig()) -> None:
     noise = estimate_noise_profile(chunked, cfg)
     want_noise = reference_noise_profile(dense, cfg)
-    assert noise.frames_used == want_noise.frames_used
     assert_bits_equal(noise.magnitude_spectrum_estimate, want_noise.magnitude_spectrum_estimate)
     energy = spectral_subtract(chunked, noise)
     assert_bits_equal(energy, reference_spectral_subtract(dense, want_noise))
@@ -326,7 +331,6 @@ def test_noise_profile_on_non_finite_frames_matches_old_code(noise_percentile, b
     cfg = SilenceConfig(noise_percentile=noise_percentile)
     noise = estimate_noise_profile(frames, cfg)
     want = reference_noise_profile(frames, cfg)
-    assert noise.frames_used == want.frames_used
     assert_bits_equal(noise.magnitude_spectrum_estimate, want.magnitude_spectrum_estimate)
 
 
@@ -516,7 +520,7 @@ def test_find_quasi_silences_equals_full_subtraction(conversations, seed, start,
     noise = estimate_noise_profile(source, cfg)
     if profile != "estimated":
         factor = {"halved": 0.5, "zero": 0.0, "negative": -30.0}[profile]
-        noise = NoiseProfile(factor * noise.magnitude_spectrum_estimate, noise.frames_used)
+        noise = NoiseProfile(factor * noise.magnitude_spectrum_estimate)
     check_quasi_silences_exact(frames, noise, cfg)
 
 

@@ -28,9 +28,14 @@ def spec_for(turns, num_speakers=2, seed=0, **kwargs):
                      seed=seed, **kwargs)
 
 
+def change_count(spec):
+    speakers = [s for s, _ in spec.turns]
+    return sum(a != b for a, b in zip(speakers, speakers[1:]))
+
+
 def test_single_speaker_no_change_points() -> None:
     spec = spec_for([(0, 2.0)], num_speakers=1)
-    assert spec.num_change_points() == 0
+    assert change_count(spec) == 0
     audio, truth = synth_conversation(spec)
     assert truth.change_points_sec == []
     assert audio.duration_sec > 2.0
@@ -38,7 +43,7 @@ def test_single_speaker_no_change_points() -> None:
 
 def test_alternating_turns_three_change_points() -> None:
     spec = spec_for([(0, 1.5), (1, 1.5), (0, 1.5), (1, 1.5)])
-    assert spec.num_change_points() == 3
+    assert change_count(spec) == 3
     _, truth = synth_conversation(spec)
     assert len(truth.change_points_sec) == 3
     assert truth.change_points_sec == sorted(truth.change_points_sec)
@@ -106,6 +111,14 @@ def test_invalid_specs_rejected() -> None:
             synth_conversation(spec)
 
 
+def test_conversation_beyond_memory_rejected() -> None:
+    # 1e12 s gaps: 4.8e16 samples fit one array's index range but not the
+    # machine, and numpy refuses the allocation before making it
+    spec = spec_for([(0, 1.0), (1, 1.0)], gap_sec=1e12)
+    with pytest.raises(InvalidSpec, match="48000000000032000 samples"):
+        synth_conversation(spec)
+
+
 def test_profiles_distinct_and_seeded() -> None:
     a = make_profiles(4, seed=1)
     b = make_profiles(4, seed=1)
@@ -118,10 +131,10 @@ def test_profiles_distinct_and_seeded() -> None:
 def test_random_spec_change_count_in_range() -> None:
     for seed in range(6):
         spec = random_conversation_spec(num_speakers=3, seed=seed)
-        assert 3 <= spec.num_change_points() <= 20
+        assert 3 <= change_count(spec) <= 20
         assert all(t[0] in range(3) for t in spec.turns)
         _, truth = synth_conversation(spec)
-        assert len(truth.change_points_sec) == spec.num_change_points()
+        assert len(truth.change_points_sec) == change_count(spec)
 
 
 def test_random_spec_validation() -> None:
