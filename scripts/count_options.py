@@ -13,6 +13,7 @@ SRC_DIR defaults to the src/ directory next to this script.
 from __future__ import annotations
 
 import ast
+import signal
 import sys
 from pathlib import Path
 
@@ -59,4 +60,5 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # a cut pipe ends the count quietly
     sys.exit(main(sys.argv[1:]))

@@ -49,7 +49,12 @@ from .divergence import (
     stacked_ridge,
 )
 from .errors import DimensionMismatch, NoSegments, WindowTooSmall
-from .silence import CANDIDATE_MARGIN
+
+# Relative margin by which a merge-cost bound must clear its threshold
+# before it settles a pair (see _settled and _top_eigenvalues): the bounds
+# and the cost they stand in for carry rounding of a few ulps per
+# eigenvalue and logarithm, many orders of magnitude below it.
+BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,7 @@ def _settled(n, mean, top, penalty_scale, a, b) -> np.ndarray:
     """Pairs (a, b) whose cost the lower bound shows to be positive.
 
     The bound 0.5 n_ab log(1 + w_a w_b |d|^2 / (w_a top_a + w_b top_b)),
-    w = n / n_ab, must clear the penalty by CANDIDATE_MARGIN of the
+    w = n / n_ab, must clear the penalty by BOUND_MARGIN of the
     penalty plus d per row: the cost sums n_ab * d logarithms of
     eigenvalues, each far closer to exact than that.
     """
@@ -200,18 +205,18 @@ def _settled(n, mean, top, penalty_scale, a, b) -> np.ndarray:
     bound = 0.5 * n_ab * np.log1p(w_a * w_b * np.einsum("ki,ki->k", diff, diff)
                                   / (w_a * top[a] + w_b * top[b]))
     penalty = penalty_scale * np.log(n_ab)
-    return bound - penalty > CANDIDATE_MARGIN * (penalty + mean.shape[1] * n_ab)
+    return bound - penalty > BOUND_MARGIN * (penalty + mean.shape[1] * n_ab)
 
 
 def _top_eigenvalues(n, mean, scatter) -> np.ndarray:
     """lambda_max of each MLE covariance that stacked_log_det certainly leaves
-    unridged (its smallest eigenvalue clears the ridge by CANDIDATE_MARGIN
+    unridged (its smallest eigenvalue clears the ridge by BOUND_MARGIN
     of lambda_max, far beyond the rounding of eigvalsh and of the Cholesky
     ridge test), and +inf for every other one, which makes each of its
     pair bounds 0."""
     cov, ridge, zero_variance = stacked_ridge(n, mean, scatter)
     eig = np.linalg.eigvalsh(cov)
-    clear = ~zero_variance & (eig[:, 0] - ridge > CANDIDATE_MARGIN * eig[:, -1])
+    clear = ~zero_variance & (eig[:, 0] - ridge > BOUND_MARGIN * eig[:, -1])
     return np.where(clear, eig[:, -1], np.inf)
 
 

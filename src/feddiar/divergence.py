@@ -90,7 +90,6 @@ class GaussianStats:
     covariance: np.ndarray
     log_det: float
     n: int
-    regularized: bool = False
 
 
 def _as_window(rows) -> np.ndarray:
@@ -146,30 +145,21 @@ def gaussian_fit(
     # raw rows is (tr S + n |mean|^2) / (n d), S the centred scatter.
     mean_sq = (trace * divisor + n * float(mean @ mean)) / (n * d)
     dust = 1e-24 * max(mean_sq, 1e-30) * d
-    regularized = False
     if trace <= dust:
         cov = cov + REGULARIZATION_EPS * np.eye(d)
-        regularized = True
     else:
         # the smallest eigenvalue is at most the ridge exactly when
         # C - ridge * I is not positive definite (dpotrf info != 0)
         ridge = REGULARIZATION_EPS * trace / d
         if dpotrf(cov - ridge * np.eye(d), lower=1, clean=0)[1] != 0:
             cov = cov + ridge * np.eye(d)
-            regularized = True
 
     log_det = _cholesky_log_det(cov)
 
     if counter is not None:
         counter.covariance_count += 1
 
-    return GaussianStats(
-        mean=mean,
-        covariance=cov,
-        log_det=log_det,
-        n=n,
-        regularized=regularized,
-    )
+    return GaussianStats(mean=mean, covariance=cov, log_det=log_det, n=n)
 
 
 def _stacked_cholesky_log_det(stack: np.ndarray) -> np.ndarray:

@@ -108,10 +108,6 @@ class FrameSequence:
         return self.frames.shape[0]
 
     @property
-    def hop_sec(self) -> float:
-        return self.hop_samples / self.sample_rate_hz
-
-    @property
     def fft_size(self) -> int:
         """Transform length of every spectral pass: next power of two >= frame length."""
         return next_power_of_two(self.frame_len_samples)
@@ -281,16 +277,19 @@ def spectrum_chunks(
     # Where the frames are a framing of one signal, as frame_signal's view
     # is (frame i + 1 starts hop samples after frame i, and with hop <=
     # frame_len every sample between lies in a frame), a chunk's samples
-    # are pre-emphasised once, as one span, into mag, which is free until
-    # the FFT (see _window_span).
+    # are pre-emphasised once, as one span, into the float view of
+    # spectrum, which is free until the FFT (see _window_span). It holds
+    # rows * (fft_size + 2) floats, more than the (k - 1) * hop + frame_len
+    # samples under any chunk of k <= rows frames.
     hop = frames.hop_samples
     row_step, sample_step = frames.frames.strides
     one_signal = (pre_emphasis > 0.0 and index is None and hop <= frame_len
                   and row_step == hop * sample_step)
+    room = spectrum.view(np.float64).reshape(-1)
     for start, stop in chunk_bounds(n) if chunks is None else chunks:
-        if one_signal and (stop - start - 1) * hop + frame_len <= mag.size:
-            _window_span(frames, start, stop, pre_emphasis, window,
-                         mag.reshape(-1), x[:stop - start, :frame_len])
+        if one_signal:
+            _window_span(frames, start, stop, pre_emphasis, window, room,
+                         x[:stop - start, :frame_len])
         else:
             # Indexed frames are gathered (not with np.take: it would first
             # copy a strided view whole) GATHER_ROWS at a time, so that no

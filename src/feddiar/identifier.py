@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,19 +85,18 @@ class ModelWeights:
 
 @dataclass
 class AdamState:
-    step: int = 0
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
+    """Adam's step count and moments: `m` the first, `v` the second, each one
+    array per parameter, the weights and then the biases."""
+
+    step: int
+    m: list[np.ndarray]
+    v: list[np.ndarray]
 
     @classmethod
     def for_model(cls, model: ModelWeights) -> "AdamState":
-        return cls(step=0,
-                   m_w=[np.zeros_like(w) for w in model.weights],
-                   v_w=[np.zeros_like(w) for w in model.weights],
-                   m_b=[np.zeros_like(b) for b in model.biases],
-                   v_b=[np.zeros_like(b) for b in model.biases])
+        params = (*model.weights, *model.biases)
+        return cls(step=0, m=[np.zeros_like(p) for p in params],
+                   v=[np.zeros_like(p) for p in params])
 
 
 @dataclass(frozen=True)
@@ -128,12 +127,6 @@ class EmbeddingBank:
 
     def get(self, speaker_id: int) -> list[Embedding]:
         return list(self._store.get(int(speaker_id), []))
-
-    def speakers(self) -> list[int]:
-        return sorted(self._store)
-
-    def size(self, speaker_id: int) -> int:
-        return len(self._store.get(int(speaker_id), []))
 
 
 def init_model(arch: ModelArch, seed) -> ModelWeights:
@@ -299,13 +292,12 @@ def train_local(
 
     params = [p.copy() for p in (*model.weights, *model.biases)]
     new_w, new_b = params[:len(model.weights)], params[len(model.weights):]
-    moments = list(zip(opt.m_w + opt.m_b, opt.v_w + opt.v_b))
     work = _Workspace(model.arch, frames.shape[0])
     for _ in range(epochs):
         grad_w, grad_b = work.gradients(new_w, new_b, frames, labels)
         opt.step += 1
-        for p, g, (m, v), (t1, t2) in zip(params, grad_w + grad_b, moments,
-                                          work.scratch):
+        for p, g, m, v, (t1, t2) in zip(params, grad_w + grad_b, opt.m, opt.v,
+                                        work.scratch):
             _adam_step(p, g, m, v, opt.step, lr, t1, t2)
     return model.bumped(new_w, new_b), opt
 

@@ -22,7 +22,6 @@ class MatchResult:
     true_points: list[float]
     detected_points: list[float]
     matched_pairs: list[tuple[float, float]]
-    collar_sec: float
 
     @property
     def n_matched(self) -> int:
@@ -76,7 +75,7 @@ def match_change_points(true_points, detected_points,
             _, t = unmatched.pop(best_slot)
             pairs.append((t, det))
     return MatchResult(true_points=true_sorted, detected_points=detected_sorted,
-                       matched_pairs=pairs, collar_sec=collar_sec)
+                       matched_pairs=pairs)
 
 
 def f_from_rates(fdr: float, mdr: float) -> float:

@@ -43,6 +43,7 @@ from .metrics import (
 )
 from .segmentation import (
     METHOD_BIC,
+    METHOD_T2,
     ChangePointList,
     SegConfig,
     segment_bic,
@@ -90,9 +91,7 @@ class DiarizationResult:
     segments: list[Segment]
     clusters: ClusterSet
     labels: list[ClusterLabel]
-    counter: ComputeCounter
     features: FeatureMatrix
-    match: MatchResult | None = None
     report: dict = field(default_factory=dict)
 
 
@@ -267,8 +266,7 @@ def run_pipeline(
     report = _build_report(cfg, counter, match, far_frr_f)
     return DiarizationResult(change_points=change_points, silences=silences,
                              segments=segments, clusters=clusters,
-                             labels=labels, counter=counter, features=features,
-                             match=match, report=report)
+                             labels=labels, features=features, report=report)
 
 
 def report_json(result: DiarizationResult) -> str:
@@ -321,14 +319,21 @@ def truth_to_dict(truth: GroundTruth) -> dict:
 
 
 def truth_from_dict(d: dict) -> GroundTruth:
+    """The ground truth of a JSON payload; InvalidSpec when it is malformed or
+    holds a NaN or infinite time (Python's json reads both)."""
     try:
-        return GroundTruth(
+        truth = GroundTruth(
             change_points_sec=[float(x) for x in d["change_points_sec"]],
             turns=[TurnInterval(speaker_id=int(s), start_sec=float(a), end_sec=float(b))
                    for s, a, b in d["turns"]],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed ground truth: {type(exc).__name__} {exc}") from exc
+    for t in [*truth.change_points_sec,
+              *(bound for turn in truth.turns for bound in (turn.start_sec, turn.end_sec))]:
+        if not math.isfinite(t):
+            raise InvalidSpec(f"ground truth times must be finite, got {t}")
+    return truth
 
 
 @dataclass(frozen=True)
@@ -350,22 +355,23 @@ def prepare_conversations(corpus, cfg: PipelineConfig):
     return [(*frontend_and_silence(audio, cfg), truth) for audio, truth in corpus]
 
 
-def sweep(
-    corpus,
-    cfg: PipelineConfig | None = None,
-    windows=(100, 125, 150),
-    strides=(0.2, 0.4, 0.6, 0.8),
-    methods=(METHOD_BIC, "t2"),
-) -> list[SweepRow]:
+# the grid of sweep.csv: analysis windows in frames, strides as a fraction
+# of the window, and segmentation methods
+SWEEP_WINDOWS = (100, 125, 150)
+SWEEP_STRIDES = (0.2, 0.4, 0.6, 0.8)
+SWEEP_METHODS = (METHOD_BIC, METHOD_T2)
+
+
+def sweep(corpus, cfg: PipelineConfig | None = None) -> list[SweepRow]:
     """Grid over window length, stride fraction, and method, paired on one corpus."""
     if not corpus:
         raise EmptyCorpus("sweep needs at least one conversation")
     cfg = cfg or PipelineConfig()
     prepared = prepare_conversations(corpus, cfg)
     rows = []
-    for window in windows:
-        for stride in strides:
-            for method in methods:
+    for window in SWEEP_WINDOWS:
+        for stride in SWEEP_STRIDES:
+            for method in SWEEP_METHODS:
                 seg_cfg = replace(cfg.seg, window_frames=window,
                                   stride_fraction=stride, method=method)
                 segmenter = segment_bic if method == METHOD_BIC else segment_t2

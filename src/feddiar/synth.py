@@ -32,6 +32,8 @@ TURN_RMS = 0.1
 AM_DEPTH = 0.5
 ENVELOPE_FLOOR = 0.02
 SAMPLE_RATE_HZ = 16000
+# gain of each of a speaker's three spectral bands, lowest band first
+BAND_GAINS = (1.0, 0.63, 0.4)
 
 # Layout of random_conversation_spec: the share of turn boundaries that are
 # non-switching pauses, and the range of turn durations.
@@ -45,7 +47,6 @@ class SpeakerProfile:
     f0_hz: float
     band_centers_hz: tuple[float, float, float]
     band_widths_hz: tuple[float, float, float]
-    band_gains: tuple[float, float, float] = (1.0, 0.63, 0.4)
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,7 @@ def _validate(spec: SynthSpec) -> None:
     if not 0.0 <= spec.gap_sec * spec.sample_rate_hz < math.inf:
         raise InvalidSpec("gap_sec must be non-negative and finite")
     for profile in spec.speaker_profiles:
-        values = (profile.f0_hz, *profile.band_centers_hz, *profile.band_widths_hz,
-                  *profile.band_gains)
+        values = (profile.f0_hz, *profile.band_centers_hz, *profile.band_widths_hz)
         if not all(math.isfinite(v) for v in values):
             raise InvalidSpec(f"speaker profile values must be finite: {profile}")
         if profile.f0_hz <= 0.0:
@@ -170,8 +170,7 @@ def _turn_waveform(profile: SpeakerProfile, sample_rate_hz: int,
     envelope = np.full(freqs.shape, ENVELOPE_FLOOR)
     band = np.empty_like(freqs)
     for center, width, gain in zip(profile.band_centers_hz,
-                                   profile.band_widths_hz,
-                                   profile.band_gains):
+                                   profile.band_widths_hz, BAND_GAINS):
         np.subtract(freqs, center, out=band)
         band /= width
         band **= 2

@@ -333,6 +333,22 @@ def test_huge_gap_is_refused_with_one_error_line(tmp_path, gap_sec) -> None:
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
+@pytest.mark.parametrize("command", ["diarize", "eval"])
+@pytest.mark.parametrize("truth", ['{"change_points_sec": [NaN], "turns": [[0, 0.0, 1.0]]}',
+                                   '{"change_points_sec": [], "turns": [[0, 0.0, Infinity]]}'])
+def test_non_finite_truth_is_refused_with_one_error_line(bad_inputs, tmp_path, command,
+                                                         truth) -> None:
+    # Python's json reads NaN and Infinity; such a truth used to be scored against
+    path = tmp_path / "truth.json"
+    path.write_text(truth)
+    inputs = {"diarize": ["--audio", str(bad_inputs / "a.wav")],
+              "eval": ["--detected", str(bad_inputs / "points.csv")]}[command]
+    proc = run_cli_process([command, "--truth", str(path), *inputs], tmp_path / "out")
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 # Hostile values for any flag or config key: every invocation must exit 0,
 # or exit 1 with an `error:` line (or 2, where argparse refuses a flag's
 # type); no exception may escape and no run may hang.

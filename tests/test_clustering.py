@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from feddiar import clustering
 from feddiar.clustering import (
+    BOUND_MARGIN,
     ClusterSet,
     Segment,
     cluster_rows,
@@ -16,7 +17,6 @@ from feddiar.clustering import (
 )
 from feddiar.divergence import BicConfig, ComputeCounter
 from feddiar.errors import DimensionMismatch, NoSegments, WindowTooSmall
-from feddiar.silence import CANDIDATE_MARGIN
 
 
 def make_segment(start, rows):
@@ -198,7 +198,7 @@ def draw_segments(seed, kinds, lambda_=1.0):
             eigenvalues, vectors = np.linalg.eigh(np.cov(rows.T, bias=True).reshape(d, d))
             cfg = BicConfig(lambda_=lambda_)
             penalty = 0.5 * lambda_ * cfg.resolve_delta_k(d) * math.log(2 * n)
-            target = penalty - 0.5 * CANDIDATE_MARGIN * (penalty + d * 2 * n)
+            target = penalty - 0.5 * BOUND_MARGIN * (penalty + d * 2 * n)
             shift = math.sqrt(4 * eigenvalues[-1] * math.expm1(max(target, 0.0) / n))
             segs.append(make_segment(cursor, rows))
             cursor += n + 5

@@ -198,11 +198,9 @@ def test_bank_fifo_eviction() -> None:
     bank = EmbeddingBank(bank_cap=3)
     for i in range(4):
         bank.add(0, Embedding(np.array([float(i), 1.0])))
-    assert bank.size(0) == 3
     kept = [e.values[0] for e in bank.get(0)]
     assert kept == [1.0, 2.0, 3.0]
     assert bank.get(1) == []
-    assert bank.speakers() == [0]
 
 
 def segments_and_clusters(seed=7):
@@ -232,12 +230,12 @@ def test_online_update_gate_open_trains_each_cluster_once() -> None:
     bank = EmbeddingBank()
     for spk in (0, 1):
         bank.add(spk, Embedding(np.ones(2)))
-    before = bank.size(0) + bank.size(1)
+    before = len(bank.get(0)) + len(bank.get(1))
     updated, decisions = online_update(model, segs, clusters, bank, tau=-1.0)
     assert len(decisions) == len(clusters)
     assert all(d.updated for d in decisions)
     assert updated.version == model.version + len(clusters)
-    assert bank.size(0) + bank.size(1) == before + len(segs)
+    assert len(bank.get(0)) + len(bank.get(1)) == before + len(segs)
 
 
 def test_online_update_empty_bank_never_opens() -> None:
@@ -282,8 +280,9 @@ def test_adam_state_shapes() -> None:
     model = init_model(arch, seed=12)
     opt = AdamState.for_model(model)
     assert opt.step == 0
-    assert [m.shape for m in opt.m_w] == [w.shape for w in model.weights]
-    assert [v.shape for v in opt.v_b] == [b.shape for b in model.biases]
+    shapes = [p.shape for p in model.weights + model.biases]
+    assert [m.shape for m in opt.m] == shapes
+    assert [v.shape for v in opt.v] == shapes
 
 
 # -- allocation-stable training against the allocating oracle ---------------
@@ -330,10 +329,13 @@ def reference_train_local(model, frames, labels, opt, lr, epochs):
         work = ModelWeights(model.arch, tuple(new_w), tuple(new_b))
         grad_w, grad_b = reference_gradients(work, frames, labels)
         opt.step += 1
-        for i in range(len(new_w)):
-            new_w[i] = reference_adam_step(new_w[i], grad_w[i], opt.m_w[i], opt.v_w[i],
+        layers = len(new_w)
+        for i in range(layers):
+            new_w[i] = reference_adam_step(new_w[i], grad_w[i], opt.m[i], opt.v[i],
                                            opt.step, lr)
-            new_b[i] = reference_adam_step(new_b[i], grad_b[i], opt.m_b[i], opt.v_b[i],
+            # the moments of the biases follow those of the weights
+            j = layers + i
+            new_b[i] = reference_adam_step(new_b[i], grad_b[i], opt.m[j], opt.v[j],
                                            opt.step, lr)
     return model.bumped(new_w, new_b), opt
 
@@ -377,7 +379,7 @@ def test_train_local_bit_equal_to_reference(n, hidden) -> None:
                                            epochs=3)
     assert_arrays_bit_equal(got.weights + got.biases, want.weights + want.biases)
     assert opt.step == want_opt.step
-    for name in ("m_w", "v_w", "m_b", "v_b"):
+    for name in ("m", "v"):
         assert_arrays_bit_equal(getattr(opt, name), getattr(want_opt, name))
     assert got.version == want.version
 

@@ -15,6 +15,10 @@ KEPT = {
         "perfbench traces it by name, and it is the clustering tests' row oracle",
     "identifier.online_update":
         "criterion 12's target, to be wired into diarize for online adaptation",
+    "identifier.UpdateDecision.similarity":
+        "a field of online_update's result, which ROADMAP item 8's adapt.csv will write",
+    "identifier.UpdateDecision.updated":
+        "a field of online_update's result; criterion 12 reads it and adapt.csv will write it",
 }
 
 
@@ -48,9 +52,15 @@ def test_scan_counts_reads_outside_the_tests(count_public, tmp_path) -> None:
             "    written: int\n"
             "    read: int\n"
             "    counted: int\n"
+            "    local: int\n"
+            "    field: int\n"
             "    def method(self): return self.read\n"
-            "def make(): return Box(written=1, read=2, counted=0)\n"),
-        "src/feddiar/other.py": "from .mod import used\ndef bump(box): box.counted += 1\n",
+            "def make(): return Box(written=1, read=2, counted=0, local=0, field=0)\n"),
+        "src/feddiar/other.py": (
+            "from .mod import used\n"
+            "def bump(box): box.counted += 1\n"
+            "def shadow(local): return local\n"
+            "def peek(box): return box.field\n"),
         "scripts/run.sh": "python3 -c 'from feddiar.mod import make; make()'\n",
         "tests/test_mod.py": "from feddiar.mod import unused\nunused()\nBox(1, 2, 3).method()\n",
     }
@@ -59,4 +69,5 @@ def test_scan_counts_reads_outside_the_tests(count_public, tmp_path) -> None:
         (tmp_path / name).write_text(text)
     (tmp_path / "perfbench").mkdir()
     assert count_public.unread_names(tmp_path) == [
-        "mod.unused", "mod.Box.written", "mod.Box.method", "other.bump"]
+        "mod.unused", "mod.Box.written", "mod.Box.local", "mod.Box.method",
+        "other.bump", "other.shadow", "other.peek"]

@@ -8,6 +8,7 @@ from feddiar.errors import InvalidSpec
 from feddiar.seeding import substream
 from feddiar.synth import (
     AM_DEPTH,
+    BAND_GAINS,
     ENVELOPE_FLOOR,
     TURN_RMS,
     SynthSpec,
@@ -184,8 +185,7 @@ def whole_expression_turn(profile, duration_sec, sample_rate_hz, rng) -> np.ndar
     freqs = np.fft.rfftfreq(n, 1.0 / sample_rate_hz)
     envelope = np.full(freqs.shape, ENVELOPE_FLOOR)
     for center, width, gain in zip(profile.band_centers_hz,
-                                   profile.band_widths_hz,
-                                   profile.band_gains):
+                                   profile.band_widths_hz, BAND_GAINS):
         envelope += gain * np.exp(-0.5 * ((freqs - center) / width) ** 2)
     x = np.fft.irfft(spectrum * envelope, n)
 

@@ -94,9 +94,8 @@ def noisy_signal(num_frames: int, sample_rate: int, seed: int) -> AudioSignal:
 @pytest.mark.parametrize("num_frames", CHUNK_EDGE_COUNTS)
 def test_mfcc_of_the_frame_view_bit_equal_to_a_dense_copy(monkeypatch, sample_rate,
                                                           num_frames) -> None:
-    # frame_signal's view takes the once-per-sample pre-emphasis wherever a
-    # chunk's span fits the magnitude buffer; a dense copy of the same
-    # frames takes the per-frame path
+    # every chunk of frame_signal's view takes the once-per-sample
+    # pre-emphasis; a dense copy of the same frames takes the per-frame path
     frames = frame_signal(noisy_signal(num_frames, sample_rate, seed=num_frames))
     assert len(frames) == num_frames
     dense = FrameSequence(np.array(frames.frames), frames.frame_len_samples,
@@ -119,13 +118,10 @@ def test_mfcc_of_the_frame_view_bit_equal_to_a_dense_copy(monkeypatch, sample_ra
                               compute_mfcc(dense, MfccConfig()).rows]
     finally:
         sys.setswitchinterval(interval)
-    # the span path served every chunk of the view (each has >= 3 frames
-    # unless the input is shorter), and no chunk of the dense copy
-    if num_frames >= 3:
-        assert spans and not any(owned for owned, _ in spans)
-        assert sum(rows for _, rows in spans) == num_frames * len(WORKERS)
-    else:
-        assert spans == []
+    # the span path served every chunk of the view, at any frame count, and
+    # no chunk of the dense copy
+    assert spans and not any(owned for owned, _ in spans)
+    assert sum(rows for _, rows in spans) == num_frames * len(WORKERS)
     for count in WORKERS:
         for got in results[count]:
             assert_bits_equal(got, results[1][1])
