@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -278,6 +279,9 @@ def _cmd_eval(args) -> int:
             detected = [float(row["time_sec"]) for row in csv.DictReader(fh)]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidSpec(f"{args.detected} lacks numeric time_sec values") from exc
+    bad = [t for t in detected if not math.isfinite(t)]
+    if bad:
+        raise InvalidSpec(f"{args.detected}: time_sec values must be finite, got {bad[0]}")
     match = match_change_points(truth.change_points_sec, sorted(detected),
                                 **_given(opts, collar_sec=float))
     seg = seg_scores(match)

@@ -8,27 +8,27 @@ every HOP_MS, and every transform, MFCC and silence stage alike, has
 `FrameSequence.fft_size` points: the next power of two at or above the
 frame length.
 
-Memory does not grow with audio length beyond the outputs.
-`frame_signal` returns a read-only strided view of the samples, not a
-frame matrix, and every spectral pass (`spectrum_chunks`: here for MFCC,
-in the silence module for the frames that its noise profile re-ranks and
-those that its spectral subtraction needs; the Parseval energies there
-need no transform) walks the frames in chunks through work buffers that
-each call allocates once and overwrites with `out=` for every chunk. A
-chunk holds CHUNK_FRAMES frames; the last one also takes the remainder, so
-that no chunk is a small matrix unless the whole input is: BLAS multiplies
-small matrices with other kernels, whose rounding differs. The results are
-then bit-identical to one pass over the whole frame matrix. Pre-emphasis
-(MFCC only) touches each sample once where the frames are a framing of one
-signal, as frame_signal's view is: a chunk's sample span is pre-emphasised
-as a whole, and each frame is windowed from it, its first sample put back
-to the raw one; frames in any other layout are pre-emphasised one by one,
-with the same operands and operations, so the bits agree. Holding the
-buffers for a whole call also keeps the number of large allocations, and
-with them page faults, independent of the audio length. Since no large
-block is freed here, glibc's dynamic mmap threshold is left at its
-default; code that runs later must not count on a frontend pass having
-raised it (identifier training keeps its own workspace for that reason).
+A `FrameSequence` is the framing of one signal: its samples and a
+geometry (frame length, hop, sample rate), with the frames a read-only
+strided view of the samples built once at construction, not a frame
+matrix. Memory does not grow with audio length beyond the outputs: every
+spectral pass (`spectrum_chunks`: here for MFCC, in the silence module for
+the frames that its noise profile re-ranks and those that its spectral
+subtraction needs; the Parseval energies there need no transform) walks
+the frames in chunks through work buffers that each call allocates once
+and overwrites with `out=` for every chunk. A chunk holds CHUNK_FRAMES
+frames; the last one also takes the remainder, so that no chunk is a small
+matrix unless the whole input is: BLAS multiplies small matrices with
+other kernels, whose rounding differs. The results are then bit-identical
+to one pass over the whole frame matrix. Pre-emphasis (MFCC only) touches
+each sample once: a chunk's sample span is pre-emphasised as a whole, and
+each frame is windowed from it, its first sample put back to the raw one.
+Holding the buffers for a whole call also keeps the number of large
+allocations, and with them page faults, independent of the audio length.
+Since no large block is freed here, glibc's dynamic mmap threshold is left
+at its default; code that runs later must not count on a frontend pass
+having raised it (identifier training keeps its own workspace for that
+reason).
 
 The full-length passes (MFCC here; the Parseval energies and spectral
 subtraction of the silence module) share their chunks out among the
@@ -97,12 +97,23 @@ class AudioSignal:
 
 @dataclass(frozen=True)
 class FrameSequence:
-    """Fixed-length sample windows; frame i starts at i * hop_samples."""
+    """The framing of one signal: frame i is samples[i * hop_samples:] cut to
+    frame_len_samples, for every frame that fits. `frames` is the read-only
+    strided view of them, built once here. InvalidConfig unless 1 <= hop <=
+    frame length <= len(samples): then the samples under any run of frames
+    are one span, which is what spectrum_chunks pre-emphasises."""
 
-    frames: np.ndarray          # shape (num_frames, frame_len_samples); may be a view
+    samples: np.ndarray
     frame_len_samples: int
     hop_samples: int
     sample_rate_hz: int
+
+    def __post_init__(self):
+        hop, frame_len, n = self.hop_samples, self.frame_len_samples, len(self.samples)
+        if not 1 <= hop <= frame_len <= n:
+            raise InvalidConfig(f"a framing needs 1 <= hop <= frame length <= samples, "
+                                f"got {hop}, {frame_len} and {n}")
+        object.__setattr__(self, "frames", sliding_window_view(self.samples, frame_len)[::hop])
 
     def __len__(self) -> int:
         return self.frames.shape[0]
@@ -114,7 +125,6 @@ class FrameSequence:
 
     def frame_onsets_sec(self) -> np.ndarray:
         return np.arange(len(self)) * self.hop_samples / self.sample_rate_hz
-
 
 
 @dataclass(frozen=True)
@@ -209,12 +219,7 @@ def frame_signal(signal: AudioSignal) -> FrameSequence:
     n = len(signal.samples)
     if n < frame_len:
         raise SignalTooShort(f"{n} samples < one {frame_len}-sample frame")
-    return FrameSequence(
-        frames=sliding_window_view(signal.samples, frame_len)[::hop],
-        frame_len_samples=frame_len,
-        hop_samples=hop,
-        sample_rate_hz=signal.sample_rate_hz,
-    )
+    return FrameSequence(signal.samples, frame_len, hop, rate)
 
 
 def mel_filterbank(num_filters: int, fft_size: int, sample_rate_hz: int) -> np.ndarray:
@@ -260,11 +265,14 @@ def spectrum_chunks(
     Yields (start, mag) where row j of mag is |rfft| (n = fft_size, at least
     the frame length) of frame start + j, or of frame index[start + j] when
     an index is given. With pre_emphasis > 0 each frame is first
-    pre-emphasised, keeping its first sample as-is. mag is a view of a
+    pre-emphasised, keeping its first sample as-is; that takes whole passes
+    only, and with an index raises InvalidConfig. mag is a view of a
     buffer that the next chunk overwrites. chunks, when given, is an
     iterator over chunk_bounds(n) (n frames, or len(index)) that yields the
     chunks to transform, as `workers.run_shared` shares it; by default, all.
     """
+    if pre_emphasis > 0.0 and index is not None:
+        raise InvalidConfig("pre-emphasis takes whole passes, not indexed frames")
     n = len(frames) if index is None else len(index)
     rows = chunk_rows(n)
     frame_len = frames.frame_len_samples
@@ -274,20 +282,13 @@ def spectrum_chunks(
     x = np.zeros((rows, fft_size))
     spectrum = np.empty((rows, fft_size // 2 + 1), dtype=np.complex128)
     mag = np.empty((rows, fft_size // 2 + 1))
-    # Where the frames are a framing of one signal, as frame_signal's view
-    # is (frame i + 1 starts hop samples after frame i, and with hop <=
-    # frame_len every sample between lies in a frame), a chunk's samples
-    # are pre-emphasised once, as one span, into the float view of
-    # spectrum, which is free until the FFT (see _window_span). It holds
-    # rows * (fft_size + 2) floats, more than the (k - 1) * hop + frame_len
-    # samples under any chunk of k <= rows frames.
-    hop = frames.hop_samples
-    row_step, sample_step = frames.frames.strides
-    one_signal = (pre_emphasis > 0.0 and index is None and hop <= frame_len
-                  and row_step == hop * sample_step)
+    # A chunk's samples are pre-emphasised once, as one span, into the
+    # float view of spectrum, which is free until the FFT (see
+    # _window_span). It holds rows * (fft_size + 2) floats, more than the
+    # (k - 1) * hop + frame_len samples under any chunk of k <= rows frames.
     room = spectrum.view(np.float64).reshape(-1)
     for start, stop in chunk_bounds(n) if chunks is None else chunks:
-        if one_signal:
+        if pre_emphasis > 0.0:
             _window_span(frames, start, stop, pre_emphasis, window, room,
                          x[:stop - start, :frame_len])
         else:
@@ -298,33 +299,25 @@ def spectrum_chunks(
             for a in range(start, stop, step):
                 b = min(a + step, stop)
                 block = frames.frames[a:b] if index is None else frames.frames[index[a:b]]
-                xc = x[a - start:b - start, :frame_len]
-                if pre_emphasis > 0.0:
-                    np.multiply(block[:, :-1], pre_emphasis, out=xc[:, 1:])
-                    np.subtract(block[:, 1:], xc[:, 1:], out=xc[:, 1:])
-                    xc[:, 0] = block[:, 0]
-                    xc *= window
-                else:
-                    np.multiply(block, window, out=xc)
+                np.multiply(block, window, out=x[a - start:b - start, :frame_len])
         sc = np.fft.rfft(x[:stop - start], n=fft_size, axis=1, out=spectrum[:stop - start])
         yield start, np.abs(sc, out=mag[:stop - start])
 
 
 def _window_span(frames: FrameSequence, start: int, stop: int, pre_emphasis: float,
                  window: np.ndarray, room: np.ndarray, out: np.ndarray) -> None:
-    """Pre-emphasised, windowed frames start..stop of a framing of one signal.
+    """Pre-emphasised, windowed frames start..stop.
 
     The samples under the frames are pre-emphasised once, as one span, into
     room; then every frame of the span is windowed into out, and each
     frame's first sample is put back to the raw one times window[0]. Each
-    value takes the operations of the per-frame path, so the spectrum's
-    bits agree.
+    value takes the operations of pre-emphasising and windowing its frame
+    alone, so the spectrum's bits agree with a pass over the frame matrix.
     """
     hop, frame_len = frames.hop_samples, frames.frame_len_samples
-    span = (stop - start - 1) * hop + frame_len
-    samples = as_strided(frames.frames[start:], shape=(span,),
-                         strides=(frames.frames.strides[1],), writeable=False)
-    emphasised = room[:span]
+    first = start * hop
+    samples = frames.samples[first:first + (stop - start - 1) * hop + frame_len]
+    emphasised = room[:len(samples)]
     emphasised[0] = samples[0]      # a first sample: put back below, but set
     np.multiply(samples[:-1], pre_emphasis, out=emphasised[1:])
     np.subtract(samples[1:], emphasised[1:], out=emphasised[1:])

@@ -4,6 +4,8 @@ A quasi-silence is any sustained low-energy pause, whether or not it
 coincides with a speaker switch. Detected regions anchor the change-point
 search windows in the segmentation module.
 
+The frames are a `frontend.FrameSequence`, the samples of one signal and
+its frame geometry, read here only through its strided view of frames.
 Spectra come from `frontend.spectrum_chunks`, CHUNK_FRAMES frames at a
 time through buffers allocated once per call, so memory stays flat in the
 audio length and results equal a whole-matrix pass bit for bit.

@@ -349,6 +349,21 @@ def test_non_finite_truth_is_refused_with_one_error_line(bad_inputs, tmp_path, c
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_detected_time_is_refused_with_one_error_line(tmp_path, bad) -> None:
+    # float() reads all three; such a change point used to be scored
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"change_points_sec": [1.0, 2.0],
+                                 "turns": [[0, 0.0, 1.0], [1, 1.0, 2.0], [0, 2.0, 3.0]]}))
+    detected = tmp_path / "points.csv"
+    detected.write_text(f"time_sec\n{bad}\n1.0\n")
+    proc = run_cli_process(["eval", "--truth", str(truth), "--detected", str(detected)],
+                           tmp_path / "out")
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 # Hostile values for any flag or config key: every invocation must exit 0,
 # or exit 1 with an `error:` line (or 2, where argparse refuses a flag's
 # type); no exception may escape and no run may hang.

@@ -19,7 +19,6 @@ from feddiar.frontend import (
     NUM_MEL_FILTERS,
     PRE_EMPHASIS,
     AudioSignal,
-    FeatureMatrix,
     FrameSequence,
     MfccConfig,
     chunk_bounds,
@@ -185,29 +184,29 @@ CHUNK_EDGE_COUNTS = (1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1,
                      4 * CHUNK_FRAMES + 40, 6 * CHUNK_FRAMES + 7)
 
 
-def reference_frame_signal(signal: AudioSignal) -> FrameSequence:
+def reference_frame_signal(signal: AudioSignal) -> np.ndarray:
     """The materialised frame matrix: one gathered copy of every frame."""
     frame_len = round(FRAME_MS * signal.sample_rate_hz / 1000)
     hop = round(HOP_MS * signal.sample_rate_hz / 1000)
     num_frames = (len(signal.samples) - frame_len) // hop + 1
     idx = np.arange(frame_len)[None, :] + hop * np.arange(num_frames)[:, None]
-    return FrameSequence(signal.samples[idx], frame_len, hop, signal.sample_rate_hz)
+    return signal.samples[idx]
 
 
-def reference_compute_mfcc(frames: FrameSequence, pre_emphasis: float,
-                           num_coefficients: int = 12) -> FeatureMatrix:
-    """MFCC in one pass over the whole frame matrix."""
-    fft_size = 1 << (frames.frame_len_samples - 1).bit_length()
-    x = frames.frames
+def reference_compute_mfcc(frames: np.ndarray, sample_rate_hz: int, pre_emphasis: float,
+                           num_coefficients: int = 12) -> np.ndarray:
+    """MFCC rows in one pass over a whole frame matrix."""
+    frame_len = frames.shape[1]
+    fft_size = 1 << (frame_len - 1).bit_length()
+    x = frames
     if pre_emphasis > 0.0:
         x = np.concatenate([x[:, :1], x[:, 1:] - pre_emphasis * x[:, :-1]], axis=1)
-    x = x * np.hamming(frames.frame_len_samples)
+    x = x * np.hamming(frame_len)
     spectrum = np.abs(np.fft.rfft(x, n=fft_size, axis=1))
-    fb = mel_filterbank(NUM_MEL_FILTERS, fft_size, frames.sample_rate_hz)
+    fb = mel_filterbank(NUM_MEL_FILTERS, fft_size, sample_rate_hz)
     log_mel = np.log(np.maximum(spectrum @ fb.T, LOG_FLOOR))
     rows = dct(log_mel, type=2, axis=1, norm="ortho")[:, 1:num_coefficients + 1]
-    return FeatureMatrix(rows=np.ascontiguousarray(rows),
-                         frame_times_sec=frames.frame_onsets_sec())
+    return np.ascontiguousarray(rows)
 
 
 def bursty_signal(num_frames: int, seed: int = 0, sr: int = 16000) -> AudioSignal:
@@ -239,8 +238,7 @@ def test_frame_signal_is_read_only_view_of_gathered_frames(num_frames) -> None:
     assert len(frames) == num_frames
     assert np.shares_memory(frames.frames, sig.samples)
     assert not frames.frames.flags.writeable
-    assert_bits_equal(np.ascontiguousarray(frames.frames),
-                      reference_frame_signal(sig).frames)
+    assert_bits_equal(np.ascontiguousarray(frames.frames), reference_frame_signal(sig))
 
 
 # compute_mfcc pre-emphasises at frontend.PRE_EMPHASIS; with the constant
@@ -251,18 +249,21 @@ def test_chunked_mfcc_bit_equal_to_whole_matrix(num_frames, pre_emphasis, monkey
     monkeypatch.setattr(frontend, "PRE_EMPHASIS", pre_emphasis)
     sig = bursty_signal(num_frames, seed=num_frames)
     got = compute_mfcc(frame_signal(sig), MfccConfig())
-    want = reference_compute_mfcc(reference_frame_signal(sig), pre_emphasis)
-    assert_bits_equal(got.rows, want.rows)
-    assert_bits_equal(got.frame_times_sec, want.frame_times_sec)
+    want = reference_compute_mfcc(reference_frame_signal(sig), 16000, pre_emphasis)
+    assert_bits_equal(got.rows, want)
+    assert_bits_equal(got.frame_times_sec, np.arange(num_frames) * 160 / 16000)
 
 
 @pytest.mark.parametrize("pre_emphasis", [0.0, PRE_EMPHASIS])
 def test_chunked_mfcc_bit_equal_on_dense_frame_sequence(pre_emphasis, monkeypatch) -> None:
+    # any frame matrix is the framing of its rows laid end to end, with the
+    # hop equal to the frame length
     monkeypatch.setattr(frontend, "PRE_EMPHASIS", pre_emphasis)
-    rng = np.random.default_rng(8)
-    frames = FrameSequence(rng.standard_normal((3 * CHUNK_FRAMES + 7, 400)), 400, 160, 16000)
+    rows = np.random.default_rng(8).standard_normal((3 * CHUNK_FRAMES + 7, 400))
+    frames = FrameSequence(rows.ravel(), 400, 400, 16000)
+    assert_bits_equal(np.ascontiguousarray(frames.frames), rows)
     assert_bits_equal(compute_mfcc(frames, MfccConfig()).rows,
-                      reference_compute_mfcc(frames, pre_emphasis).rows)
+                      reference_compute_mfcc(rows, 16000, pre_emphasis))
 
 
 @pytest.mark.parametrize("pre_emphasis", [0.0, 0.97])
@@ -278,7 +279,54 @@ def test_spectrum_chunks_bit_equal_to_padding_rfft(fft_size, pre_emphasis) -> No
     want = np.abs(np.fft.rfft(x * np.hamming(400), n=fft_size, axis=1))
     index = np.random.default_rng(fft_size).permutation(len(frames))[:CHUNK_FRAMES + 3]
     for idx, rows in ((None, want), (index, want[index])):
+        if idx is not None and pre_emphasis > 0.0:
+            # pre-emphasis takes whole passes only
+            with pytest.raises(InvalidConfig):
+                next(spectrum_chunks(frames, fft_size, pre_emphasis, idx))
+            continue
         got = np.empty_like(rows)
         for start, mag in spectrum_chunks(frames, fft_size, pre_emphasis, idx):
             got[start:start + len(mag)] = mag
         assert_bits_equal(got, rows)
+
+
+@pytest.mark.parametrize("num_samples, frame_len, hop", [
+    (400, 400, 0),      # no hop
+    (400, 400, -160),
+    (800, 400, 401),    # a gap between frames
+    (399, 400, 160),    # not one frame
+])
+def test_frame_sequence_refuses_what_the_span_path_cannot_serve(num_samples, frame_len,
+                                                                hop) -> None:
+    with pytest.raises(InvalidConfig):
+        FrameSequence(np.zeros(num_samples), frame_len, hop, 16000)
+
+
+@pytest.mark.parametrize("sample_rate, frame_len, hop", [(8000, 200, 80), (16000, 400, 160)])
+def test_frame_signal_frames_the_signal_it_is_given(sample_rate, frame_len, hop) -> None:
+    sig = tone(0.5, sr=sample_rate)
+    frames = frame_signal(sig)
+    assert frames.samples is sig.samples
+    assert (frames.frame_len_samples, frames.hop_samples) == (frame_len, hop)
+    assert len(frames) == (len(sig.samples) - frame_len) // hop + 1
+    assert_bits_equal(np.ascontiguousarray(frames.frames), reference_frame_signal(sig))
+
+
+# Offsets of a block in the full pass, and block lengths from one chunk on
+BLOCK_STARTS = (0, 1, 77, CHUNK_FRAMES + 5)
+BLOCK_FRAMES = (CHUNK_FRAMES, CHUNK_FRAMES + 1, 2 * CHUNK_FRAMES + 3)
+
+
+@pytest.mark.parametrize("num_frames", BLOCK_FRAMES)
+@pytest.mark.parametrize("first", BLOCK_STARTS)
+def test_mfcc_of_a_block_equals_rows_of_the_full_pass(first, num_frames) -> None:
+    # a block of a recording is the framing of a slice of its samples; with
+    # at least CHUNK_FRAMES frames its rows keep the full pass's bits
+    sig = bursty_signal(3 * CHUNK_FRAMES + 20, seed=first + num_frames)
+    full = frame_signal(sig)
+    hop, frame_len = full.hop_samples, full.frame_len_samples
+    span = sig.samples[first * hop:(first + num_frames - 1) * hop + frame_len]
+    block = FrameSequence(span, frame_len, hop, sig.sample_rate_hz)
+    assert len(block) == num_frames
+    assert_bits_equal(compute_mfcc(block, MfccConfig()).rows,
+                      compute_mfcc(full, MfccConfig()).rows[first:first + num_frames])

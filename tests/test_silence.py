@@ -1,10 +1,8 @@
 import math
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_frontend import (
@@ -43,8 +41,8 @@ from feddiar.synth import random_conversation_spec, synth_conversation
 
 
 def repeated_frame_sequence(frame, n):
-    frames = np.tile(frame, (n, 1))
-    return FrameSequence(frames, frame.shape[0], frame.shape[0] // 2, 16000)
+    """n copies of one frame: the framing of the frame repeated end to end."""
+    return FrameSequence(np.tile(frame, n), frame.shape[0], frame.shape[0], 16000)
 
 
 def test_noise_profile_needs_ten_frames() -> None:
@@ -59,12 +57,12 @@ def test_noise_profile_shape() -> None:
     # one frame at 20 distinct scales, so 20 distinct energies; the default
     # 10th percentile averages the 2 quietest, those scaled by 1 and 2
     scales = rng.permutation(np.arange(1.0, 21.0))
-    frames = FrameSequence(scales[:, None] * rng.standard_normal(400), 400, 200, 16000)
-    prof = estimate_noise_profile(frames, SilenceConfig())
+    rows = scales[:, None] * rng.standard_normal(400)
+    prof = estimate_noise_profile(FrameSequence(rows.ravel(), 400, 400, 16000), SilenceConfig())
     assert prof.magnitude_spectrum_estimate.shape == (257,)
     assert np.all(prof.magnitude_spectrum_estimate >= 0)
     quietest = [np.flatnonzero(scales == 1.0)[0], np.flatnonzero(scales == 2.0)[0]]
-    want = reference_magnitude_spectra(frames, 512)[quietest].mean(axis=0)
+    want = reference_magnitude_spectra(rows, 512)[quietest].mean(axis=0)
     np.testing.assert_allclose(prof.magnitude_spectrum_estimate, want, rtol=1e-12)
 
 
@@ -72,13 +70,14 @@ def test_silence_transforms_whole_frames() -> None:
     # 40 ms frames hold 640 samples: a 1024-point transform, where 512
     # points would leave each frame's tail out
     samples = bursty_signal(60, seed=4).samples
-    frames = FrameSequence(sliding_window_view(samples, 640)[::160], 640, 160, 16000)
+    frames = FrameSequence(samples, 640, 160, 16000)
     noise = estimate_noise_profile(frames, SilenceConfig())
     assert noise.magnitude_spectrum_estimate.shape == (513,)
     assert frames.fft_size == 1024
     cut = frames.frames.copy()
     cut[:, 600:] = 0.0
-    assert not np.array_equal(spectral_subtract(replace(frames, frames=cut), noise),
+    cut_frames = FrameSequence(cut.ravel(), 640, 640, 16000)
+    assert not np.array_equal(spectral_subtract(cut_frames, noise),
                               spectral_subtract(frames, noise))
 
 
@@ -166,13 +165,13 @@ def test_region_csv(tmp_path) -> None:
 REFERENCE_FFT_SIZE = 512
 
 
-def reference_magnitude_spectra(frames: FrameSequence, fft_size: int) -> np.ndarray:
-    windowed = frames.frames * np.hamming(frames.frame_len_samples)
+def reference_magnitude_spectra(frames: np.ndarray, fft_size: int) -> np.ndarray:
+    windowed = frames * np.hamming(frames.shape[1])
     return np.abs(np.fft.rfft(windowed, n=fft_size, axis=1))
 
 
-def reference_noise_profile(frames: FrameSequence, cfg: SilenceConfig) -> NoiseProfile:
-    """Noise profile from the full (frames x bins) spectra."""
+def reference_noise_profile(frames: np.ndarray, cfg: SilenceConfig) -> NoiseProfile:
+    """Noise profile from the full (frames x bins) spectra of a frame matrix."""
     spectra = reference_magnitude_spectra(frames, REFERENCE_FFT_SIZE)
     energies = np.mean(spectra ** 2, axis=1)
     k = max(1, int(np.floor(cfg.noise_percentile * len(frames))))
@@ -180,7 +179,7 @@ def reference_noise_profile(frames: FrameSequence, cfg: SilenceConfig) -> NoiseP
     return NoiseProfile(spectra[quietest].mean(axis=0))
 
 
-def reference_spectral_subtract(frames: FrameSequence, noise: NoiseProfile) -> np.ndarray:
+def reference_spectral_subtract(frames: np.ndarray, noise: NoiseProfile) -> np.ndarray:
     spectra = reference_magnitude_spectra(frames, REFERENCE_FFT_SIZE)
     residual = np.maximum(spectra - noise.magnitude_spectrum_estimate, 0.0)
     return np.mean(residual ** 2, axis=1)
@@ -212,7 +211,7 @@ def reference_detect_quasi_silences(energy_track, cfg: SilenceConfig):
     return regions
 
 
-def check_silence_stage_bit_equal(chunked: FrameSequence, dense: FrameSequence,
+def check_silence_stage_bit_equal(chunked: FrameSequence, dense: np.ndarray,
                                   cfg: SilenceConfig = SilenceConfig()) -> None:
     noise = estimate_noise_profile(chunked, cfg)
     want_noise = reference_noise_profile(dense, cfg)
@@ -233,9 +232,8 @@ def test_chunked_silence_stage_bit_equal_to_whole_matrix(num_frames) -> None:
 def test_chunked_silence_stage_bit_equal_on_dense_frame_sequence(noise_percentile) -> None:
     rng = np.random.default_rng(9)
     loudness = rng.uniform(0.0, 1.0, size=(3 * CHUNK_FRAMES + 7, 1)) ** 4
-    frames = FrameSequence(rng.standard_normal((3 * CHUNK_FRAMES + 7, 400)) * loudness,
-                           400, 160, 16000)
-    check_silence_stage_bit_equal(frames, frames,
+    rows = rng.standard_normal((3 * CHUNK_FRAMES + 7, 400)) * loudness
+    check_silence_stage_bit_equal(FrameSequence(rows.ravel(), 400, 400, 16000), rows,
                                   SilenceConfig(noise_percentile=noise_percentile))
 
 
@@ -270,10 +268,11 @@ def frames_around_kth(group: np.ndarray, noise_percentile: float, seed: int) -> 
     below = k - len(group) // 2
     loud = rng.standard_normal((n - below - len(group), group.shape[1]))
     rows = np.vstack([np.zeros((below, group.shape[1])), group, loud])
-    return FrameSequence(rows[rng.permutation(n)], group.shape[1], 160, 16000)
+    frame_len = group.shape[1]
+    return FrameSequence(rows[rng.permutation(n)].ravel(), frame_len, frame_len, 16000)
 
 
-def fft_energies(frames: FrameSequence) -> np.ndarray:
+def fft_energies(frames: np.ndarray) -> np.ndarray:
     return np.mean(reference_magnitude_spectra(frames, 512) ** 2, axis=1)
 
 
@@ -282,7 +281,7 @@ def near_tie_group(seed: int, size: int = 40) -> np.ndarray:
     (equal energies in exact arithmetic): the FFT and Parseval's sums round
     them apart in a few ulps, each in its own way."""
     base = np.random.default_rng(seed).standard_normal((size // 2, 400))
-    base *= 0.01 / np.sqrt(fft_energies(FrameSequence(base, 400, 160, 16000)))[:, None]
+    base *= 0.01 / np.sqrt(fft_energies(base))[:, None]
     return np.vstack([base, base[:, ::-1]])
 
 
@@ -302,10 +301,10 @@ def test_rerank_exact_where_parseval_and_fft_order_disagree(noise_percentile, se
     frames = frames_around_kth(scale * near_tie_group(seed), noise_percentile, seed)
     cfg = SilenceConfig(noise_percentile=noise_percentile)
     k = int(np.floor(noise_percentile * len(frames)))
-    by_fft = np.argsort(fft_energies(frames), kind="stable")[:k]
+    by_fft = np.argsort(fft_energies(frames.frames), kind="stable")[:k]
     by_parseval = np.argsort(parseval_energies(frames, 512), kind="stable")[:k]
     assert set(by_fft.tolist()) != set(by_parseval.tolist())   # the inputs bite
-    check_silence_stage_bit_equal(frames, frames, cfg)
+    check_silence_stage_bit_equal(frames, frames.frames, cfg)
 
 
 @pytest.mark.parametrize("noise_percentile", [0.1, 0.9])
@@ -316,7 +315,8 @@ def test_rerank_exact_on_zero_and_underflowing_frames(noise_percentile, scale) -
     rng = np.random.default_rng(5)
     group = scale * rng.standard_normal((60, 400)) * 10.0 ** rng.uniform(-2, 2, (60, 1))
     frames = frames_around_kth(group, noise_percentile, seed=6)
-    check_silence_stage_bit_equal(frames, frames, SilenceConfig(noise_percentile=noise_percentile))
+    check_silence_stage_bit_equal(frames, frames.frames,
+                                  SilenceConfig(noise_percentile=noise_percentile))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -327,10 +327,9 @@ def test_noise_profile_on_non_finite_frames_matches_old_code(noise_percentile, b
     n = 3 * CHUNK_FRAMES + 7
     rows = rng.standard_normal((n, 400)) * rng.uniform(0, 1, (n, 1)) ** 4
     rows[rng.choice(len(rows), size=120, replace=False), rng.integers(0, 400)] = bad
-    frames = FrameSequence(rows, 400, 160, 16000)
     cfg = SilenceConfig(noise_percentile=noise_percentile)
-    noise = estimate_noise_profile(frames, cfg)
-    want = reference_noise_profile(frames, cfg)
+    noise = estimate_noise_profile(FrameSequence(rows.ravel(), 400, 400, 16000), cfg)
+    want = reference_noise_profile(rows, cfg)
     assert_bits_equal(noise.magnitude_spectrum_estimate, want.magnitude_spectrum_estimate)
 
 
@@ -445,13 +444,12 @@ def percentile_candidates(frames: FrameSequence, noise: NoiseProfile) -> np.ndar
 
 @pytest.fixture(scope="module")
 def conversations() -> list[FrameSequence]:
-    """Dense frames of three short conversations, which tests edit copies of."""
+    """Frames of three short conversations, which tests edit copies of."""
     out = []
     for seed in range(3):
         spec = random_conversation_spec(num_speakers=2 + seed, seed=seed,
                                         min_changes=4, max_changes=8)
-        frames = frame_signal(synth_conversation(spec)[0])
-        out.append(FrameSequence(np.array(frames.frames), 400, 160, 16000))
+        out.append(frame_signal(synth_conversation(spec)[0]))
     return out
 
 
@@ -486,7 +484,7 @@ def edited_frames(conv: FrameSequence, seed: int, start: float, length: int,
         rows *= 1e-160
     elif edit == "huge":       # squares near overflow
         rows *= 1e153
-    return FrameSequence(rows, 400, 160, 16000)
+    return FrameSequence(rows.ravel(), 400, 400, 16000)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -12,7 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import test_pipeline
-from test_frontend import CHUNK_EDGE_COUNTS, assert_bits_equal, bursty_signal
+from test_frontend import (
+    CHUNK_EDGE_COUNTS,
+    assert_bits_equal,
+    bursty_signal,
+    reference_compute_mfcc,
+)
 
 from feddiar import cli, federated, frontend, silence, workers
 from feddiar.cli import main
@@ -94,17 +99,20 @@ def noisy_signal(num_frames: int, sample_rate: int, seed: int) -> AudioSignal:
 @pytest.mark.parametrize("num_frames", CHUNK_EDGE_COUNTS)
 def test_mfcc_of_the_frame_view_bit_equal_to_a_dense_copy(monkeypatch, sample_rate,
                                                           num_frames) -> None:
-    # every chunk of frame_signal's view takes the once-per-sample
-    # pre-emphasis; a dense copy of the same frames takes the per-frame path
+    # every chunk of frame_signal's overlapping frames, and of a dense copy
+    # of them (the framing of its rows laid end to end), takes the
+    # once-per-sample pre-emphasis, with the whole-matrix pass's bits
     frames = frame_signal(noisy_signal(num_frames, sample_rate, seed=num_frames))
     assert len(frames) == num_frames
-    dense = FrameSequence(np.array(frames.frames), frames.frame_len_samples,
-                          frames.hop_samples, frames.sample_rate_hz)
+    rows = np.array(frames.frames)
+    dense = FrameSequence(rows.ravel(), frames.frame_len_samples,
+                          frames.frame_len_samples, frames.sample_rate_hz)
+    assert len(dense) == num_frames
     spans = []
     real = frontend._window_span
 
     def window_span(frames, start, stop, *args):
-        spans.append((frames.frames.flags.owndata, stop - start))
+        spans.append(stop - start)
         real(frames, start, stop, *args)
 
     monkeypatch.setattr(frontend, "_window_span", window_span)
@@ -118,13 +126,12 @@ def test_mfcc_of_the_frame_view_bit_equal_to_a_dense_copy(monkeypatch, sample_ra
                               compute_mfcc(dense, MfccConfig()).rows]
     finally:
         sys.setswitchinterval(interval)
-    # the span path served every chunk of the view, at any frame count, and
-    # no chunk of the dense copy
-    assert spans and not any(owned for owned, _ in spans)
-    assert sum(rows for _, rows in spans) == num_frames * len(WORKERS)
+    # the span path served every chunk of both, at any frame count
+    assert sum(spans) == 2 * num_frames * len(WORKERS)
+    want = reference_compute_mfcc(rows, sample_rate, frontend.PRE_EMPHASIS)
     for count in WORKERS:
         for got in results[count]:
-            assert_bits_equal(got, results[1][1])
+            assert_bits_equal(got, want)
 
 
 class ChunkFailed(Exception):
