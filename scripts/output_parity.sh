@@ -97,6 +97,11 @@ for variant in default tuned; do
         --truth "$truth" $flags
 done
 
+# a WAV whose name holds a space: its RTTM file id takes _ for the space
+mkdir spaced
+cp "$wav" "spaced/my talk.wav"
+run identify-spaced identify --audio "spaced/my talk.wav" --model "$model"
+
 for variant in default noise90 thr30 thr80; do
     if [ "$variant" = default ]; then flags=; else flags="--config $variant.cfg"; fi
     run "segment-long-$variant" segment --audio "$long_wav" $flags
@@ -137,4 +142,4 @@ done
 same diarize-long-default diarize-long-default-unpinned
 same sweep sweep-unpinned
 
-find . -type f | LC_ALL=C sort | xargs sha256sum
+find . -type f -print0 | LC_ALL=C sort -z | xargs -0 sha256sum

@@ -118,6 +118,11 @@ def _int_tuple(value) -> tuple[int, ...]:
     return tuple(int(v) for v in str(value).split(","))
 
 
+def _rttm_id(audio_path) -> str:
+    """The RTTM file id of a WAV: its stem, each whitespace character as _."""
+    return "".join("_" if c.isspace() else c for c in Path(audio_path).stem)
+
+
 def _load_truth(path):
     with open(path) as fh:
         try:
@@ -211,7 +216,7 @@ def _cmd_identify(args) -> int:
         fh.write("cluster_id,speaker_id,confidence\n")
         for lab in result.labels:
             fh.write(f"{lab.cluster_id},{lab.speaker_id},{lab.confidence:.6f}\n")
-    export_rttm(result, Path(args.audio).stem, out / "diarization.rttm")
+    export_rttm(result, _rttm_id(args.audio), out / "diarization.rttm")
     print(f"labeled {len(result.labels)} clusters")
     return 0
 
@@ -223,7 +228,7 @@ def _cmd_diarize(args) -> int:
     write_cluster_csv(out / "clusters.csv", result.segments, result.clusters,
                       result.features.hop_sec)
     if result.labels:
-        export_rttm(result, Path(args.audio).stem, out / "diarization.rttm")
+        export_rttm(result, _rttm_id(args.audio), out / "diarization.rttm")
     text = report_json(result)
     with open(out / "report.json", "w") as fh:
         fh.write(text)

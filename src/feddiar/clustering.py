@@ -48,7 +48,7 @@ from .divergence import (
     stacked_log_det,
     stacked_ridge,
 )
-from .errors import DimensionMismatch, NoSegments, WindowTooSmall
+from .errors import DimensionMismatch, WindowTooSmall
 
 # Relative margin by which a merge-cost bound must clear its threshold
 # before it settles a pair (see _settled and _top_eigenvalues): the bounds
@@ -109,10 +109,9 @@ def cluster_segments(
     """Greedily merge segment clusters while the cheapest pair attracts.
 
     Returns cluster membership over the eligible segments plus the ordered
-    merge trace; too-short segments get assignment None.
+    merge trace; too-short segments get assignment None, and with no
+    eligible segment (or none at all) the set is empty.
     """
-    if not segments:
-        raise NoSegments("no segments to cluster")
     cfg = cfg or BicConfig()
 
     eligible = [i for i, s in enumerate(segments) if s.n_frames >= min_segment_frames]

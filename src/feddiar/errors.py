@@ -55,12 +55,6 @@ class NonFiniteInput(FeddiarError, ValueError):
     """A window or its statistics hold NaN or inf."""
 
 
-# -- clustering -------------------------------------------------------------
-
-class NoSegments(FeddiarError):
-    pass
-
-
 # -- identifier model -------------------------------------------------------
 
 class InvalidArch(FeddiarError):

@@ -4,19 +4,22 @@ The feature pipeline is: pre-emphasis -> Hamming window -> magnitude
 spectrum -> mel filterbank -> log (floored) -> DCT-II, keeping cepstral
 coefficients 1..12. Coefficient 0 carries frame energy and is dropped;
 energy handling lives in the silence module. Frames are FRAME_MS long
-every HOP_MS, and every transform, MFCC and silence stage alike, has
-`FrameSequence.fft_size` points: the next power of two at or above the
-frame length.
+every HOP_MS. A `FrameSequence` owns what every pass over it shares, MFCC
+and silence stage alike: its Hamming `window`, its transform length
+`fft_size` (the next power of two at or above the frame length), and its
+Parseval `energies`, the mean |rfft|^2 of each frame without a transform,
+computed once on first read. The silence stage reads them twice; a
+framing used only for MFCC never computes them.
 
 A `FrameSequence` is the framing of one signal: its samples and a
 geometry (frame length, hop, sample rate), with the frames a read-only
 strided view of the samples built once at construction, not a frame
 matrix. Memory does not grow with audio length beyond the outputs: every
-spectral pass (`spectrum_chunks`: here for MFCC, in the silence module for
-the frames that its noise profile re-ranks and those that its spectral
-subtraction needs; the Parseval energies there need no transform) walks
-the frames in chunks through work buffers that each call allocates once
-and overwrites with `out=` for every chunk. A chunk holds CHUNK_FRAMES
+pass (`spectrum_chunks`: here for MFCC, in the silence module for the
+frames that its noise profile re-ranks and those that its spectral
+subtraction needs; and the energies, which need no transform) walks the
+frames in chunks through work buffers that each call allocates once and
+overwrites with `out=` for every chunk. A chunk holds CHUNK_FRAMES
 frames; the last one also takes the remainder, so that no chunk is a small
 matrix unless the whole input is: BLAS multiplies small matrices with
 other kernels, whose rounding differs. The results are then bit-identical
@@ -30,7 +33,7 @@ at its default; code that runs later must not count on a frontend pass
 having raised it (identifier training keeps its own workspace for that
 reason).
 
-The full-length passes (MFCC here; the Parseval energies and spectral
+The full-length passes (MFCC and the energies here; the spectral
 subtraction of the silence module) share their chunks out among the
 process's worker threads (see the workers module): each thread takes the
 next chunk of `chunk_bounds`, holds its own buffers and writes only that
@@ -43,6 +46,7 @@ from __future__ import annotations
 import struct
 import wave
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -122,6 +126,52 @@ class FrameSequence:
     def fft_size(self) -> int:
         """Transform length of every spectral pass: next power of two >= frame length."""
         return next_power_of_two(self.frame_len_samples)
+
+    @property
+    def window(self) -> np.ndarray:
+        """The Hamming window of every spectral pass."""
+        return np.hamming(self.frame_len_samples)
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """mean(|rfft(window * frame, n=fft_size)|^2) of every frame, without
+        an FFT: a read-only array, computed on first read.
+
+        With x the windowed frame zero-padded to N = fft_size samples, as
+        rfft pads it, Parseval's identity over the full spectrum and its
+        conjugate symmetry give sum over the rfft bins of |X_k|^2 =
+        (N sum x^2 + X_0^2 + X_{N/2}^2) / 2, where X_0 = sum x and X_{N/2} =
+        sum (-1)^n x (absent for odd N). With f the frame and w the window,
+        sum x^2 is f^2 @ w^2 and (X_0, X_{N/2}) is f @ (w, (-1)^n w). The
+        result differs from the FFT's only by rounding.
+        """
+        fft_size, window = self.fft_size, self.window
+        ends = np.stack([window, window], axis=1)
+        ends[1::2, 1] *= -1.0
+        if fft_size % 2:
+            ends[:, 1] = 0.0
+        square_window = window * window
+        rows = chunk_rows(len(self))
+        energies = np.empty(len(self))
+
+        def work(chunks):
+            f = np.empty((rows, self.frame_len_samples))
+            edge = np.empty((rows, 2))
+            for start, stop in chunks:
+                fc = f[:stop - start]
+                fc[...] = self.frames[start:stop]
+                ec = np.matmul(fc, ends, out=edge[:stop - start])
+                np.square(ec, out=ec)
+                np.square(fc, out=fc)
+                out = np.matmul(fc, square_window, out=energies[start:stop])
+                out *= fft_size
+                out += ec[:, 0]
+                out += ec[:, 1]
+
+        run_shared(chunk_bounds(len(self)), work)
+        energies /= 2 * (fft_size // 2 + 1)
+        energies.flags.writeable = False
+        return energies
 
     def frame_onsets_sec(self) -> np.ndarray:
         return np.arange(len(self)) * self.hop_samples / self.sample_rate_hz
@@ -255,16 +305,15 @@ def chunk_rows(n: int) -> int:
 
 def spectrum_chunks(
     frames: FrameSequence,
-    fft_size: int,
     pre_emphasis: float = 0.0,
     index: np.ndarray | None = None,
     chunks=None,
 ):
-    """Magnitude spectra of Hamming-windowed frames, chunk by chunk.
+    """Magnitude spectra of windowed frames, chunk by chunk.
 
-    Yields (start, mag) where row j of mag is |rfft| (n = fft_size, at least
-    the frame length) of frame start + j, or of frame index[start + j] when
-    an index is given. With pre_emphasis > 0 each frame is first
+    Yields (start, mag) where row j of mag is |rfft(frames.window * frame)|
+    (n = frames.fft_size) for frame start + j, or for frame index[start + j]
+    when an index is given. With pre_emphasis > 0 each frame is first
     pre-emphasised, keeping its first sample as-is; that takes whole passes
     only, and with an index raises InvalidConfig. mag is a view of a
     buffer that the next chunk overwrites. chunks, when given, is an
@@ -275,8 +324,7 @@ def spectrum_chunks(
         raise InvalidConfig("pre-emphasis takes whole passes, not indexed frames")
     n = len(frames) if index is None else len(index)
     rows = chunk_rows(n)
-    frame_len = frames.frame_len_samples
-    window = np.hamming(frame_len)
+    frame_len, fft_size, window = frames.frame_len_samples, frames.fft_size, frames.window
     # Zero-tailed, so that rfft transforms fft_size samples as they lie
     # instead of padding a copy of each row (same bits, a quarter faster).
     x = np.zeros((rows, fft_size))
@@ -332,15 +380,13 @@ def _window_span(frames: FrameSequence, start: int, stop: int, pre_emphasis: flo
 
 def compute_mfcc(frames: FrameSequence, cfg: MfccConfig) -> FeatureMatrix:
     """Extract one MFCC row per frame (coefficients 1..num_coefficients)."""
-    fft_size = frames.fft_size
-    fb = mel_filterbank(NUM_MEL_FILTERS, fft_size, frames.sample_rate_hz)
+    fb = mel_filterbank(NUM_MEL_FILTERS, frames.fft_size, frames.sample_rate_hz)
 
     rows = np.empty((len(frames), cfg.num_coefficients))
 
     def work(chunks):
         mel = np.empty((chunk_rows(len(frames)), NUM_MEL_FILTERS))
-        for start, spectrum in spectrum_chunks(frames, fft_size, PRE_EMPHASIS,
-                                               chunks=chunks):
+        for start, spectrum in spectrum_chunks(frames, PRE_EMPHASIS, chunks=chunks):
             log_mel = np.matmul(spectrum, fb.T, out=mel[:len(spectrum)])
             np.maximum(log_mel, LOG_FLOOR, out=log_mel)
             np.log(log_mel, out=log_mel)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     EmptySegment,
     EmptySet,
     InvalidArch,
+    InvalidSpec,
     LabelOutOfRange,
     ZeroNormEmbedding,
 )
@@ -425,16 +427,23 @@ def save_checkpoint(path, model: ModelWeights) -> None:
 
 
 def load_checkpoint(path) -> ModelWeights:
-    with np.load(path) as data:
-        arch_json = json.loads(bytes(data["arch"]).decode())
-        if arch_json.get("activation") != ACTIVATION:
-            raise InvalidArch(
-                f"unsupported activation {arch_json.get('activation')!r}")
-        arch = ModelArch(input_dim=int(arch_json["input_dim"]),
-                         hidden_sizes=tuple(arch_json["hidden_sizes"]),
-                         num_classes=int(arch_json["num_classes"]))
-        n_layers = len(arch.layer_sizes) - 1
-        weights = tuple(data[f"w{i}"] for i in range(n_layers))
-        biases = tuple(data[f"b{i}"] for i in range(n_layers))
-        version = int(data["version"])
+    """The model of a save_checkpoint file; InvalidSpec, naming the file,
+    when it is not one (not an npz, a missing array, malformed arch JSON)."""
+    try:
+        with np.load(path) as data:
+            arch_json = json.loads(bytes(data["arch"]).decode())
+            if arch_json.get("activation") != ACTIVATION:
+                raise InvalidArch(
+                    f"unsupported activation {arch_json.get('activation')!r}")
+            arch = ModelArch(input_dim=int(arch_json["input_dim"]),
+                             hidden_sizes=tuple(arch_json["hidden_sizes"]),
+                             num_classes=int(arch_json["num_classes"]))
+            n_layers = len(arch.layer_sizes) - 1
+            weights = tuple(data[f"w{i}"] for i in range(n_layers))
+            biases = tuple(data[f"b{i}"] for i in range(n_layers))
+            version = int(data["version"])
+    except (AttributeError, EOFError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise InvalidSpec(f"{path} is not a model checkpoint: "
+                          f"{type(exc).__name__} {exc}") from exc
     return ModelWeights(arch=arch, weights=weights, biases=biases, version=version)

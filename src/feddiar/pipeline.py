@@ -238,8 +238,6 @@ def run_pipeline(
 
     def clustering_stage():
         segments = build_segments(features, silences, change_points)
-        if not segments:
-            return segments, ClusterSet(clusters=[], assignments=[], merge_trace=[])
         return segments, cluster_segments(segments, cfg.bic,
                                           cfg.min_segment_frames, counter)
 
@@ -274,7 +272,10 @@ def report_json(result: DiarizationResult) -> str:
 
 
 def export_rttm(result: DiarizationResult, file_id: str, path) -> None:
-    """One RTTM line per labeled segment interval."""
+    """One RTTM line per labeled segment interval, in onset order; InvalidSpec
+    when file_id is empty or holds whitespace, which would split its field."""
+    if file_id.split() != [file_id]:
+        raise InvalidSpec(f"an RTTM file id must be one non-empty word, got {file_id!r}")
     hop = result.features.hop_sec
     by_cluster = {lab.cluster_id: lab for lab in result.labels}
     lines = []
@@ -286,13 +287,13 @@ def export_rttm(result: DiarizationResult, file_id: str, path) -> None:
             seg = result.segments[seg_idx]
             onset = seg.start_frame * hop
             duration = seg.n_frames * hop
-            lines.append(
-                f"SPEAKER {file_id} 1 {onset:.3f} {duration:.3f} "
-                f"<NA> <NA> spk{label.speaker_id} <NA> <NA>")
-    lines.sort(key=lambda s: float(s.split()[3]))
+            lines.append((onset,
+                          f"SPEAKER {file_id} 1 {onset:.3f} {duration:.3f} "
+                          f"<NA> <NA> spk{label.speaker_id} <NA> <NA>"))
+    lines.sort(key=lambda line: line[0])
     try:
         with open(path, "w") as fh:
-            fh.write("".join(line + "\n" for line in lines))
+            fh.write("".join(line + "\n" for _, line in lines))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

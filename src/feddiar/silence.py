@@ -4,24 +4,22 @@ A quasi-silence is any sustained low-energy pause, whether or not it
 coincides with a speaker switch. Detected regions anchor the change-point
 search windows in the segmentation module.
 
-The frames are a `frontend.FrameSequence`, the samples of one signal and
-its frame geometry, read here only through its strided view of frames.
-Spectra come from `frontend.spectrum_chunks`, CHUNK_FRAMES frames at a
-time through buffers allocated once per call, so memory stays flat in the
-audio length and results equal a whole-matrix pass bit for bit.
-`parseval_energies` and `spectral_subtract`, whole or indexed, share their
-chunks out among threads as the MFCC pass does (see the workers module),
-with the same bits on any number of threads; the noise profile's passes
-over its few candidate frames, and its ordered sum of their spectra, stay
-on the calling thread. Each transform has `FrameSequence.fft_size`
-points, the next power of two at or above the frame length, as the MFCC
-transform has. No step transforms every frame. The noise profile ranks
-the frames by energy without an FFT: by Parseval's identity the mean of
-|rfft|^2 follows from each windowed frame's sum of squares and its first
-and Nyquist bins. Only the frames within a small margin of the quietest
-noise_percentile are transformed, to rank them by their exact FFT
-energies and to sum the spectra of the quietest, so the profile equals
-the one from a full-spectrum ranking bit for bit.
+The frames are a `frontend.FrameSequence`: the samples of one signal, its
+frame geometry, and the window, transform length and Parseval energies
+that every step here reads from it (the energies computed once per
+sequence). Spectra come from `frontend.spectrum_chunks`, CHUNK_FRAMES
+frames at a time through buffers allocated once per call, so memory stays
+flat in the audio length and results equal a whole-matrix pass bit for
+bit. `spectral_subtract`, whole or indexed, shares its chunks out among
+threads as the MFCC pass does (see the workers module), with the same
+bits on any number of threads; the noise profile's passes over its few
+candidate frames, and its ordered sum of their spectra, stay on the
+calling thread. No step transforms every frame. The noise profile ranks
+the frames by their Parseval energies, which need no FFT. Only the frames
+within a small margin of the quietest noise_percentile are transformed,
+to rank them by their exact FFT energies and to sum the spectra of the
+quietest, so the profile equals the one from a full-spectrum ranking bit
+for bit.
 
 `find_quasi_silences` subtracts the noise only where the residual energy
 can decide a region. The same Parseval energy E_X bounds a frame's
@@ -47,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, TooFewFrames
-from .frontend import FrameSequence, chunk_bounds, chunk_rows, spectrum_chunks
+from .frontend import FrameSequence, chunk_bounds, spectrum_chunks
 from .workers import run_shared
 
 ENERGY_FLOOR = 1e-12
@@ -93,53 +91,15 @@ class QuasiSilenceRegion:
         return self.end_frame - self.start_frame + 1
 
 
-def parseval_energies(frames: FrameSequence, fft_size: int) -> np.ndarray:
-    """mean(|rfft(w * frame, n=fft_size)|^2) of every frame, without an FFT.
-
-    w is the Hamming window and fft_size at least the frame length. With x
-    the windowed frame zero-padded to fft_size samples, as rfft pads it,
-    Parseval's identity over the full spectrum and its conjugate symmetry
-    give sum over the rfft bins of |X_k|^2 = (N sum x^2 + X_0^2 + X_{N/2}^2) / 2
-    for N = fft_size, where X_0 = sum x and X_{N/2} = sum (-1)^n x (absent
-    for odd N). With f the frame, sum x^2 is f^2 @ w^2 and (X_0, X_{N/2}) is
-    f @ (w, (-1)^n w). The result differs from the FFT's only by rounding.
-    """
-    window = np.hamming(frames.frame_len_samples)
-    ends = np.stack([window, window], axis=1)
-    ends[1::2, 1] *= -1.0
-    if fft_size % 2:
-        ends[:, 1] = 0.0
-    square_window = window * window
-    rows = chunk_rows(len(frames))
-    energies = np.empty(len(frames))
-
-    def work(chunks):
-        f = np.empty((rows, frames.frame_len_samples))
-        edge = np.empty((rows, 2))
-        for start, stop in chunks:
-            fc = f[:stop - start]
-            fc[...] = frames.frames[start:stop]
-            ec = np.matmul(fc, ends, out=edge[:stop - start])
-            np.square(ec, out=ec)
-            np.square(fc, out=fc)
-            out = np.matmul(fc, square_window, out=energies[start:stop])
-            out *= fft_size
-            out += ec[:, 0]
-            out += ec[:, 1]
-
-    run_shared(chunk_bounds(len(frames)), work)
-    energies /= 2 * (fft_size // 2 + 1)
-    return energies
-
-
 def estimate_noise_profile(frames: FrameSequence, cfg: SilenceConfig) -> NoiseProfile:
     """Per-bin mean magnitude over the quietest noise_percentile of frames.
 
     The k quietest frames are those first in a stable sort of the FFT
     energies mean(|rfft|^2), ties going to the lower frame, and their
     spectra are summed in that order. FFT energies are computed only for
-    the candidates: the frames whose `parseval_energies` are at most the
-    k-th smallest times (1 + CANDIDATE_MARGIN), plus CANDIDATE_FLOOR.
+    the candidates: the frames whose Parseval energies (`frames.energies`)
+    are at most the k-th smallest times (1 + CANDIDATE_MARGIN), plus
+    CANDIDATE_FLOOR.
 
     Why the profile stays exact: a frame's two energies differ only by
     rounding, relative to its energy, plus absolute errors far below
@@ -157,23 +117,22 @@ def estimate_noise_profile(frames: FrameSequence, cfg: SilenceConfig) -> NoisePr
     if len(frames) < MIN_FRAMES_FOR_NOISE:
         raise TooFewFrames(f"need >= {MIN_FRAMES_FOR_NOISE} frames, got {len(frames)}")
 
-    fft_size = frames.fft_size
     k = max(1, int(np.floor(cfg.noise_percentile * len(frames))))
-    approx = parseval_energies(frames, fft_size)
+    approx = frames.energies
     if np.isfinite(approx).all():
         kth = np.partition(approx, k - 1)[k - 1]
         candidates = np.flatnonzero(approx <= kth * (1.0 + CANDIDATE_MARGIN) + CANDIDATE_FLOOR)
     else:
         candidates = np.arange(len(frames))
     energies = np.empty(len(candidates))
-    for start, spectra in spectrum_chunks(frames, fft_size, index=candidates):
+    for start, spectra in spectrum_chunks(frames, index=candidates):
         np.square(spectra, out=spectra)
         np.mean(spectra, axis=1, out=energies[start:start + len(spectra)])
 
     quietest = candidates[np.argsort(energies, kind="stable")[:k]]
     # Summed row by row in `quietest` order, as a mean over axis 0 would be.
-    total = np.zeros(fft_size // 2 + 1)
-    for _, spectra in spectrum_chunks(frames, fft_size, index=quietest):
+    total = np.zeros(frames.fft_size // 2 + 1)
+    for _, spectra in spectrum_chunks(frames, index=quietest):
         for row in spectra:
             total += row
     return NoiseProfile(magnitude_spectrum_estimate=total / k)
@@ -190,15 +149,14 @@ def spectral_subtract(
     magnitude of each frame, or of frame index[j] at j when an index is
     given (each row is computed on its own, so the values are the same).
     """
-    fft_size = frames.fft_size
     profile = noise.magnitude_spectrum_estimate
-    bins = fft_size // 2 + 1
+    bins = frames.fft_size // 2 + 1
     if profile.shape[0] != bins:
         raise DimensionMismatch(f"profile has {profile.shape[0]} bins, frames have {bins}")
     energy = np.empty(len(frames) if index is None else len(index))
 
     def work(chunks):
-        for start, spectra in spectrum_chunks(frames, fft_size, index=index, chunks=chunks):
+        for start, spectra in spectrum_chunks(frames, index=index, chunks=chunks):
             np.subtract(spectra, profile, out=spectra)
             np.maximum(spectra, 0.0, out=spectra)
             np.square(spectra, out=spectra)
@@ -251,8 +209,8 @@ def find_quasi_silences(
 
     The other frames get a placeholder from Parseval bounds on their
     residual energy r = mean(((|X| - N)+)^2), where X is the frame's rfft
-    and N the noise profile. With E_X = mean |X|^2 (`parseval_energies`)
-    and E_N = mean N^2:
+    and N the noise profile. With E_X = mean |X|^2 (`frames.energies`) and
+    E_N = mean N^2:
     - r <= E_X, as (|X| - N)+ <= |X| bin by bin. In floating point too:
       rounding is monotone, so the computed r is at most the computed FFT
       energy, and that differs from E_X only by rounding (see
@@ -289,19 +247,19 @@ def find_quasi_silences(
     n = len(frames)
     if n == 0 or not (profile >= 0.0).all():
         return every_frame()
-    upper = parseval_energies(frames, frames.fft_size)
-    if not np.isfinite(upper).all():
+    energies = frames.energies
+    if not np.isfinite(energies).all():
         return every_frame()
 
     noise_rms = math.sqrt(float(np.mean(np.square(profile))))
-    lower = np.sqrt(upper)
+    lower = np.sqrt(energies)
     lower *= 1.0 - CANDIDATE_MARGIN
     lower -= noise_rms * (1.0 + CANDIDATE_MARGIN)
     np.maximum(lower, 0.0, out=lower)
     np.square(lower, out=lower)
     lower *= 1.0 - CANDIDATE_MARGIN
     lower -= CANDIDATE_FLOOR
-    upper *= 1.0 + CANDIDATE_MARGIN
+    upper = energies * (1.0 + CANDIDATE_MARGIN)
     upper += CANDIDATE_FLOOR
 
     rank = PEAK_PERCENTILE / 100.0 * (n - 1)
@@ -316,7 +274,8 @@ def find_quasi_silences(
     exact = (lower <= window_hi) & (upper >= window_lo)
     exact |= lower <= quiet * (1.0 + CANDIDATE_MARGIN) + CANDIDATE_FLOOR
     idx = np.flatnonzero(exact)
-    track = np.where(upper < window_lo, upper, lower)
+    track = lower       # in place: one per-frame vector fewer held below
+    np.copyto(track, upper, where=upper < window_lo)
     track[idx] = spectral_subtract(frames, noise, index=idx)
     return detect_quasi_silences(track, cfg)
 

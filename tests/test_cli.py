@@ -19,6 +19,7 @@ from feddiar import cli
 from feddiar.cli import load_config_file, main
 from feddiar.frontend import AudioSignal, save_wav
 from feddiar.identifier import ModelArch, init_model, load_checkpoint, save_checkpoint
+from feddiar.pipeline import parse_rttm
 from feddiar.synth import random_conversation_spec, synth_conversation
 
 
@@ -133,6 +134,24 @@ def test_identify_requires_model_and_labels_clusters(tmp_path, capsys) -> None:
     assert labels[0] == "cluster_id,speaker_id,confidence"
     assert len(labels) >= 2
     assert (tmp_path / "diarization.rttm").exists()
+
+
+def test_identify_rttm_of_a_wav_name_with_spaces_round_trips(tmp_path, capsys) -> None:
+    # the stem "my talk" used to give 11-field lines, sorted by the constant
+    # 1 instead of the onset, which parse_rttm refused
+    assert run_cli("synth", "--out-dir", str(tmp_path), "--prefix", "my talk",
+                   "--num-speakers", "2", "--seed", "2") == 0
+    assert run_cli("fedsim", "--out-dir", str(tmp_path), "--num-speakers", "2",
+                   "--rounds", "2", "--local-epochs", "2", "--group-size", "2",
+                   "--lr0", "0.05", "--seed", "2") == 0
+    capsys.readouterr()
+    assert run_cli("identify", "--out-dir", str(tmp_path),
+                   "--audio", str(tmp_path / "my talk.wav"),
+                   "--model", str(tmp_path / "fed_model.npz")) == 0
+    rows = parse_rttm(tmp_path / "diarization.rttm")
+    assert len(rows) > 1 and {row[0] for row in rows} == {"my_talk"}
+    onsets = [row[1] for row in rows]
+    assert onsets == sorted(onsets)
 
 
 def test_sweep_writes_full_grid(tmp_path, capsys) -> None:
@@ -331,6 +350,43 @@ def test_huge_gap_is_refused_with_one_error_line(tmp_path, gap_sec) -> None:
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def malformed_checkpoint(path: Path, case: str) -> None:
+    """A file at path that save_checkpoint did not write, of the given case."""
+    if case == "text file":
+        path.write_text("not a checkpoint\n")
+        return
+    save_checkpoint(path, init_model(ModelArch(12, (4,), 2), seed=0))
+    with np.load(path) as data:
+        arrays = dict(data)
+    arch = json.loads(bytes(arrays["arch"]).decode())
+    if case == "no arch":
+        del arrays["arch"]
+    elif case == "no w0":
+        del arrays["w0"]
+    elif case == "arch not json":
+        arrays["arch"] = np.frombuffer(b"{not json", dtype=np.uint8)
+    elif case == "hidden sizes a string":
+        arch["hidden_sizes"] = "4"
+        arrays["arch"] = np.frombuffer(json.dumps(arch).encode(), dtype=np.uint8)
+    elif case == "object array":
+        arrays["w0"] = np.array([None, 1], dtype=object)
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("case", ["text file", "no arch", "no w0", "arch not json",
+                                  "hidden sizes a string", "object array"])
+def test_malformed_checkpoint_is_refused_with_one_error_line(bad_inputs, tmp_path,
+                                                             case) -> None:
+    # ValueError, KeyError, JSONDecodeError and TypeError used to escape
+    model = tmp_path / "model.npz"
+    malformed_checkpoint(model, case)
+    proc = run_cli_process(["identify", "--audio", str(bad_inputs / "a.wav"),
+                            "--model", str(model)], tmp_path / "out")
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {model} "), proc.stderr
 
 
 @pytest.mark.parametrize("command", ["diarize", "eval"])

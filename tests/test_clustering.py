@@ -16,7 +16,7 @@ from feddiar.clustering import (
     write_cluster_csv,
 )
 from feddiar.divergence import BicConfig, ComputeCounter
-from feddiar.errors import DimensionMismatch, NoSegments, WindowTooSmall
+from feddiar.errors import DimensionMismatch, WindowTooSmall
 
 
 def make_segment(start, rows):
@@ -53,9 +53,9 @@ def test_single_segment_single_cluster() -> None:
     assert result.merge_trace == []
 
 
-def test_no_segments_rejected() -> None:
-    with pytest.raises(NoSegments):
-        cluster_segments([])
+def test_no_segments_give_the_empty_cluster_set() -> None:
+    result = cluster_segments([])
+    assert (result.clusters, result.assignments, result.merge_trace) == ([], [], [])
 
 
 def test_same_speaker_segments_all_merge() -> None:

@@ -217,6 +217,21 @@ def bursty_signal(num_frames: int, seed: int = 0, sr: int = 16000) -> AudioSigna
     return AudioSignal(rng.standard_normal(n) * envelope, sr)
 
 
+def noisy_signal(num_frames: int, sample_rate: int, seed: int) -> AudioSignal:
+    """Noise of changing loudness that frames into num_frames frames."""
+    frame_len = round(FRAME_MS * sample_rate / 1000)
+    hop = round(HOP_MS * sample_rate / 1000)
+    rng = np.random.default_rng(seed)
+    n = frame_len + hop * (num_frames - 1) + int(rng.integers(0, hop))
+    return AudioSignal(rng.standard_normal(n) * rng.uniform(0.0, 1.0, n) ** 4, sample_rate)
+
+
+# The transform length of each kind of framing, and a sample rate whose
+# 25 ms frames take it: padded (400 samples), exact (256) and odd (one
+# sample, a one-point transform without a Nyquist bin)
+FRAMING_RATES = {512: 16000, 256: 10240, 1: 51}
+
+
 def assert_bits_equal(a: np.ndarray, b: np.ndarray) -> None:
     assert a.shape == b.shape and a.dtype == b.dtype
     assert a.tobytes() == b.tobytes()
@@ -267,27 +282,44 @@ def test_chunked_mfcc_bit_equal_on_dense_frame_sequence(pre_emphasis, monkeypatc
 
 
 @pytest.mark.parametrize("pre_emphasis", [0.0, 0.97])
-@pytest.mark.parametrize("fft_size", [400, 511, 512, 1024])   # exact, odd, padded
+@pytest.mark.parametrize("fft_size", FRAMING_RATES)
 def test_spectrum_chunks_bit_equal_to_padding_rfft(fft_size, pre_emphasis) -> None:
     # spectrum_chunks transforms a zero-tailed buffer; numpy pads each row
     # itself when n exceeds the row length
-    sig = bursty_signal(2 * CHUNK_FRAMES + 40, seed=fft_size)
-    frames = frame_signal(sig)
+    frames = frame_signal(noisy_signal(2 * CHUNK_FRAMES + 40, FRAMING_RATES[fft_size],
+                                       seed=fft_size))
+    assert frames.fft_size == fft_size
     x = frames.frames
     if pre_emphasis > 0.0:
         x = np.concatenate([x[:, :1], x[:, 1:] - pre_emphasis * x[:, :-1]], axis=1)
-    want = np.abs(np.fft.rfft(x * np.hamming(400), n=fft_size, axis=1))
+    window = np.hamming(frames.frame_len_samples)
+    assert_bits_equal(frames.window, window)
+    want = np.abs(np.fft.rfft(x * window, n=fft_size, axis=1))
     index = np.random.default_rng(fft_size).permutation(len(frames))[:CHUNK_FRAMES + 3]
     for idx, rows in ((None, want), (index, want[index])):
         if idx is not None and pre_emphasis > 0.0:
             # pre-emphasis takes whole passes only
             with pytest.raises(InvalidConfig):
-                next(spectrum_chunks(frames, fft_size, pre_emphasis, idx))
+                next(spectrum_chunks(frames, pre_emphasis, idx))
             continue
         got = np.empty_like(rows)
-        for start, mag in spectrum_chunks(frames, fft_size, pre_emphasis, idx):
+        for start, mag in spectrum_chunks(frames, pre_emphasis, idx):
             got[start:start + len(mag)] = mag
         assert_bits_equal(got, rows)
+
+
+def test_energies_are_computed_once_and_refuse_writes() -> None:
+    frames = frame_signal(bursty_signal(CHUNK_FRAMES + 9))
+    energies = frames.energies
+    assert frames.energies is energies
+    assert not energies.flags.writeable
+    with pytest.raises(ValueError):
+        energies[0] = 1.0
+    with pytest.raises(ValueError):
+        energies *= 2.0
+    with pytest.raises(AttributeError):     # a frozen dataclass
+        frames.energies = np.zeros(len(frames))
+    assert frames.energies is energies
 
 
 @pytest.mark.parametrize("num_samples, frame_len, hop", [

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -13,7 +14,7 @@ from feddiar.clustering import ClusterSet, Segment
 from feddiar.divergence import BicConfig
 from feddiar.errors import EmptyCorpus, FeddiarError, InvalidSpec, StageError
 from feddiar.federated import FederatedConfig
-from feddiar.frontend import AudioSignal, FeatureMatrix, MfccConfig
+from feddiar.frontend import AudioSignal, FeatureMatrix, FrameSequence, MfccConfig
 from feddiar.identifier import ModelArch, init_model, train_local
 from feddiar.pipeline import (
     ClusterLabel,
@@ -260,6 +261,23 @@ def test_frontend_and_silence_names_failing_stage() -> None:
     assert err.value.stage == "silence"
 
 
+def test_frontend_and_silence_computes_the_energies_once(monkeypatch, small_conv) -> None:
+    # the noise profile and find_quasi_silences both read them
+    real = FrameSequence.energies.func
+    calls = []
+
+    def counting(frames):
+        calls.append(len(frames))
+        return real(frames)
+
+    spy = functools.cached_property(counting)
+    spy.__set_name__(FrameSequence, "energies")
+    monkeypatch.setattr(FrameSequence, "energies", spy)
+    features, silences = frontend_and_silence(small_conv[0], PipelineConfig())
+    assert silences
+    assert calls == [len(features)]
+
+
 def traced_peak_and_outputs(seconds: float) -> tuple[int, int]:
     """(peak traced bytes of frontend_and_silence, bytes of its outputs)."""
     rng = np.random.default_rng(0)
@@ -312,6 +330,17 @@ def test_rttm_empty_result_round_trip(tmp_path) -> None:
     export_rttm(result, "f", path)
     assert path.read_text() == ""
     assert parse_rttm(path) == []
+
+
+@pytest.mark.parametrize("file_id", ["", "my talk", "my\ttalk", "talk\n"])
+def test_rttm_refuses_a_file_id_that_is_not_one_word(tmp_path, file_id) -> None:
+    result = DiarizationResult(
+        change_points=change_list([]), silences=[], segments=[],
+        clusters=ClusterSet(clusters=[], assignments=[]), labels=[],
+        features=feature_matrix(10))
+    with pytest.raises(InvalidSpec):
+        export_rttm(result, file_id, tmp_path / "o.rttm")
+    assert not (tmp_path / "o.rttm").exists()
 
 
 def test_rttm_lines_sorted_by_onset(tmp_path, small_conv) -> None:

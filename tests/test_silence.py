@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_frontend import (
     CHUNK_EDGE_COUNTS,
+    FRAMING_RATES,
     assert_bits_equal,
     bursty_signal,
+    noisy_signal,
     reference_frame_signal,
 )
 
@@ -32,7 +34,6 @@ from feddiar.silence import (
     detect_quasi_silences,
     estimate_noise_profile,
     find_quasi_silences,
-    parseval_energies,
     silent_frame_mask,
     spectral_subtract,
     write_region_csv,
@@ -285,12 +286,14 @@ def near_tie_group(seed: int, size: int = 40) -> np.ndarray:
     return np.vstack([base, base[:, ::-1]])
 
 
-@pytest.mark.parametrize("fft_size", [511, 512, 1024])   # odd, padded
+@pytest.mark.parametrize("fft_size", FRAMING_RATES)
 def test_parseval_energies_match_fft_energies(fft_size) -> None:
-    frames = frame_signal(bursty_signal(3 * CHUNK_FRAMES + 7, seed=8))
-    spectra = np.abs(np.fft.rfft(frames.frames * np.hamming(400), n=fft_size, axis=1))
+    frames = frame_signal(noisy_signal(3 * CHUNK_FRAMES + 7, FRAMING_RATES[fft_size], seed=8))
+    assert frames.fft_size == fft_size
+    windowed = frames.frames * np.hamming(frames.frame_len_samples)
+    spectra = np.abs(np.fft.rfft(windowed, n=fft_size, axis=1))
     want = np.mean(spectra ** 2, axis=1)
-    np.testing.assert_allclose(parseval_energies(frames, fft_size), want, rtol=1e-13)
+    np.testing.assert_allclose(frames.energies, want, rtol=1e-13)
 
 
 @pytest.mark.parametrize("noise_percentile", [0.1, 0.9])
@@ -302,7 +305,7 @@ def test_rerank_exact_where_parseval_and_fft_order_disagree(noise_percentile, se
     cfg = SilenceConfig(noise_percentile=noise_percentile)
     k = int(np.floor(noise_percentile * len(frames)))
     by_fft = np.argsort(fft_energies(frames.frames), kind="stable")[:k]
-    by_parseval = np.argsort(parseval_energies(frames, 512), kind="stable")[:k]
+    by_parseval = np.argsort(frames.energies, kind="stable")[:k]
     assert set(by_fft.tolist()) != set(by_parseval.tolist())   # the inputs bite
     check_silence_stage_bit_equal(frames, frames.frames, cfg)
 
@@ -339,12 +342,12 @@ def transformed_rows(monkeypatch, run) -> list[int]:
     calls, passes = [], []
     lock = threading.Lock()
 
-    def counting(frames, fft_size, pre_emphasis=0.0, index=None, chunks=None):
+    def counting(frames, pre_emphasis=0.0, index=None, chunks=None):
         with lock:
             if chunks is None or not any(c is chunks for c in passes):
                 passes.append(chunks)
                 calls.append(len(frames) if index is None else len(index))
-        return spectrum_chunks(frames, fft_size, pre_emphasis, index, chunks)
+        return spectrum_chunks(frames, pre_emphasis, index, chunks)
 
     with monkeypatch.context() as m:
         m.setattr(silence, "spectrum_chunks", counting)
@@ -353,7 +356,7 @@ def transformed_rows(monkeypatch, run) -> list[int]:
 
 
 def candidate_count(frames: FrameSequence, k: int) -> int:
-    energies = parseval_energies(frames, 512)
+    energies = frames.energies
     kth = np.sort(energies)[k - 1]
     return int(np.count_nonzero(energies <= kth * (1 + CANDIDATE_MARGIN) + CANDIDATE_FLOOR))
 
@@ -424,7 +427,7 @@ def check_quasi_silences_exact(frames: FrameSequence, noise: NoiseProfile,
 def residual_bounds(frames: FrameSequence, noise: NoiseProfile) -> tuple[np.ndarray, np.ndarray]:
     """The widened Parseval bounds on the residual energy, as documented in
     find_quasi_silences."""
-    energy = parseval_energies(frames, 512)
+    energy = frames.energies
     noise_rms = math.sqrt(np.mean(noise.magnitude_spectrum_estimate ** 2))
     root = np.maximum(np.sqrt(energy) * (1 - CANDIDATE_MARGIN)
                       - noise_rms * (1 + CANDIDATE_MARGIN), 0.0)
@@ -535,7 +538,7 @@ def test_find_quasi_silences_exact_on_ties_at_the_peak(seed, scale) -> None:
     lower, upper = residual_bounds(frames, noise)
     assert np.all(lower <= track) and np.all(track <= upper)
     by_track = np.argsort(track, kind="stable")
-    by_parseval = np.argsort(parseval_energies(frames, 512), kind="stable")
+    by_parseval = np.argsort(frames.energies, kind="stable")
     k0 = math.floor(0.95 * (len(frames) - 1))
     assert set(by_track[k0:k0 + 2].tolist()) != set(by_parseval[k0:k0 + 2].tolist())
     for threshold_db in (1.0, 30.0, 60.0, 80.0):

@@ -16,6 +16,7 @@ from test_frontend import (
     CHUNK_EDGE_COUNTS,
     assert_bits_equal,
     bursty_signal,
+    noisy_signal,
     reference_compute_mfcc,
 )
 
@@ -25,9 +26,6 @@ from feddiar.errors import InvalidSpec, StageError, TrainingDiverged
 from feddiar.federated import FederatedConfig, build_network, run_experiment
 from feddiar.frontend import (
     CHUNK_FRAMES,
-    FRAME_MS,
-    HOP_MS,
-    AudioSignal,
     FrameSequence,
     MfccConfig,
     compute_mfcc,
@@ -35,12 +33,7 @@ from feddiar.frontend import (
 )
 from feddiar.identifier import ModelArch
 from feddiar.pipeline import PipelineConfig, frontend_and_silence
-from feddiar.silence import (
-    SilenceConfig,
-    estimate_noise_profile,
-    parseval_energies,
-    spectral_subtract,
-)
+from feddiar.silence import SilenceConfig, estimate_noise_profile, spectral_subtract
 from feddiar.synth import (
     random_conversation_spec,
     speaker_frame_corpus,
@@ -59,7 +52,7 @@ CHUNK_COUNTS = (1, 2, 3, 4)
 def passes(frames, noise, index) -> list[np.ndarray]:
     return [
         compute_mfcc(frames, MfccConfig()).rows,
-        parseval_energies(frames, frames.fft_size),
+        frames.energies,
         spectral_subtract(frames, noise),
         spectral_subtract(frames, noise, index=index),
     ]
@@ -68,8 +61,8 @@ def passes(frames, noise, index) -> list[np.ndarray]:
 @pytest.mark.parametrize("chunks", CHUNK_COUNTS)
 def test_passes_bit_equal_on_any_worker_count(monkeypatch, chunks) -> None:
     n = chunks * CHUNK_FRAMES + 37
-    frames = frame_signal(bursty_signal(n, seed=chunks))
-    noise = estimate_noise_profile(frames, SilenceConfig())
+    sig = bursty_signal(n, seed=chunks)
+    noise = estimate_noise_profile(frame_signal(sig), SilenceConfig())
     # unsorted, with repeats, as many rows as frames
     index = np.random.default_rng(chunks).integers(0, n, size=n)
     results = {}
@@ -78,21 +71,13 @@ def test_passes_bit_equal_on_any_worker_count(monkeypatch, chunks) -> None:
     try:
         for count in WORKERS:
             monkeypatch.setattr(workers, "_workers", lambda: count)
-            results[count] = passes(frames, noise, index)
+            # a new sequence per run, whose energies no earlier run computed
+            results[count] = passes(frame_signal(sig), noise, index)
     finally:
         sys.setswitchinterval(interval)
     for count in WORKERS[1:]:
         for got, want in zip(results[count], results[1]):
             assert_bits_equal(got, want)
-
-
-def noisy_signal(num_frames: int, sample_rate: int, seed: int) -> AudioSignal:
-    """Noise of changing loudness that frames into num_frames frames."""
-    frame_len = round(FRAME_MS * sample_rate / 1000)
-    hop = round(HOP_MS * sample_rate / 1000)
-    rng = np.random.default_rng(seed)
-    n = frame_len + hop * (num_frames - 1) + int(rng.integers(0, hop))
-    return AudioSignal(rng.standard_normal(n) * rng.uniform(0.0, 1.0, n) ** 4, sample_rate)
 
 
 @pytest.mark.parametrize("sample_rate", [8000, 16000])
@@ -153,14 +138,14 @@ def test_failure_in_a_pool_thread_arrives_as_the_stage_error(monkeypatch, long_c
     real = module.spectrum_chunks
     failed = threading.Event()
 
-    def failing(frames, fft_size, pre_emphasis=0.0, index=None, chunks=None):
+    def failing(frames, pre_emphasis=0.0, index=None, chunks=None):
         if chunks is not None:   # a pass shared out by chunks
             if count > 1 and threading.current_thread() is threading.main_thread():
                 assert failed.wait(30), "no pool thread took a chunk"
             else:
                 failed.set()
                 raise ChunkFailed("chunk failed")
-        yield from real(frames, fft_size, pre_emphasis, index, chunks)
+        yield from real(frames, pre_emphasis, index, chunks)
 
     monkeypatch.setattr(module, "spectrum_chunks", failing)
     with pytest.raises(StageError) as err:
