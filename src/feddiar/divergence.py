@@ -10,12 +10,13 @@ different speakers:
   under the pooled covariance. Needs a single covariance fit, which is
   why it is the cheap pre-filter.
 
-A covariance fit is built on Cholesky factorisations (LAPACK dpotrf), not
-on an eigenvalue decomposition and an LU determinant: the ridge rule
-"smallest eigenvalue <= eps * trace / d", with eps the constant
-REGULARIZATION_EPS, is tested as "C - (eps * trace / d) * I does not
-factor", and log|C| is 2 sum log diag(L) of the factor of the (ridged)
-covariance, -inf when it does not factor.
+Both take the same fit: the MLE covariance, built on Cholesky
+factorisations (LAPACK dpotrf), not on an eigenvalue decomposition and an
+LU determinant. The ridge rule "smallest eigenvalue <= eps * trace / d",
+with eps the constant REGULARIZATION_EPS, is tested as "C - (eps * trace /
+d) * I does not factor"; the fit keeps the lower factor L of the (ridged)
+covariance, log|C| is 2 sum log diag(L), and T^2 is a triangular solve
+against L.
 
 A ComputeCounter tracks covariance fits and divergence evaluations so the
 relative cost of the two methods can be measured exactly; one fit counts one
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .errors import (
     DimensionMismatch,
@@ -84,10 +85,13 @@ class BicConfig:
 
 @dataclass(frozen=True)
 class GaussianStats:
-    """Sample mean and covariance of a window of feature rows."""
+    """Sample mean and MLE covariance of a window of feature rows; factor
+    is the covariance's lower Cholesky factor (upper triangle not cleared),
+    None where it does not factor."""
 
     mean: np.ndarray
     covariance: np.ndarray
+    factor: np.ndarray | None
     log_det: float
     n: int
 
@@ -99,41 +103,47 @@ def _as_window(rows) -> np.ndarray:
     return w
 
 
-def _cholesky_log_det(matrix: np.ndarray) -> float:
-    """log|matrix| as 2 sum log diag(L), or -inf if it does not factor."""
+def _split(x_window, y_window, min_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two halves as (n, d) float arrays and the pooled window."""
+    x = _as_window(x_window)
+    y = _as_window(y_window)
+    if x.shape[1] != y.shape[1]:
+        raise DimensionMismatch(f"window dims differ: {x.shape[1]} vs {y.shape[1]}")
+    if x.shape[0] < min_rows or y.shape[0] < min_rows:
+        raise WindowTooSmall(f"each sub-window needs >= {min_rows} rows")
+    return x, y, np.concatenate([x, y], axis=0)
+
+
+def _cholesky(matrix: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """The lower factor L and log|matrix| = 2 sum log diag(L), or (None, -inf)
+    if it does not factor."""
     factor, info = dpotrf(matrix, lower=1, clean=0)
     if info != 0:
-        return -np.inf
-    return 2.0 * float(np.log(factor.diagonal()).sum())
+        return None, -np.inf
+    return factor, 2.0 * float(np.log(factor.diagonal()).sum())
 
 
-def gaussian_fit(
-    window,
-    estimator: str = "mle",
-    counter: ComputeCounter | None = None,
-) -> GaussianStats:
-    """Fit mean and covariance to a window of shape (n, d).
+def gaussian_fit(window, counter: ComputeCounter | None = None) -> GaussianStats:
+    """Fit mean and MLE covariance to a window of shape (n, d).
 
     With eps = REGULARIZATION_EPS, a covariance whose smallest eigenvalue
     is at most eps * trace / d gets a ridge of (eps * trace / d) * I so the
     log-determinant stays finite; a zero covariance (all rows equal) falls
     back to eps * I. The eigenvalue test is made as "C - (eps * trace / d)
-    * I has no Cholesky factor", and log|C| comes from the Cholesky factor
-    of the (ridged) covariance, -inf when it does not factor. Raises
-    NonFiniteInput on NaN or inf rows. Counts one covariance computation.
+    * I has no Cholesky factor". The fit keeps the lower Cholesky factor of
+    the (ridged) covariance and log|C| from it, None and -inf when it does
+    not factor. Raises NonFiniteInput on NaN or inf rows. Counts one
+    covariance computation.
     """
     w = _as_window(window)
     n, d = w.shape
     if n < 2:
         raise WindowTooSmall(f"covariance fit needs >= 2 rows, got {n}")
-    if estimator not in ("mle", "unbiased"):
-        raise ValueError(f"unknown estimator '{estimator}'")
 
     # add.reduce / n is w.mean(axis=0) without its Python-level overhead
     mean = np.add.reduce(w, axis=0) / n
     centered = w - mean
-    divisor = n if estimator == "mle" else n - 1
-    cov = (centered.T @ centered) / divisor
+    cov = (centered.T @ centered) / n
     trace = float(cov.trace())
     # a NaN or inf anywhere in the window reaches the diagonal through the centring
     if not math.isfinite(trace):
@@ -142,8 +152,8 @@ def gaussian_fit(
     # rounding dust from centering identical rows is O(eps_mach^2 * |x|^2)
     # per dimension; anything at that level is a zero variance, and the
     # proportional ridge below would be dust too. The mean square of the
-    # raw rows is (tr S + n |mean|^2) / (n d), S the centred scatter.
-    mean_sq = (trace * divisor + n * float(mean @ mean)) / (n * d)
+    # raw rows is (tr C + |mean|^2) / d.
+    mean_sq = (trace + float(mean @ mean)) / d
     dust = 1e-24 * max(mean_sq, 1e-30) * d
     if trace <= dust:
         cov = cov + REGULARIZATION_EPS * np.eye(d)
@@ -154,12 +164,12 @@ def gaussian_fit(
         if dpotrf(cov - ridge * np.eye(d), lower=1, clean=0)[1] != 0:
             cov = cov + ridge * np.eye(d)
 
-    log_det = _cholesky_log_det(cov)
+    factor, log_det = _cholesky(cov)
 
     if counter is not None:
         counter.covariance_count += 1
 
-    return GaussianStats(mean=mean, covariance=cov, log_det=log_det, n=n)
+    return GaussianStats(mean=mean, covariance=cov, factor=factor, log_det=log_det, n=n)
 
 
 def _stacked_cholesky_log_det(stack: np.ndarray) -> np.ndarray:
@@ -168,7 +178,7 @@ def _stacked_cholesky_log_det(stack: np.ndarray) -> np.ndarray:
         factor = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         # the batched factorisation fails as a whole: factor one at a time
-        return np.array([_cholesky_log_det(m) for m in stack])
+        return np.array([_cholesky(m)[1] for m in stack])
     return 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
 
 
@@ -233,17 +243,10 @@ def delta_bic(
     speaker change. Counts three covariance computations.
     """
     cfg = cfg or BicConfig()
-    x = _as_window(x_window)
-    y = _as_window(y_window)
-    if x.shape[1] != y.shape[1]:
-        raise DimensionMismatch(f"window dims differ: {x.shape[1]} vs {y.shape[1]}")
-    if x.shape[0] < 2 or y.shape[0] < 2:
-        raise WindowTooSmall("each sub-window needs >= 2 rows")
-
-    s = np.concatenate([x, y], axis=0)
-    stats_s = gaussian_fit(s, "mle", counter)
-    stats_x = gaussian_fit(x, "mle", counter)
-    stats_y = gaussian_fit(y, "mle", counter)
+    x, y, s = _split(x_window, y_window, 2)
+    stats_s = gaussian_fit(s, counter)
+    stats_x = gaussian_fit(x, counter)
+    stats_y = gaussian_fit(y, counter)
 
     n_s, n_x, n_y = stats_s.n, stats_x.n, stats_y.n
     d = x.shape[1]
@@ -268,33 +271,25 @@ def hotelling_t2(
     """Hotelling's two-sample T^2 between the sub-window means.
 
     T^2 = (Nx * Ny / Ns) * (mx - my)' Sigma^-1 (mx - my), where Sigma is the
-    unbiased covariance of the pooled window, ridged as gaussian_fit
-    ridges it. Counts a single covariance computation. Raises
-    SingularCovariance if that covariance still cannot be solved against.
+    unbiased covariance of the pooled window. That is Ns / (Ns - 1) times
+    its MLE covariance C = L L', and the proportional ridge scales with
+    the matrix, so T^2 = (Nx * Ny / Ns) * ((Ns - 1) / Ns) * |L^-1 (mx -
+    my)|^2, with L the factor gaussian_fit keeps: one triangular solve.
+    The one exception is a zero-variance pooled window, whose absolute
+    eps * I ridge does not scale; there the mean difference, and so T^2,
+    is ~0 either way. Counts a single covariance computation. Raises
+    SingularCovariance if the covariance does not factor.
     """
-    x = _as_window(x_window)
-    y = _as_window(y_window)
-    if x.shape[1] != y.shape[1]:
-        raise DimensionMismatch(f"window dims differ: {x.shape[1]} vs {y.shape[1]}")
-    if x.shape[0] < 1 or y.shape[0] < 1:
-        raise WindowTooSmall("each sub-window needs >= 1 row")
+    x, y, s = _split(x_window, y_window, 1)
+    stats = gaussian_fit(s, counter)
+    if stats.factor is None:
+        raise SingularCovariance("pooled covariance has no Cholesky factor")
 
-    s = np.concatenate([x, y], axis=0)
-    if s.shape[0] < 2:
-        raise WindowTooSmall("pooled window needs >= 2 rows")
-
-    stats = gaussian_fit(s, "unbiased", counter)
-
-    n_x, n_y = x.shape[0], y.shape[0]
+    n_x, n_y, n_s = x.shape[0], y.shape[0], stats.n
     # add.reduce / n is .mean(axis=0) without its Python-level overhead
     diff = np.add.reduce(x, axis=0) / n_x - np.add.reduce(y, axis=0) / n_y
-    try:
-        solved = np.linalg.solve(stats.covariance, diff)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(str(exc)) from exc
-    value = (n_x * n_y / (n_x + n_y)) * float(diff @ solved)
+    z = dtrtrs(stats.factor, diff, lower=1)[0]
 
     if counter is not None:
         counter.t2_count += 1
-    # the quadratic form is non-negative up to roundoff
-    return max(0.0, value)
+    return (n_x * n_y / n_s) * ((n_s - 1) / n_s) * float(z @ z)

@@ -428,7 +428,8 @@ def save_checkpoint(path, model: ModelWeights) -> None:
 
 def load_checkpoint(path) -> ModelWeights:
     """The model of a save_checkpoint file; InvalidSpec, naming the file,
-    when it is not one (not an npz, a missing array, malformed arch JSON)."""
+    when it is not one (not an npz, a missing array, malformed arch JSON, a
+    weight or bias that is not a finite float64 array)."""
     try:
         with np.load(path) as data:
             arch_json = json.loads(bytes(data["arch"]).decode())
@@ -446,4 +447,7 @@ def load_checkpoint(path) -> ModelWeights:
             zipfile.BadZipFile) as exc:
         raise InvalidSpec(f"{path} is not a model checkpoint: "
                           f"{type(exc).__name__} {exc}") from exc
+    if not all(a.dtype == np.float64 and np.isfinite(a).all() for a in weights + biases):
+        raise InvalidSpec(f"{path} is not a model checkpoint: "
+                          "a weight or bias is not a finite float64 array")
     return ModelWeights(arch=arch, weights=weights, biases=biases, version=version)

@@ -233,19 +233,18 @@ def find_quasi_silences(
     order statistics at their ranks, with the same values, every silent
     frame keeps its exact energy, and every placeholder is above the
     silence threshold: the regions equal the oracle's, mean_energy_db
-    included, bit for bit. If there are no frames, a profile bin is
-    negative or NaN, a Parseval energy is not finite (an FFT energy can
-    overflow only where Parseval's sum of squares, which is at least as
-    large, does too), or the peak's lower bound is at or below
-    ENERGY_FLOOR, where every frame may count as silent, every frame is
-    subtracted.
+    included, bit for bit. If a profile bin is negative or NaN, a Parseval
+    energy is not finite (an FFT energy can overflow only where Parseval's
+    sum of squares, which is at least as large, does too), or the peak's
+    lower bound is at or below ENERGY_FLOOR, where every frame may count
+    as silent, every frame is subtracted.
     """
     def every_frame():
         return detect_quasi_silences(spectral_subtract(frames, noise), cfg)
 
     profile = noise.magnitude_spectrum_estimate
     n = len(frames)
-    if n == 0 or not (profile >= 0.0).all():
+    if not (profile >= 0.0).all():
         return every_frame()
     energies = frames.energies
     if not np.isfinite(energies).all():

@@ -372,14 +372,22 @@ def malformed_checkpoint(path: Path, case: str) -> None:
         arrays["arch"] = np.frombuffer(json.dumps(arch).encode(), dtype=np.uint8)
     elif case == "object array":
         arrays["w0"] = np.array([None, 1], dtype=object)
+    elif case == "nan w0":
+        arrays["w0"] = np.full_like(arrays["w0"], np.nan)
+    elif case == "inf w0":
+        arrays["w0"][0, 0] = np.inf
+    elif case == "complex w0":
+        arrays["w0"] = arrays["w0"].astype(np.complex128)
     np.savez(path, **arrays)
 
 
 @pytest.mark.parametrize("case", ["text file", "no arch", "no w0", "arch not json",
-                                  "hidden sizes a string", "object array"])
+                                  "hidden sizes a string", "object array", "nan w0",
+                                  "inf w0", "complex w0"])
 def test_malformed_checkpoint_is_refused_with_one_error_line(bad_inputs, tmp_path,
                                                              case) -> None:
-    # ValueError, KeyError, JSONDecodeError and TypeError used to escape
+    # ValueError, KeyError, JSONDecodeError and TypeError used to escape;
+    # NaN, inf and complex weights used to exit 0 with nan confidences
     model = tmp_path / "model.npz"
     malformed_checkpoint(model, case)
     proc = run_cli_process(["identify", "--audio", str(bad_inputs / "a.wav"),

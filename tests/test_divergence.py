@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cholesky, solve_triangular
 from scipy.stats import multivariate_normal
 
 from feddiar.divergence import (
@@ -111,14 +112,18 @@ def assert_log_det_close(got, want, cov, regularized):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from(WINDOW_KINDS),
-       st.integers(min_value=1, max_value=12), st.sampled_from(["mle", "unbiased"]))
-def test_fit_matches_eigenvalue_oracle(seed, kind, d, estimator) -> None:
+       st.integers(min_value=1, max_value=12))
+def test_fit_matches_eigenvalue_oracle(seed, kind, d) -> None:
     w = draw_window(np.random.default_rng(seed), kind, d)
-    mean, cov, log_det, regularized = reference_gaussian_fit(w, estimator)
-    got = gaussian_fit(w, estimator)
+    mean, cov, log_det, regularized = reference_gaussian_fit(w)
+    got = gaussian_fit(w)
     assert np.array_equal(got.mean, mean)
     assert np.array_equal(got.covariance, cov)
     assert_log_det_close(got.log_det, log_det, cov, regularized)
+    assert (got.factor is None) == math.isinf(got.log_det)
+    if got.factor is not None:
+        lower = np.tril(got.factor)
+        assert np.allclose(lower @ lower.T, cov, rtol=1e-12, atol=1e-12 * np.abs(cov).max())
 
 
 @settings(max_examples=150, deadline=None)
@@ -138,7 +143,8 @@ def test_stacked_log_det_matches_eigenvalue_oracle(seed, kinds, d) -> None:
 
 
 def reference_divergences(x, y):
-    """delta BIC and T^2 from the oracle fits."""
+    """delta BIC and T^2 from the oracle fits; T^2 from the Cholesky factor
+    of the pooled MLE covariance, times (Ns - 1) / Ns."""
     s = np.vstack([x, y])
     fits = [reference_gaussian_fit(w, "mle") for w in (s, x, y)]
     d = x.shape[1]
@@ -146,10 +152,19 @@ def reference_divergences(x, y):
            - 0.5 * (d + d * (d + 1) // 2) * np.log(len(s)))
     bic_tol = sum(0.5 * len(w) * log_det_tolerance(f[1], f[2], f[3])
                   for w, f in zip((s, x, y), fits))
+    diff = x.mean(axis=0) - y.mean(axis=0)
+    z = solve_triangular(cholesky(fits[0][1], lower=True), diff, lower=True)
+    n_s = len(s)
+    t2 = (len(x) * len(y) / n_s) * ((n_s - 1) / n_s) * float(z @ z)
+    return bic, bic_tol, t2
+
+
+def reference_t2_unbiased(x, y):
+    """Textbook T^2: the ridged unbiased pooled covariance, solved by LU."""
+    s = np.vstack([x, y])
     _, pooled, _, _ = reference_gaussian_fit(s, "unbiased")
     diff = x.mean(axis=0) - y.mean(axis=0)
-    t2 = (len(x) * len(y) / len(s)) * float(diff @ np.linalg.solve(pooled, diff))
-    return bic, bic_tol, max(0.0, t2)
+    return (len(x) * len(y) / len(s)) * float(diff @ np.linalg.solve(pooled, diff))
 
 
 @settings(max_examples=200, deadline=None)
@@ -165,8 +180,20 @@ def test_divergences_match_eigenvalue_oracle(seed, kind_x, kind_y, d) -> None:
         assert got == bic or (math.isnan(got) and math.isnan(bic))
     else:
         assert got == pytest.approx(bic, rel=1e-12, abs=bic_tol)
-    # the pooled covariance is bit-equal, so is the solve against it
+    # the pooled covariance is bit-equal, so are its factor and the solve
     assert hotelling_t2(x, y) == t2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from(WINDOW_KINDS),
+       st.sampled_from(WINDOW_KINDS), st.integers(min_value=1, max_value=12))
+def test_t2_matches_unbiased_lu_definition(seed, kind_x, kind_y, d) -> None:
+    # the proportional ridge scales with the covariance, so the MLE factor
+    # gives the unbiased covariance's T^2 up to rounding
+    rng = np.random.default_rng(seed)
+    x = draw_window(rng, kind_x, d)
+    y = draw_window(rng, kind_y, d)
+    assert hotelling_t2(x, y) == pytest.approx(reference_t2_unbiased(x, y), rel=1e-9)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -194,11 +221,9 @@ def test_non_finite_rows_raise(bad) -> None:
 
 def test_fit_two_point_means_and_covariances() -> None:
     w = np.array([[0.0], [2.0]])
-    mle = gaussian_fit(w, estimator="mle")
-    unb = gaussian_fit(w, estimator="unbiased")
+    mle = gaussian_fit(w)
     assert mle.mean[0] == pytest.approx(1.0)
     assert mle.covariance[0, 0] == pytest.approx(1.0)
-    assert unb.covariance[0, 0] == pytest.approx(2.0)
     assert mle.n == 2
 
 
@@ -260,7 +285,7 @@ def gaussian_log_likelihood(window, stats) -> float:
 def test_log_likelihood_matches_scipy() -> None:
     rng = np.random.default_rng(2)
     w = rng.standard_normal((60, 4))
-    stats = gaussian_fit(w, estimator="mle")
+    stats = gaussian_fit(w)
     assert gaussian_log_likelihood(w, stats) == pytest.approx(mle_loglik(w), rel=1e-10)
 
 
