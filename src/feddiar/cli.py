@@ -60,14 +60,14 @@ def load_config_file(path) -> dict[str, str]:
         try:
             lines = list(fh)
         except UnicodeDecodeError as exc:
-            raise FeddiarError(f"config file {path} is not UTF-8 text: {exc}") from exc
+            raise InvalidConfig(f"config file {path} is not UTF-8 text: {exc}") from exc
     out: dict[str, str] = {}
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise FeddiarError(f"bad config line: {raw.rstrip()}")
+            raise InvalidConfig(f"bad config line: {raw.rstrip()}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out

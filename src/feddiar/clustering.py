@@ -48,7 +48,7 @@ from .divergence import (
     stacked_log_det,
     stacked_ridge,
 )
-from .errors import DimensionMismatch, WindowTooSmall
+from .errors import InvalidInput
 
 # Relative margin by which a merge-cost bound must clear its threshold
 # before it settles a pair (see _settled and _top_eigenvalues): the bounds
@@ -65,7 +65,7 @@ class Segment:
 
     def __post_init__(self):
         if self.start_frame >= self.end_frame:
-            raise ValueError("segment must span at least one frame")
+            raise InvalidInput("segment must span at least one frame")
 
     @property
     def n_frames(self) -> int:
@@ -224,9 +224,9 @@ def _segment_stats(windows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows = [np.asarray(w, dtype=np.float64) for w in windows]
     rows = [w[:, None] if w.ndim == 1 else w for w in rows]
     if len({w.shape[1] for w in rows}) > 1:
-        raise DimensionMismatch("segments differ in feature dimension")
+        raise InvalidInput("segments differ in feature dimension")
     if min(len(w) for w in rows) < 2:
-        raise WindowTooSmall("each clustered segment needs >= 2 rows")
+        raise InvalidInput("each clustered segment needs >= 2 rows")
     n = np.array([len(w) for w in rows], dtype=np.float64)
     mean = np.stack([w.mean(axis=0) for w in rows])
     scatter = np.stack([(w - m).T @ (w - m) for w, m in zip(rows, mean)])

@@ -33,13 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .errors import (
-    DimensionMismatch,
-    InvalidConfig,
-    NonFiniteInput,
-    SingularCovariance,
-    WindowTooSmall,
-)
+from .errors import InvalidConfig, InvalidInput
 
 # Relative ridge of a near-singular covariance (see gaussian_fit).
 REGULARIZATION_EPS = 1e-6
@@ -108,9 +102,9 @@ def _split(x_window, y_window, min_rows: int) -> tuple[np.ndarray, np.ndarray, n
     x = _as_window(x_window)
     y = _as_window(y_window)
     if x.shape[1] != y.shape[1]:
-        raise DimensionMismatch(f"window dims differ: {x.shape[1]} vs {y.shape[1]}")
+        raise InvalidInput(f"window dims differ: {x.shape[1]} vs {y.shape[1]}")
     if x.shape[0] < min_rows or y.shape[0] < min_rows:
-        raise WindowTooSmall(f"each sub-window needs >= {min_rows} rows")
+        raise InvalidInput(f"each sub-window needs >= {min_rows} rows")
     return x, y, np.concatenate([x, y], axis=0)
 
 
@@ -132,13 +126,13 @@ def gaussian_fit(window, counter: ComputeCounter | None = None) -> GaussianStats
     back to eps * I. The eigenvalue test is made as "C - (eps * trace / d)
     * I has no Cholesky factor". The fit keeps the lower Cholesky factor of
     the (ridged) covariance and log|C| from it, None and -inf when it does
-    not factor. Raises NonFiniteInput on NaN or inf rows. Counts one
+    not factor. Raises InvalidInput on NaN or inf rows. Counts one
     covariance computation.
     """
     w = _as_window(window)
     n, d = w.shape
     if n < 2:
-        raise WindowTooSmall(f"covariance fit needs >= 2 rows, got {n}")
+        raise InvalidInput(f"covariance fit needs >= 2 rows, got {n}")
 
     # add.reduce / n is w.mean(axis=0) without its Python-level overhead
     mean = np.add.reduce(w, axis=0) / n
@@ -147,7 +141,7 @@ def gaussian_fit(window, counter: ComputeCounter | None = None) -> GaussianStats
     trace = float(cov.trace())
     # a NaN or inf anywhere in the window reaches the diagonal through the centring
     if not math.isfinite(trace):
-        raise NonFiniteInput("covariance fit of a window holding NaN or inf")
+        raise InvalidInput("covariance fit of a window holding NaN or inf")
 
     # rounding dust from centering identical rows is O(eps_mach^2 * |x|^2)
     # per dimension; anything at that level is a zero variance, and the
@@ -193,7 +187,7 @@ def stacked_ridge(n, mean: np.ndarray,
     (REGULARIZATION_EPS) as it is, any other one only if its smallest
     eigenvalue is at most its ridge (REGULARIZATION_EPS * trace / d). The
     mean square of the raw rows is recovered as (tr S + n |mean|^2) / (n d).
-    Raises NonFiniteInput when a mean or scatter trace is NaN or inf.
+    Raises InvalidInput when a mean or scatter trace is NaN or inf.
     """
     n = np.asarray(n, dtype=np.float64)
     d = scatter.shape[-1]
@@ -202,7 +196,7 @@ def stacked_ridge(n, mean: np.ndarray,
     mean_sq = ((np.trace(scatter, axis1=1, axis2=2)
                 + n * np.einsum("ki,ki->k", mean, mean)) / (n * d))
     if not np.isfinite(mean_sq).all():
-        raise NonFiniteInput("sufficient statistics hold NaN or inf")
+        raise InvalidInput("sufficient statistics hold NaN or inf")
     zero_variance = trace <= 1e-24 * np.maximum(mean_sq, 1e-30) * d
     ridge = np.where(zero_variance, REGULARIZATION_EPS, REGULARIZATION_EPS * trace / d)
     return cov, ridge, zero_variance
@@ -213,7 +207,7 @@ def stacked_log_det(n, mean: np.ndarray, scatter: np.ndarray) -> np.ndarray:
 
     Applies stacked_ridge's rule to every matrix of the stack and returns
     the (k,) log-determinants from batched Cholesky factors (-inf where the
-    covariance is not positive definite). Raises NonFiniteInput as
+    covariance is not positive definite). Raises InvalidInput as
     stacked_ridge does. Counts nothing: callers account for their own work.
     """
     cov, ridge, zero_variance = stacked_ridge(n, mean, scatter)
@@ -278,12 +272,12 @@ def hotelling_t2(
     The one exception is a zero-variance pooled window, whose absolute
     eps * I ridge does not scale; there the mean difference, and so T^2,
     is ~0 either way. Counts a single covariance computation. Raises
-    SingularCovariance if the covariance does not factor.
+    InvalidInput if the covariance does not factor.
     """
     x, y, s = _split(x_window, y_window, 1)
     stats = gaussian_fit(s, counter)
     if stats.factor is None:
-        raise SingularCovariance("pooled covariance has no Cholesky factor")
+        raise InvalidInput("pooled covariance has no Cholesky factor")
 
     n_x, n_y, n_s = x.shape[0], y.shape[0], stats.n
     # add.reduce / n is .mean(axis=0) without its Python-level overhead

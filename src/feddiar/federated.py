@@ -31,14 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    ArchMismatch,
-    BadGroupSize,
-    InsufficientData,
-    InvalidConfig,
-    TooManyClients,
-    TrainingDiverged,
-)
+from .errors import InvalidConfig, InvalidInput, TrainingDiverged
 from .identifier import (
     AdamState,
     ModelArch,
@@ -75,7 +68,7 @@ class GroupAssignment:
     def __post_init__(self):
         for g, arb in zip(self.groups, self.arbitrators):
             if arb not in g:
-                raise ValueError("arbitrator must belong to its group")
+                raise InvalidInput("arbitrator must belong to its group")
 
 
 @dataclass(frozen=True)
@@ -95,7 +88,7 @@ class FederatedConfig:
         if self.num_clients < 1:
             raise InvalidConfig("num_clients must be at least 1")
         if self.group_size < 1:
-            raise BadGroupSize("group_size must be at least 1")
+            raise InvalidConfig("group_size must be at least 1")
         if self.rounds < 1:
             raise InvalidConfig("rounds must be at least 1")
         if self.local_epochs < 0:
@@ -131,7 +124,7 @@ def partition_non_iid(corpus: dict[int, np.ndarray], num_clients: int):
     """One speaker per client, in ascending speaker-id order."""
     speakers = sorted(corpus)
     if num_clients > len(speakers):
-        raise TooManyClients(
+        raise InvalidConfig(
             f"{num_clients} clients but only {len(speakers)} speakers")
     out = []
     for speaker in speakers[:num_clients]:
@@ -147,7 +140,7 @@ def partition_iid(corpus: dict[int, np.ndarray], num_clients: int, seed: int):
     for speaker in sorted(corpus):
         frames = np.asarray(corpus[speaker], dtype=np.float64)
         if frames.shape[0] < num_clients:
-            raise InsufficientData(
+            raise InvalidInput(
                 f"speaker {speaker} has {frames.shape[0]} frames "
                 f"for {num_clients} clients")
         rng = substream(seed, "iid", speaker)
@@ -164,7 +157,7 @@ def form_groups(client_ids, group_size: int, round: int, seed: int) -> GroupAssi
     ids = list(client_ids)
     n = len(ids)
     if group_size < 1 or group_size > n:
-        raise BadGroupSize(f"group_size {group_size} for {n} clients")
+        raise InvalidConfig(f"group_size {group_size} for {n} clients")
     rng = substream(seed, "groups", round)
     order = [ids[i] for i in rng.permutation(n)]
     num_groups = n // group_size
@@ -182,16 +175,16 @@ def form_groups(client_ids, group_size: int, round: int, seed: int) -> GroupAssi
 def aggregate(models: list[ModelWeights], counts) -> ModelWeights:
     """Sample-count-weighted parameter average; weights sum to one."""
     if not models:
-        raise ValueError("nothing to aggregate")
+        raise InvalidInput("nothing to aggregate")
     counts = [int(c) for c in counts]
     if len(counts) != len(models):
-        raise ValueError("one count per model required")
+        raise InvalidInput("one count per model required")
     if any(c <= 0 for c in counts):
-        raise ValueError("counts must be positive")
+        raise InvalidInput("counts must be positive")
     arch = models[0].arch
     for m in models[1:]:
         if m.arch != arch:
-            raise ArchMismatch("cannot aggregate differing architectures")
+            raise InvalidInput("cannot aggregate differing architectures")
     if len(models) == 1:
         return models[0]
     total = float(sum(counts))
@@ -209,7 +202,7 @@ def aggregate(models: list[ModelWeights], counts) -> ModelWeights:
 def lr_schedule(round: int, cfg: FederatedConfig) -> float:
     """Geometric decay from the initial rate."""
     if round < 0:
-        raise ValueError("round must be non-negative")
+        raise InvalidInput("round must be non-negative")
     return cfg.lr0 * cfg.lr_decay ** round
 
 
@@ -280,7 +273,7 @@ def holdout_split(corpus: dict[int, np.ndarray], seed: int):
         frames = np.asarray(corpus[speaker], dtype=np.float64)
         n = frames.shape[0]
         if n < 2:
-            raise InsufficientData(f"speaker {speaker} has {n} frames")
+            raise InvalidInput(f"speaker {speaker} has {n} frames")
         rng = substream(seed, "eval", speaker)
         order = rng.permutation(n)
         n_eval = max(1, int(round(HOLDOUT_FRACTION * n)))

@@ -52,13 +52,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.fft import dct
 
-from .errors import (
-    InvalidConfig,
-    MalformedWav,
-    SampleRateTooLow,
-    SignalTooShort,
-    UnsupportedEncoding,
-)
+from .errors import InvalidConfig, InvalidInput, InvalidSpec
 from .workers import run_shared
 
 PCM16_FULL_SCALE = 32768.0
@@ -211,9 +205,8 @@ class FeatureMatrix:
 def load_wav(path) -> AudioSignal:
     """Read a 16-bit PCM RIFF/WAVE file as a normalized mono signal.
 
-    Stereo input is downmixed by channel mean. Raises MalformedWav, naming
-    the file, for container problems and UnsupportedEncoding for non-PCM-16
-    payloads.
+    Stereo input is downmixed by channel mean. Raises InvalidSpec for
+    container problems, naming the file, and for non-PCM-16 payloads.
     """
     try:
         with wave.open(str(path), "rb") as wf:
@@ -224,17 +217,17 @@ def load_wav(path) -> AudioSignal:
             raw = wf.readframes(n_frames)
     except wave.Error as exc:
         if "unknown format" in str(exc).lower():
-            raise UnsupportedEncoding(str(exc)) from exc
-        raise MalformedWav(f"{path}: {exc}") from exc
+            raise InvalidSpec(str(exc)) from exc
+        raise InvalidSpec(f"{path}: {exc}") from exc
     except (EOFError, struct.error) as exc:
         # EOFError carries no message
-        raise MalformedWav(f"{path}: truncated WAV header "
-                           f"({str(exc) or type(exc).__name__})") from exc
+        raise InvalidSpec(f"{path}: truncated WAV header "
+                          f"({str(exc) or type(exc).__name__})") from exc
 
     if samp_width != 2:
-        raise UnsupportedEncoding(f"expected 16-bit PCM, got {8 * samp_width}-bit")
+        raise InvalidSpec(f"expected 16-bit PCM, got {8 * samp_width}-bit")
     if n_channels not in (1, 2):
-        raise UnsupportedEncoding(f"expected mono or stereo, got {n_channels} channels")
+        raise InvalidSpec(f"expected mono or stereo, got {n_channels} channels")
 
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     if n_channels == 2:
@@ -258,17 +251,17 @@ def frame_signal(signal: AudioSignal) -> FrameSequence:
     frame is dropped.
 
     The frames are a read-only strided view of the samples: no copy is made.
-    Raises SampleRateTooLow where the hop rounds to no samples.
+    Raises InvalidInput where the hop rounds to no samples.
     """
     rate = signal.sample_rate_hz
     frame_len = int(round(FRAME_MS * rate / 1000.0))
     hop = int(round(HOP_MS * rate / 1000.0))
     if min(frame_len, hop) < 1:
-        raise SampleRateTooLow(f"sample rate {rate} Hz is too low: a {HOP_MS:g} ms "
-                               f"hop must hold at least one sample")
+        raise InvalidInput(f"sample rate {rate} Hz is too low: a {HOP_MS:g} ms "
+                           f"hop must hold at least one sample")
     n = len(signal.samples)
     if n < frame_len:
-        raise SignalTooShort(f"{n} samples < one {frame_len}-sample frame")
+        raise InvalidInput(f"{n} samples < one {frame_len}-sample frame")
     return FrameSequence(signal.samples, frame_len, hop, rate)
 
 

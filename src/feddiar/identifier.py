@@ -22,18 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterSet, Segment, cluster_rows
-from .errors import (
-    ArchMismatch,
-    DimensionMismatch,
-    EmptyCluster,
-    EmptyData,
-    EmptySegment,
-    EmptySet,
-    InvalidArch,
-    InvalidSpec,
-    LabelOutOfRange,
-    ZeroNormEmbedding,
-)
+from .errors import InvalidConfig, InvalidInput, InvalidSpec
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -51,11 +40,11 @@ class ModelArch:
 
     def __post_init__(self):
         if not self.hidden_sizes:
-            raise InvalidArch("at least one hidden layer required")
+            raise InvalidConfig("at least one hidden layer required")
         if self.num_classes < 2:
-            raise InvalidArch("need at least two classes")
+            raise InvalidConfig("need at least two classes")
         if self.input_dim < 1 or any(h < 1 for h in self.hidden_sizes):
-            raise InvalidArch("layer sizes must be positive")
+            raise InvalidConfig("layer sizes must be positive")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
 
     @property
@@ -73,10 +62,10 @@ class ModelWeights:
     def __post_init__(self):
         sizes = self.arch.layer_sizes
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
-            raise ArchMismatch("layer count does not match arch")
+            raise InvalidInput("layer count does not match arch")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (sizes[i], sizes[i + 1]) or b.shape != (sizes[i + 1],):
-                raise ArchMismatch(f"layer {i} shape {w.shape} does not chain")
+                raise InvalidInput(f"layer {i} shape {w.shape} does not chain")
 
     def bumped(self, new_weights, new_biases) -> "ModelWeights":
         return ModelWeights(arch=self.arch,
@@ -108,7 +97,7 @@ class Embedding:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         if not np.all(np.isfinite(v)):
-            raise ValueError("embedding entries must be finite")
+            raise InvalidInput("embedding entries must be finite")
         object.__setattr__(self, "values", v)
 
 
@@ -117,7 +106,7 @@ class EmbeddingBank:
 
     def __init__(self, bank_cap: int = DEFAULT_BANK_CAP):
         if bank_cap < 1:
-            raise ValueError("bank_cap must be positive")
+            raise InvalidConfig("bank_cap must be positive")
         self.bank_cap = bank_cap
         self._store: dict[int, list[Embedding]] = {}
 
@@ -161,13 +150,13 @@ def _check_training_data(model: ModelWeights, frames, labels):
     frames = np.asarray(frames, dtype=np.float64)
     labels = np.asarray(labels)
     if frames.ndim != 2 or frames.shape[1] != model.arch.input_dim:
-        raise DimensionMismatch(f"frames shape {frames.shape}")
+        raise InvalidInput(f"frames shape {frames.shape}")
     if frames.shape[0] == 0:
-        raise EmptyData("no training frames")
+        raise InvalidInput("no training frames")
     if labels.shape != (frames.shape[0],):
-        raise DimensionMismatch("labels must align with frames")
+        raise InvalidInput("labels must align with frames")
     if labels.min() < 0 or labels.max() >= model.arch.num_classes:
-        raise LabelOutOfRange(
+        raise InvalidInput(
             f"labels must lie in [0, {model.arch.num_classes})")
     return frames, labels.astype(np.int64)
 
@@ -322,9 +311,9 @@ def embed_segment(model: ModelWeights, rows: np.ndarray) -> Embedding:
     if rows.ndim == 1:
         rows = rows[None, :]
     if rows.shape[0] == 0:
-        raise EmptySegment("cannot embed an empty segment")
+        raise InvalidInput("cannot embed an empty segment")
     if rows.shape[1] != model.arch.input_dim:
-        raise DimensionMismatch(f"rows have dimension {rows.shape[1]}")
+        raise InvalidInput(f"rows have dimension {rows.shape[1]}")
     logits = _forward_batch(model, rows)
     return Embedding(values=logits.mean(axis=0))
 
@@ -333,7 +322,7 @@ def _embedding_matrix(group) -> np.ndarray:
     vecs = [e.values if isinstance(e, Embedding) else np.asarray(e, dtype=np.float64)
             for e in group]
     if not vecs:
-        raise EmptySet("similarity needs a non-empty embedding set")
+        raise InvalidInput("similarity needs a non-empty embedding set")
     return np.vstack(vecs)
 
 
@@ -342,11 +331,11 @@ def cosine_similarity(td, cd) -> float:
     t = _embedding_matrix(td)
     c = _embedding_matrix(cd)
     if t.shape[1] != c.shape[1]:
-        raise DimensionMismatch("embedding dimensions differ")
+        raise InvalidInput("embedding dimensions differ")
     t_norm = np.linalg.norm(t, axis=1)
     c_norm = np.linalg.norm(c, axis=1)
     if np.any(t_norm == 0.0) or np.any(c_norm == 0.0):
-        raise ZeroNormEmbedding("zero-norm embedding has no direction")
+        raise InvalidInput("zero-norm embedding has no direction")
     cosines = (t / t_norm[:, None]) @ (c / c_norm[:, None]).T
     return float(cosines.mean())
 
@@ -357,9 +346,9 @@ def predict_cluster(model: ModelWeights, rows: np.ndarray) -> tuple[int, float]:
     if rows.ndim == 1:
         rows = rows[None, :]
     if rows.shape[0] == 0:
-        raise EmptyCluster("cannot predict an empty cluster")
+        raise InvalidInput("cannot predict an empty cluster")
     if rows.shape[1] != model.arch.input_dim:
-        raise DimensionMismatch(f"rows have dimension {rows.shape[1]}")
+        raise InvalidInput(f"rows have dimension {rows.shape[1]}")
     logits = _forward_batch(model, rows)
     mean_probs = softmax(logits).mean(axis=0)
     speaker = int(np.argmax(mean_probs))
@@ -428,14 +417,15 @@ def save_checkpoint(path, model: ModelWeights) -> None:
 
 def load_checkpoint(path) -> ModelWeights:
     """The model of a save_checkpoint file; InvalidSpec, naming the file,
-    when it is not one (not an npz, a missing array, malformed arch JSON, a
-    weight or bias that is not a finite float64 array)."""
+    when it is not one (not an npz, a missing array, malformed arch JSON, an
+    unsupported activation, an arch that ModelArch refuses, a weight or bias
+    that is not a finite float64 array)."""
     try:
         with np.load(path) as data:
             arch_json = json.loads(bytes(data["arch"]).decode())
             if arch_json.get("activation") != ACTIVATION:
-                raise InvalidArch(
-                    f"unsupported activation {arch_json.get('activation')!r}")
+                raise InvalidSpec(f"{path} is not a model checkpoint: unsupported "
+                                  f"activation {arch_json.get('activation')!r}")
             arch = ModelArch(input_dim=int(arch_json["input_dim"]),
                              hidden_sizes=tuple(arch_json["hidden_sizes"]),
                              num_classes=int(arch_json["num_classes"]))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyCorpus, InvalidConfig, LengthMismatch, UnsortedInput
+from .errors import InvalidConfig, InvalidInput
 
 DEFAULT_COLLAR_SEC = 0.5
 
@@ -51,7 +51,7 @@ class IdScores:
 def _require_sorted(values, name: str) -> list[float]:
     out = [float(v) for v in values]
     if any(a > b for a, b in zip(out, out[1:])):
-        raise UnsortedInput(f"{name} change points must be sorted")
+        raise InvalidInput(f"{name} change points must be sorted")
     return out
 
 
@@ -99,7 +99,7 @@ def seg_scores(m: MatchResult) -> SegScores:
 def corpus_scores(results: list[MatchResult]) -> CorpusScores:
     """Purity and coverage from summed per-conversation tallies."""
     if not results:
-        raise EmptyCorpus("no conversations to score")
+        raise InvalidInput("no conversations to score")
     matched = sum(m.n_matched for m in results)
     detected = sum(len(m.detected_points) for m in results)
     true = sum(len(m.true_points) for m in results)
@@ -118,7 +118,7 @@ def id_scores(predictions, truths) -> IdScores:
     preds = list(predictions)
     trues = list(truths)
     if len(preds) != len(trues):
-        raise LengthMismatch(f"{len(preds)} predictions vs {len(trues)} truths")
+        raise InvalidInput(f"{len(preds)} predictions vs {len(trues)} truths")
     total = len(trues)
     assigned = [(p, t) for p, t in zip(preds, trues) if p is not None]
     wrong = sum(1 for p, t in assigned if p != t)

@@ -23,7 +23,7 @@ from .clustering import (
     cluster_segments,
 )
 from .divergence import BicConfig, ComputeCounter
-from .errors import EmptyCorpus, InvalidConfig, InvalidSpec, IoFailure, StageError
+from .errors import InvalidConfig, InvalidInput, InvalidSpec, StageError
 from .frontend import (
     AudioSignal,
     FeatureMatrix,
@@ -291,24 +291,28 @@ def export_rttm(result: DiarizationResult, file_id: str, path) -> None:
                           f"SPEAKER {file_id} 1 {onset:.3f} {duration:.3f} "
                           f"<NA> <NA> spk{label.speaker_id} <NA> <NA>"))
     lines.sort(key=lambda line: line[0])
-    try:
-        with open(path, "w") as fh:
-            fh.write("".join(line + "\n" for _, line in lines))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with open(path, "w") as fh:
+        fh.write("".join(line + "\n" for _, line in lines))
 
 
 def parse_rttm(path) -> list[tuple[str, float, float, str]]:
-    """(file_id, onset, duration, speaker) per line; inverse of export_rttm."""
+    """(file_id, onset, duration, speaker) per line; inverse of export_rttm.
+    InvalidSpec, naming the file and the line, when a line is not a SPEAKER
+    line of ten fields with a finite onset and duration."""
     out = []
     with open(path) as fh:
         for line in fh:
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] != "SPEAKER" or len(parts) != 10:
-                raise IoFailure(f"bad rttm line: {line.rstrip()}")
-            out.append((parts[1], float(parts[3]), float(parts[4]), parts[7]))
+            try:
+                onset, duration = float(parts[3]), float(parts[4])
+            except (IndexError, ValueError):
+                onset = duration = math.nan
+            if (parts[0] != "SPEAKER" or len(parts) != 10
+                    or not (math.isfinite(onset) and math.isfinite(duration))):
+                raise InvalidSpec(f"{path}: bad rttm line: {line.rstrip()}")
+            out.append((parts[1], onset, duration, parts[7]))
     return out
 
 
@@ -366,7 +370,7 @@ SWEEP_METHODS = (METHOD_BIC, METHOD_T2)
 def sweep(corpus, cfg: PipelineConfig | None = None) -> list[SweepRow]:
     """Grid over window length, stride fraction, and method, paired on one corpus."""
     if not corpus:
-        raise EmptyCorpus("sweep needs at least one conversation")
+        raise InvalidInput("sweep needs at least one conversation")
     cfg = cfg or PipelineConfig()
     prepared = prepare_conversations(corpus, cfg)
     rows = []

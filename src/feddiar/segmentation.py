@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from .divergence import ComputeCounter, delta_bic, hotelling_t2
-from .errors import InvalidConfig, WindowTooSmall
+from .errors import InvalidConfig, InvalidInput
 from .frontend import FeatureMatrix
 from .silence import QuasiSilenceRegion
 
@@ -132,7 +132,7 @@ def scan_window(
     n, d = w.shape
     min_sub = _min_subwindow(method, d)
     if n < 2 * min_sub:
-        raise WindowTooSmall(f"window of {n} rows cannot host two {min_sub}-row sub-windows")
+        raise InvalidInput(f"window of {n} rows cannot host two {min_sub}-row sub-windows")
 
     best_idx = -1
     best_val = -np.inf

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, TooFewFrames
+from .errors import InvalidConfig, InvalidInput
 from .frontend import FrameSequence, chunk_bounds, spectrum_chunks
 from .workers import run_shared
 
@@ -115,7 +115,7 @@ def estimate_noise_profile(frames: FrameSequence, cfg: SilenceConfig) -> NoisePr
     or inf, every frame is a candidate.
     """
     if len(frames) < MIN_FRAMES_FOR_NOISE:
-        raise TooFewFrames(f"need >= {MIN_FRAMES_FOR_NOISE} frames, got {len(frames)}")
+        raise InvalidInput(f"need >= {MIN_FRAMES_FOR_NOISE} frames, got {len(frames)}")
 
     k = max(1, int(np.floor(cfg.noise_percentile * len(frames))))
     approx = frames.energies
@@ -152,7 +152,7 @@ def spectral_subtract(
     profile = noise.magnitude_spectrum_estimate
     bins = frames.fft_size // 2 + 1
     if profile.shape[0] != bins:
-        raise DimensionMismatch(f"profile has {profile.shape[0]} bins, frames have {bins}")
+        raise InvalidInput(f"profile has {profile.shape[0]} bins, frames have {bins}")
     energy = np.empty(len(frames) if index is None else len(index))
 
     def work(chunks):
@@ -176,7 +176,7 @@ def detect_quasi_silences(energy_track: np.ndarray, cfg: SilenceConfig) -> list[
     """
     energy = np.asarray(energy_track, dtype=np.float64)
     if energy.size == 0:
-        raise ValueError("empty energy track")
+        raise InvalidInput("empty energy track")
 
     peak = np.percentile(energy, PEAK_PERCENTILE)
     if peak <= ENERGY_FLOOR:

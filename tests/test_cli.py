@@ -370,6 +370,12 @@ def malformed_checkpoint(path: Path, case: str) -> None:
     elif case == "hidden sizes a string":
         arch["hidden_sizes"] = "4"
         arrays["arch"] = np.frombuffer(json.dumps(arch).encode(), dtype=np.uint8)
+    elif case == "hidden size zero":
+        arch["hidden_sizes"] = [0]
+        arrays["arch"] = np.frombuffer(json.dumps(arch).encode(), dtype=np.uint8)
+    elif case == "tanh activation":
+        arch["activation"] = "tanh"
+        arrays["arch"] = np.frombuffer(json.dumps(arch).encode(), dtype=np.uint8)
     elif case == "object array":
         arrays["w0"] = np.array([None, 1], dtype=object)
     elif case == "nan w0":
@@ -382,7 +388,8 @@ def malformed_checkpoint(path: Path, case: str) -> None:
 
 
 @pytest.mark.parametrize("case", ["text file", "no arch", "no w0", "arch not json",
-                                  "hidden sizes a string", "object array", "nan w0",
+                                  "hidden sizes a string", "hidden size zero",
+                                  "tanh activation", "object array", "nan w0",
                                   "inf w0", "complex w0"])
 def test_malformed_checkpoint_is_refused_with_one_error_line(bad_inputs, tmp_path,
                                                              case) -> None:
@@ -395,6 +402,21 @@ def test_malformed_checkpoint_is_refused_with_one_error_line(bad_inputs, tmp_pat
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {model} "), proc.stderr
+
+
+def test_unwritable_rttm_is_refused_with_one_error_line_naming_it(bad_inputs,
+                                                                 tmp_path) -> None:
+    # a directory where identify writes its RTTM file
+    model = tmp_path / "model.npz"
+    save_checkpoint(model, init_model(ModelArch(12, (4,), 2), seed=0))
+    rttm = tmp_path / "out" / "diarization.rttm"
+    rttm.mkdir(parents=True)
+    proc = run_cli_process(["identify", "--audio", str(bad_inputs / "speech.wav"),
+                            "--model", str(model)], tmp_path / "out")
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert str(rttm) in lines[0]
 
 
 @pytest.mark.parametrize("command", ["diarize", "eval"])

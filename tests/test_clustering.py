@@ -16,7 +16,7 @@ from feddiar.clustering import (
     write_cluster_csv,
 )
 from feddiar.divergence import BicConfig, ComputeCounter
-from feddiar.errors import DimensionMismatch, WindowTooSmall
+from feddiar.errors import InvalidInput
 
 
 def make_segment(start, rows):
@@ -39,9 +39,9 @@ def test_segment_validation() -> None:
     seg = Segment(10, 15, rows)
     assert seg.n_frames == 5
     assert seg.bounds_sec(0.010) == (pytest.approx(0.10), pytest.approx(0.15))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="segment must span at least one frame"):
         Segment(15, 10, rows)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="segment must span at least one frame"):
         Segment(10, 10, rows)
 
 
@@ -321,10 +321,10 @@ def test_unpriceable_segments_rejected() -> None:
     rng = np.random.default_rng(9)
     segs = [make_segment(0, rng.standard_normal((1, 3))),
             make_segment(5, rng.standard_normal((30, 3)))]
-    with pytest.raises(WindowTooSmall):
+    with pytest.raises(InvalidInput, match="each clustered segment needs >= 2 rows"):
         cluster_segments(segs, min_segment_frames=1)
     assert cluster_segments(segs[:1], min_segment_frames=1).clusters == [[0]]
     mixed = [make_segment(0, rng.standard_normal((30, 3))),
              make_segment(40, rng.standard_normal((30, 4)))]
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidInput, match="segments differ in feature dimension"):
         cluster_segments(mixed)

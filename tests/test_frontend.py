@@ -4,13 +4,7 @@ import pytest
 from scipy.fft import dct
 
 from feddiar import frontend
-from feddiar.errors import (
-    InvalidConfig,
-    MalformedWav,
-    SampleRateTooLow,
-    SignalTooShort,
-    UnsupportedEncoding,
-)
+from feddiar.errors import InvalidConfig, InvalidInput, InvalidSpec
 from feddiar.frontend import (
     CHUNK_FRAMES,
     FRAME_MS,
@@ -53,7 +47,7 @@ def test_frame_onsets_spacing() -> None:
 
 def test_signal_shorter_than_frame_rejected() -> None:
     sig = AudioSignal(np.zeros(399), 16000)
-    with pytest.raises(SignalTooShort):
+    with pytest.raises(InvalidInput, match="399 samples < one 400-sample frame"):
         frame_signal(sig)
 
 
@@ -64,7 +58,7 @@ def test_signal_exactly_one_frame() -> None:
 
 @pytest.mark.parametrize("rate", [1, 20, 50])
 def test_sample_rate_whose_hop_holds_no_sample_rejected(rate) -> None:
-    with pytest.raises(SampleRateTooLow, match=f"sample rate {rate} Hz"):
+    with pytest.raises(InvalidInput, match=f"sample rate {rate} Hz is too low"):
         frame_signal(AudioSignal(np.zeros(1000), rate))
     # 51 Hz is the lowest rate with a one-sample 10 ms hop
     assert frame_signal(AudioSignal(np.zeros(1000), 51)).hop_samples == 1
@@ -111,7 +105,7 @@ def test_stereo_downmix_is_channel_mean(tmp_path) -> None:
 def test_load_rejects_garbage(tmp_path) -> None:
     path = tmp_path / "bad.wav"
     path.write_bytes(b"not a riff header at all")
-    with pytest.raises(MalformedWav):
+    with pytest.raises(InvalidSpec, match="bad.wav: file does not start with RIFF id"):
         load_wav(path)
 
 
@@ -124,7 +118,7 @@ def test_load_rejects_non_16bit(tmp_path) -> None:
         fh.setsampwidth(1)
         fh.setframerate(16000)
         fh.writeframes(bytes(range(200)))
-    with pytest.raises(UnsupportedEncoding):
+    with pytest.raises(InvalidSpec, match="expected 16-bit PCM, got 8-bit"):
         load_wav(path)
 
 

@@ -1,18 +1,12 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
 
 from feddiar.clustering import Segment, cluster_segments
-from feddiar.errors import (
-    DimensionMismatch,
-    EmptyCluster,
-    EmptySegment,
-    EmptySet,
-    InvalidArch,
-    ZeroNormEmbedding,
-)
+from feddiar.errors import InvalidConfig, InvalidInput, InvalidSpec
 from feddiar.identifier import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -53,11 +47,11 @@ def two_blob_data(n_per=60, d=12, seed=0):
 
 
 def test_arch_validation() -> None:
-    with pytest.raises(InvalidArch):
+    with pytest.raises(InvalidConfig, match="layer sizes must be positive"):
         ModelArch(input_dim=0, hidden_sizes=(4,), num_classes=2)
-    with pytest.raises(InvalidArch):
+    with pytest.raises(InvalidConfig, match="layer sizes must be positive"):
         ModelArch(input_dim=12, hidden_sizes=(0,), num_classes=2)
-    with pytest.raises(InvalidArch):
+    with pytest.raises(InvalidConfig, match="need at least two classes"):
         ModelArch(input_dim=12, hidden_sizes=(4,), num_classes=0)
 
 
@@ -158,7 +152,7 @@ def test_embed_single_frame_is_logits() -> None:
     logits = _forward_batch(model, frame[None, :])[0]
     emb = embed_segment(model, frame.reshape(1, -1))
     assert np.allclose(emb.values, logits)
-    with pytest.raises(EmptySegment):
+    with pytest.raises(InvalidInput, match="cannot embed an empty segment"):
         embed_segment(model, np.zeros((0, 12)))
 
 
@@ -176,11 +170,11 @@ def test_cosine_hand_cases() -> None:
 def test_cosine_error_paths() -> None:
     z = Embedding(np.array([0.0, 0.0]))
     ok = Embedding(np.array([1.0, 0.0]))
-    with pytest.raises(ZeroNormEmbedding):
+    with pytest.raises(InvalidInput, match="zero-norm embedding"):
         cosine_similarity([z], [ok])
-    with pytest.raises(EmptySet):
+    with pytest.raises(InvalidInput, match="non-empty embedding set"):
         cosine_similarity([], [ok])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidInput, match="embedding dimensions differ"):
         cosine_similarity([ok], [Embedding(np.array([1.0, 0.0, 0.0]))])
 
 
@@ -190,7 +184,7 @@ def test_predict_cluster_tie_picks_lowest() -> None:
     speaker, confidence = predict_cluster(model, rows)
     assert speaker == 0
     assert confidence == pytest.approx(0.2)
-    with pytest.raises(EmptyCluster):
+    with pytest.raises(InvalidInput, match="cannot predict an empty cluster"):
         predict_cluster(model, np.zeros((0, 12)))
 
 
@@ -271,7 +265,8 @@ def test_checkpoint_rejects_unknown_activation(tmp_path) -> None:
     payload["arch"] = np.frombuffer(
         json.dumps(dict(arch, activation="tanh")).encode(), dtype=np.uint8)
     np.savez(path, **payload)
-    with pytest.raises(InvalidArch):
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(str(path))} is not a model "
+                                          "checkpoint: unsupported activation 'tanh'$"):
         load_checkpoint(path)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from feddiar.errors import LengthMismatch, UnsortedInput
+from feddiar.errors import InvalidInput
 from feddiar.metrics import (
     corpus_scores,
     f_from_rates,
@@ -40,9 +40,9 @@ def test_each_detection_takes_nearest_free_truth() -> None:
 
 
 def test_unsorted_inputs_rejected() -> None:
-    with pytest.raises(UnsortedInput):
+    with pytest.raises(InvalidInput, match="true change points must be sorted"):
         match_change_points([20.0, 10.0], [1.0], collar_sec=0.5)
-    with pytest.raises(UnsortedInput):
+    with pytest.raises(InvalidInput, match="detected change points must be sorted"):
         match_change_points([1.0], [20.0, 10.0], collar_sec=0.5)
 
 
@@ -71,9 +71,7 @@ def test_corpus_pools_counts_not_ratios() -> None:
 
 
 def test_corpus_empty_rejected_and_degenerate_is_perfect() -> None:
-    import feddiar.errors as errors
-
-    with pytest.raises(errors.EmptyCorpus):
+    with pytest.raises(InvalidInput, match="no conversations to score"):
         corpus_scores([])
     empty = match_change_points([], [], collar_sec=0.5)
     scores = corpus_scores([empty])
@@ -107,5 +105,5 @@ def test_id_scores_perfect() -> None:
 
 
 def test_id_scores_length_mismatch() -> None:
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InvalidInput, match="1 predictions vs 2 truths"):
         id_scores([0], [0, 1])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from feddiar import pipeline
 from feddiar.clustering import ClusterSet, Segment
 from feddiar.divergence import BicConfig
-from feddiar.errors import EmptyCorpus, FeddiarError, InvalidSpec, StageError
+from feddiar.errors import FeddiarError, InvalidInput, InvalidSpec, StageError
 from feddiar.federated import FederatedConfig
 from feddiar.frontend import AudioSignal, FeatureMatrix, FrameSequence, MfccConfig
 from feddiar.identifier import ModelArch, init_model, train_local
@@ -332,6 +332,20 @@ def test_rttm_empty_result_round_trip(tmp_path) -> None:
     assert parse_rttm(path) == []
 
 
+@pytest.mark.parametrize("line", [
+    "SPEAKER f 1 0.000 2.500 <NA> <NA> spk0 <NA>",          # nine fields
+    "SPEAKER a 1 x 1.0 <NA> <NA> spk0 <NA> <NA>",           # an onset that is no number
+    "SPEAKER a 1 nan 1.0 <NA> <NA> spk0 <NA> <NA>",
+    "SPEAKER a 1 0.0 nan <NA> <NA> spk0 <NA> <NA>",
+])
+def test_rttm_parse_refuses_a_bad_line_naming_the_file_and_line(tmp_path, line) -> None:
+    path = tmp_path / "bad.rttm"
+    path.write_text("SPEAKER f 1 0.000 2.500 <NA> <NA> spk0 <NA> <NA>\n" + line + "\n")
+    with pytest.raises(InvalidSpec) as err:
+        parse_rttm(path)
+    assert str(err.value) == f"{path}: bad rttm line: {line}"
+
+
 @pytest.mark.parametrize("file_id", ["", "my talk", "my\ttalk", "talk\n"])
 def test_rttm_refuses_a_file_id_that_is_not_one_word(tmp_path, file_id) -> None:
     result = DiarizationResult(
@@ -412,7 +426,7 @@ def test_sweep_csv(monkeypatch, tmp_path, small_conv) -> None:
 
 
 def test_sweep_needs_a_conversation() -> None:
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(InvalidInput, match="sweep needs at least one conversation"):
         sweep([])
 
 

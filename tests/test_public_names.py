@@ -1,6 +1,7 @@
 """Every public name of the library has a reader outside the tests, or a
 reason below for staying; `scripts/count_public.py` does the scan. The
-library's option count is pinned; `scripts/count_options.py` counts."""
+library's option count is pinned; `scripts/count_options.py` counts. The
+library's exception classes are pinned, and every raise names one of them."""
 
 import ast
 import importlib
@@ -30,6 +31,10 @@ KEPT = {
 # removed moves this pin in the same change
 OPTION_COUNT = 75
 
+# the base class, then one class per kind of fault, which every raise names
+ERROR_CLASSES = ["FeddiarError", "InvalidConfig", "InvalidSpec", "InvalidInput",
+                 "TrainingDiverged", "StageError"]
+
 
 @pytest.fixture
 def count_public(monkeypatch):
@@ -45,6 +50,46 @@ def test_option_count_is_pinned() -> None:
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / "count_options.py")],
                          capture_output=True, text=True, check=True).stdout
     assert int(out.splitlines()[-1]) == OPTION_COUNT
+
+
+def test_errors_define_the_base_class_and_one_class_per_kind_of_fault() -> None:
+    body = ast.parse((ROOT / "src" / "feddiar" / "errors.py").read_text()).body
+    assert [node.name for node in body if isinstance(node, ast.ClassDef)] == ERROR_CLASSES
+
+
+def stray_raises(src: Path) -> list[str]:
+    """`file:line name` of each raise under src that names no subclass of
+    FeddiarError: a built-in exception, the bare base class or anything else.
+    A bare re-raise names nothing and passes."""
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if ast.unparse(exc) not in ERROR_CLASSES[1:]:
+                    stray.append(f"{path.name}:{node.lineno} {ast.unparse(exc)}")
+    return stray
+
+
+def test_every_raise_names_a_kind_of_fault() -> None:
+    assert stray_raises(ROOT / "src" / "feddiar") == []
+
+
+def test_raise_scan_flags_built_ins_and_the_base_class(tmp_path) -> None:
+    (tmp_path / "mod.py").write_text(
+        "from .errors import FeddiarError, InvalidInput\n"
+        "def f(x):\n"
+        "    if x < 0:\n"
+        "        raise InvalidInput('negative')\n"
+        "    if x == 0:\n"
+        "        raise ValueError('zero')\n"
+        "    if x == 1:\n"
+        "        raise FeddiarError\n"
+        "    try:\n"
+        "        return 1 / x\n"
+        "    except ZeroDivisionError:\n"
+        "        raise\n")
+    assert stray_raises(tmp_path) == ["mod.py:6 ValueError", "mod.py:8 FeddiarError"]
 
 
 def test_package_root_holds_only_its_docstring_and_version() -> None:

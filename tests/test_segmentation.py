@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import chi2
 
 from feddiar.divergence import ComputeCounter
-from feddiar.errors import WindowTooSmall
+from feddiar.errors import InvalidInput
 from feddiar.frontend import FeatureMatrix
 from feddiar.segmentation import (
     SegConfig,
@@ -93,7 +93,7 @@ def test_scan_tie_breaks_toward_center() -> None:
 
 
 def test_scan_rejects_tiny_window() -> None:
-    with pytest.raises(WindowTooSmall):
+    with pytest.raises(InvalidInput, match="window of 3 rows cannot host two"):
         scan_window(np.zeros((3, 2)), stride_fraction=0.5, method="bic")
 
 

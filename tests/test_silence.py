@@ -15,7 +15,7 @@ from test_frontend import (
 )
 
 from feddiar import silence
-from feddiar.errors import DimensionMismatch, TooFewFrames
+from feddiar.errors import InvalidInput
 from feddiar.frontend import (
     CHUNK_FRAMES,
     AudioSignal,
@@ -48,7 +48,7 @@ def repeated_frame_sequence(frame, n):
 
 def test_noise_profile_needs_ten_frames() -> None:
     frame = np.random.default_rng(0).standard_normal(400)
-    with pytest.raises(TooFewFrames):
+    with pytest.raises(InvalidInput, match="need >= 10 frames, got 9"):
         estimate_noise_profile(repeated_frame_sequence(frame, 9), SilenceConfig())
     estimate_noise_profile(repeated_frame_sequence(frame, 10), SilenceConfig())
 
@@ -103,7 +103,7 @@ def test_zero_profile_keeps_full_spectrum_energy() -> None:
 def test_profile_dimension_checked() -> None:
     frame = np.random.default_rng(3).standard_normal(400)
     seq = repeated_frame_sequence(frame, 12)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidInput, match="profile has 100 bins, frames have 257"):
         spectral_subtract(seq, NoiseProfile(np.zeros(100)))
 
 
