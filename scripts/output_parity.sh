@@ -109,6 +109,7 @@ for variant in default noise90 thr30 thr80; do
         --truth "$long_truth" $flags
 done
 
+run segment-xl segment --audio "$xl_wav"
 run diarize-xl diarize --audio "$xl_wav" --model "$model" --truth "$xl_truth"
 
 run segment-8k segment --audio "$wav8k"

@@ -35,6 +35,8 @@ from .metrics import corpus_scores, match_change_points, seg_scores
 from .pipeline import (
     PipelineConfig,
     export_rttm,
+    find_change_points,
+    frontend_and_silence,
     report_json,
     run_pipeline,
     sweep,
@@ -179,28 +181,32 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _load(args):
+    """The output directory, pipeline config and recording of an audio command."""
+    return _out_dir(args), _pipeline_config(_merge_opts(args)), load_wav(args.audio)
+
+
 def _run(args):
-    cfg = _pipeline_config(_merge_opts(args))
+    """_load, then the whole pipeline with the truth and model the command took."""
+    out, cfg, audio = _load(args)
     truth = _load_truth(args.truth) if getattr(args, "truth", None) else None
-    audio = load_wav(args.audio)
     model = load_checkpoint(args.model) if getattr(args, "model", None) else None
-    return run_pipeline(audio, cfg, model=model, truth=truth)
+    return out, run_pipeline(audio, cfg, model=model, truth=truth)
 
 
 def _cmd_segment(args) -> int:
-    out = _out_dir(args)
-    result = _run(args)
-    write_change_point_csv(out / "change_points.csv", result.change_points)
-    write_region_csv(out / "silences.csv", result.silences,
-                     result.features.hop_sec)
-    print(f"{len(result.change_points)} change points, "
-          f"{len(result.silences)} quasi-silences")
+    # the stages that the two files need, and no clustering to fail
+    out, cfg, audio = _load(args)
+    features, silences = frontend_and_silence(audio, cfg)
+    points = find_change_points(features, silences, cfg.seg, None)
+    write_change_point_csv(out / "change_points.csv", points)
+    write_region_csv(out / "silences.csv", silences, features.hop_sec)
+    print(f"{len(points)} change points, {len(silences)} quasi-silences")
     return 0
 
 
 def _cmd_cluster(args) -> int:
-    out = _out_dir(args)
-    result = _run(args)
+    out, result = _run(args)
     write_change_point_csv(out / "change_points.csv", result.change_points)
     write_cluster_csv(out / "clusters.csv", result.segments, result.clusters,
                       result.features.hop_sec)
@@ -210,8 +216,7 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    out = _out_dir(args)
-    result = _run(args)
+    out, result = _run(args)
     with open(out / "labels.csv", "w") as fh:
         fh.write("cluster_id,speaker_id,confidence\n")
         for lab in result.labels:
@@ -222,8 +227,7 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_diarize(args) -> int:
-    out = _out_dir(args)
-    result = _run(args)
+    out, result = _run(args)
     write_change_point_csv(out / "change_points.csv", result.change_points)
     write_cluster_csv(out / "clusters.csv", result.segments, result.clusters,
                       result.features.hop_sec)

@@ -216,8 +216,6 @@ def load_wav(path) -> AudioSignal:
             n_frames = wf.getnframes()
             raw = wf.readframes(n_frames)
     except wave.Error as exc:
-        if "unknown format" in str(exc).lower():
-            raise InvalidSpec(str(exc)) from exc
         raise InvalidSpec(f"{path}: {exc}") from exc
     except (EOFError, struct.error) as exc:
         # EOFError carries no message

@@ -419,7 +419,7 @@ def load_checkpoint(path) -> ModelWeights:
     """The model of a save_checkpoint file; InvalidSpec, naming the file,
     when it is not one (not an npz, a missing array, malformed arch JSON, an
     unsupported activation, an arch that ModelArch refuses, a weight or bias
-    that is not a finite float64 array)."""
+    that is not a finite float64 array, weights whose shapes do not chain)."""
     try:
         with np.load(path) as data:
             arch_json = json.loads(bytes(data["arch"]).decode())
@@ -433,11 +433,13 @@ def load_checkpoint(path) -> ModelWeights:
             weights = tuple(data[f"w{i}"] for i in range(n_layers))
             biases = tuple(data[f"b{i}"] for i in range(n_layers))
             version = int(data["version"])
+        if not all(a.dtype == np.float64 and np.isfinite(a).all() for a in weights + biases):
+            raise InvalidSpec(f"{path} is not a model checkpoint: "
+                              "a weight or bias is not a finite float64 array")
+        # in the try: ModelWeights refuses shapes that do not chain with
+        # InvalidInput, a ValueError
+        return ModelWeights(arch=arch, weights=weights, biases=biases, version=version)
     except (AttributeError, EOFError, KeyError, TypeError, ValueError,
             zipfile.BadZipFile) as exc:
         raise InvalidSpec(f"{path} is not a model checkpoint: "
                           f"{type(exc).__name__} {exc}") from exc
-    if not all(a.dtype == np.float64 and np.isfinite(a).all() for a in weights + biases):
-        raise InvalidSpec(f"{path} is not a model checkpoint: "
-                          "a weight or bias is not a finite float64 array")
-    return ModelWeights(arch=arch, weights=weights, biases=biases, version=version)

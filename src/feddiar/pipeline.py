@@ -2,7 +2,9 @@
 identification, scoring.
 
 Stages run in fixed order and every failure is re-raised as a StageError
-naming the stage, so CLI users see where a run died. Results carry the
+naming the stage, so CLI users see where a run died. The first three stages
+also run alone, through frontend_and_silence and find_change_points, for a
+caller that needs only change points. Results carry the
 compute counters and a flat JSON-ready report whose field order is stable,
 making equal-seed runs byte-comparable.
 """
@@ -34,7 +36,6 @@ from .frontend import (
 from .identifier import ModelWeights, predict_cluster
 from .metrics import (
     DEFAULT_COLLAR_SEC,
-    MatchResult,
     corpus_scores,
     f_from_rates,
     id_scores,
@@ -87,7 +88,6 @@ class ClusterLabel:
 @dataclass
 class DiarizationResult:
     change_points: ChangePointList
-    silences: list[QuasiSilenceRegion]
     segments: list[Segment]
     clusters: ClusterSet
     labels: list[ClusterLabel]
@@ -146,6 +146,18 @@ def build_segments(
     return segments
 
 
+def find_change_points(
+    features: FeatureMatrix,
+    silences: list[QuasiSilenceRegion],
+    seg_cfg: SegConfig,
+    counter: ComputeCounter | None,
+) -> ChangePointList:
+    """The segmentation stage: segment_bic or segment_t2, as seg_cfg.method
+    says. A failure is raised as StageError of stage 'segmentation'."""
+    segmenter = segment_bic if seg_cfg.method == METHOD_BIC else segment_t2
+    return _stage("segmentation", segmenter, features, silences, seg_cfg, counter)
+
+
 def _identify(model: ModelWeights | None, segments, clusters: ClusterSet):
     if model is None:
         return []
@@ -191,35 +203,26 @@ def true_cluster_speakers(
     return out
 
 
-def _build_report(
-    cfg: PipelineConfig,
-    counter: ComputeCounter,
-    match: MatchResult | None,
-    far_frr_f: tuple[float, float, float] | None,
-) -> dict:
-    if match is not None:
-        seg = seg_scores(match)
-        corpus = corpus_scores([match])
-        fdr, mdr, f_seg = seg.fdr, seg.mdr, seg.f_seg
-        purity, coverage = corpus.purity, corpus.coverage
-    else:
-        fdr = mdr = f_seg = purity = coverage = None
-    far, frr, f_id = far_frr_f if far_frr_f is not None else (None, None, None)
-    return {
-        "fdr": fdr,
-        "mdr": mdr,
-        "f_seg": f_seg,
-        "purity": purity,
-        "coverage": coverage,
-        "far": far,
-        "frr": frr,
-        "f_id": f_id,
-        "delta_bic_count": counter.delta_bic_count,
-        "t2_count": counter.t2_count,
-        "covariance_count": counter.covariance_count,
-        "merge_cost_count": counter.merge_cost_count,
-        "config": cfg.to_dict(),
-    }
+def _scores(truth: GroundTruth | None, change_points: ChangePointList,
+            segments: list[Segment], clusters: ClusterSet, labels: list[ClusterLabel],
+            hop_sec: float, collar_sec: float) -> dict:
+    """The report's score fields. The change-point scores need a truth; the
+    identification scores also need labelled clusters that overlap its
+    turns. A field that is not scored is None."""
+    scores = dict.fromkeys(("fdr", "mdr", "f_seg", "purity", "coverage", "far", "frr", "f_id"))
+    if truth is None:
+        return scores
+    match = match_change_points(truth.change_points_sec, change_points.times_sec(),
+                                collar_sec)
+    seg, corpus = seg_scores(match), corpus_scores([match])
+    scores.update(fdr=seg.fdr, mdr=seg.mdr, f_seg=seg.f_seg,
+                  purity=corpus.purity, coverage=corpus.coverage)
+    truths = true_cluster_speakers(segments, clusters, truth, hop_sec) if labels else []
+    pairs = [(lab.speaker_id, t) for lab, t in zip(labels, truths) if t is not None]
+    if pairs:
+        ids = id_scores([p for p, _ in pairs], [t for _, t in pairs])
+        scores.update(far=ids.far, frr=ids.frr, f_id=ids.f_id)
+    return scores
 
 
 def run_pipeline(
@@ -231,10 +234,7 @@ def run_pipeline(
     """Fixed-order diarization run; scoring only happens when truth is given."""
     counter = ComputeCounter()
     features, silences = frontend_and_silence(audio, cfg)
-
-    segmenter = segment_bic if cfg.seg.method == METHOD_BIC else segment_t2
-    change_points = _stage("segmentation", segmenter, features, silences,
-                           cfg.seg, counter)
+    change_points = find_change_points(features, silences, cfg.seg, counter)
 
     def clustering_stage():
         segments = build_segments(features, silences, change_points)
@@ -243,28 +243,17 @@ def run_pipeline(
 
     segments, clusters = _stage("clustering", clustering_stage)
     labels = _stage("identification", _identify, model, segments, clusters)
-
-    def metrics_stage():
-        if truth is None:
-            return None, None
-        match = match_change_points(truth.change_points_sec,
-                                    change_points.times_sec(), cfg.collar_sec)
-        far_frr_f = None
-        if labels:
-            truths = true_cluster_speakers(segments, clusters, truth,
-                                           features.hop_sec)
-            pairs = [(lab.speaker_id, t)
-                     for lab, t in zip(labels, truths) if t is not None]
-            if pairs:
-                ids = id_scores([p for p, _ in pairs], [t for _, t in pairs])
-                far_frr_f = (ids.far, ids.frr, ids.f_id)
-        return match, far_frr_f
-
-    match, far_frr_f = _stage("metrics", metrics_stage)
-    report = _build_report(cfg, counter, match, far_frr_f)
-    return DiarizationResult(change_points=change_points, silences=silences,
-                             segments=segments, clusters=clusters,
-                             labels=labels, features=features, report=report)
+    scores = _stage("metrics", _scores, truth, change_points, segments, clusters,
+                    labels, features.hop_sec, cfg.collar_sec)
+    report = {**scores,
+              "delta_bic_count": counter.delta_bic_count,
+              "t2_count": counter.t2_count,
+              "covariance_count": counter.covariance_count,
+              "merge_cost_count": counter.merge_cost_count,
+              "config": cfg.to_dict()}
+    return DiarizationResult(change_points=change_points, segments=segments,
+                             clusters=clusters, labels=labels,
+                             features=features, report=report)
 
 
 def report_json(result: DiarizationResult) -> str:
@@ -379,12 +368,10 @@ def sweep(corpus, cfg: PipelineConfig | None = None) -> list[SweepRow]:
             for method in SWEEP_METHODS:
                 seg_cfg = replace(cfg.seg, window_frames=window,
                                   stride_fraction=stride, method=method)
-                segmenter = segment_bic if method == METHOD_BIC else segment_t2
                 counter = ComputeCounter()
                 fdrs, mdrs, fs = [], [], []
                 for features, silences, truth in prepared:
-                    points = _stage("segmentation", segmenter, features,
-                                    silences, seg_cfg, counter)
+                    points = find_change_points(features, silences, seg_cfg, counter)
                     scores = seg_scores(match_change_points(
                         truth.change_points_sec, points.times_sec(),
                         cfg.collar_sec))

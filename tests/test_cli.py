@@ -4,6 +4,7 @@ import json
 import os
 import re
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
@@ -203,6 +204,13 @@ def bad_inputs(tmp_path_factory):
     (root / "seed.cfg").write_text("seed = 3\n")
     # a 10 ms hop rounds to no samples at 1 Hz
     save_wav(root / "rate1.wav", AudioSignal(np.zeros(100), 1))
+    # a RIFF/WAVE file of 32-bit IEEE float samples, format tag 3
+    fmt = struct.pack("<HHIIHH", 3, 1, 16000, 64000, 4, 32)
+    data = np.zeros(160, dtype="<f4").tobytes()
+    (root / "float.wav").write_bytes(
+        b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(data)) + b"WAVE"
+        + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        + b"data" + struct.pack("<I", len(data)) + data)
     return root
 
 
@@ -384,17 +392,20 @@ def malformed_checkpoint(path: Path, case: str) -> None:
         arrays["w0"][0, 0] = np.inf
     elif case == "complex w0":
         arrays["w0"] = arrays["w0"].astype(np.complex128)
+    elif case == "w0 wrong shape":
+        arrays["w0"] = np.zeros((3, 4))
     np.savez(path, **arrays)
 
 
 @pytest.mark.parametrize("case", ["text file", "no arch", "no w0", "arch not json",
                                   "hidden sizes a string", "hidden size zero",
                                   "tanh activation", "object array", "nan w0",
-                                  "inf w0", "complex w0"])
+                                  "inf w0", "complex w0", "w0 wrong shape"])
 def test_malformed_checkpoint_is_refused_with_one_error_line(bad_inputs, tmp_path,
                                                              case) -> None:
     # ValueError, KeyError, JSONDecodeError and TypeError used to escape;
     # NaN, inf and complex weights used to exit 0 with nan confidences
+    # and weights whose shapes do not chain gave a message without the file
     model = tmp_path / "model.npz"
     malformed_checkpoint(model, case)
     proc = run_cli_process(["identify", "--audio", str(bad_inputs / "a.wav"),
@@ -417,6 +428,38 @@ def test_unwritable_rttm_is_refused_with_one_error_line_naming_it(bad_inputs,
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert str(rttm) in lines[0]
+
+
+def test_float_wav_is_refused_with_one_error_line_naming_it(bad_inputs, tmp_path) -> None:
+    # the message of the wave module's "unknown format" used to lose the file
+    wav = bad_inputs / "float.wav"
+    proc = run_cli_process(["segment", "--audio", str(wav)], tmp_path)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert lines == [f"error: {wav}: unknown format: 3"], proc.stderr
+
+
+def test_segment_runs_no_clustering(bad_inputs, tmp_path, monkeypatch, capsys) -> None:
+    # segment writes what the stages up to segmentation give, so a fault in
+    # clustering, which cluster reports, cannot fail it
+    def argv(command, out_dir):
+        return [command, "--audio", str(bad_inputs / "speech.wav"), "--out-dir", str(out_dir)]
+
+    assert main(argv("segment", tmp_path / "plain")) == 0
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("clustering is broken")
+
+    monkeypatch.setattr("feddiar.pipeline.build_segments", broken)
+    monkeypatch.setattr("feddiar.pipeline.cluster_segments", broken)
+    assert main(argv("segment", tmp_path / "patched")) == 0
+    for name in ("change_points.csv", "silences.csv"):
+        assert ((tmp_path / "patched" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes())
+    capsys.readouterr()
+    assert main(argv("cluster", tmp_path / "cluster")) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: stage 'clustering' failed"), lines
 
 
 @pytest.mark.parametrize("command", ["diarize", "eval"])

@@ -309,7 +309,7 @@ def test_frontend_and_silence_memory_bounded_in_audio_length() -> None:
 def test_rttm_export_hand_case(tmp_path) -> None:
     feats = feature_matrix(300)
     result = DiarizationResult(
-        change_points=change_list([]), silences=[],
+        change_points=change_list([]),
         segments=[Segment(0, 250, np.zeros((250, 12)))],
         clusters=ClusterSet(clusters=[[0]], assignments=[0]),
         labels=[ClusterLabel(0, 0, 0.9)], features=feats)
@@ -323,7 +323,7 @@ def test_rttm_export_hand_case(tmp_path) -> None:
 
 def test_rttm_empty_result_round_trip(tmp_path) -> None:
     result = DiarizationResult(
-        change_points=change_list([]), silences=[], segments=[],
+        change_points=change_list([]), segments=[],
         clusters=ClusterSet(clusters=[], assignments=[]), labels=[],
         features=feature_matrix(10))
     path = tmp_path / "e.rttm"
@@ -349,7 +349,7 @@ def test_rttm_parse_refuses_a_bad_line_naming_the_file_and_line(tmp_path, line) 
 @pytest.mark.parametrize("file_id", ["", "my talk", "my\ttalk", "talk\n"])
 def test_rttm_refuses_a_file_id_that_is_not_one_word(tmp_path, file_id) -> None:
     result = DiarizationResult(
-        change_points=change_list([]), silences=[], segments=[],
+        change_points=change_list([]), segments=[],
         clusters=ClusterSet(clusters=[], assignments=[]), labels=[],
         features=feature_matrix(10))
     with pytest.raises(InvalidSpec):
