@@ -6,13 +6,13 @@ pair merges; ties break on the lowest (a, b) id pair so runs are
 reproducible. Segments shorter than min_segment_frames carry too little
 evidence for a stable covariance and are left out as noise.
 
-A cluster is held as its sufficient statistics (n, mean, centred scatter
-sum (x - mean)(x - mean)^T) plus its cached log|C|, the cumulative-statistics
-BIC of Cettolo & Vescovi (ICASSP 2003): a merge adds statistics with the
-parallel update S_ab = S_a + S_b + (n_a n_b / n_ab) dd^T, d = mean_b - mean_a,
-instead of stacking rows. Pair costs are evaluated in batches with
-divergence.stacked_log_det and equal merge_cost (delta_bic of the
-concatenated rows) up to rounding. A k x k cost matrix holds the upper
+merge_greedy never sees rows. It holds a cluster as its sufficient
+statistics (n, mean, centred scatter S, the divergence.window_stats of its
+rows) and its cached log|C|, the cumulative-statistics BIC of Cettolo &
+Vescovi (ICASSP 2003): a merge adds statistics, S_ab = S_a + S_b +
+(n_a n_b / n_ab) dd^T with d = mean_b - mean_a. Pair costs are priced in
+batches with divergence.stacked_log_det and equal merge_cost (delta_bic of
+the concatenated rows) up to rounding. A k x k cost matrix holds the upper
 triangle; after a merge only the merged cluster's row is recomputed. Beside
 it, a k x k array keeps each priced pair's log|C_ab|, which becomes the
 merged cluster's log|C| when the pair merges: no factorisation repeats it.
@@ -47,6 +47,7 @@ from .divergence import (
     delta_bic,
     stacked_log_det,
     stacked_ridge,
+    window_stats,
 )
 from .errors import InvalidInput
 
@@ -112,82 +113,88 @@ def cluster_segments(
     merge trace; too-short segments get assignment None, and with no
     eligible segment (or none at all) the set is empty.
     """
-    cfg = cfg or BicConfig()
-
     eligible = [i for i, s in enumerate(segments) if s.n_frames >= min_segment_frames]
-    assignments: list[int | None] = [None] * len(segments)
-    if not eligible:
-        return ClusterSet(clusters=[], assignments=assignments, merge_trace=[])
-
-    # stable ids: position in the eligible list; a merge keeps the lower id
-    k = len(eligible)
-    members: dict[int, list[int]] = {cid: [seg] for cid, seg in enumerate(eligible)}
-    trace: list[tuple[int, int, float]] = []
-    if k >= 2:
-        n, mean, scatter = _segment_stats([segments[i].rows for i in eligible])
-        log_det = stacked_log_det(n, mean, scatter)
-        top = _top_eigenvalues(n, mean, scatter)
-        penalty_scale = 0.5 * cfg.lambda_ * cfg.resolve_delta_k(mean.shape[1])
-        # the upper triangle: each pair's cost, +inf where it is not priced,
-        # and its log|C_ab|, which a merged cluster keeps as its log|C|
-        costs = np.full((k, k), np.inf)
-        pair_log_det = np.empty((k, k))
-
-        def merged(a, b):
-            n_ab = n[a] + n[b]
-            diff = mean[b] - mean[a]
-            mean_ab = mean[a] + (n[b] / n_ab)[..., None] * diff
-            scatter_ab = (scatter[a] + scatter[b]
-                          + (n[a] * n[b] / n_ab)[..., None, None]
-                          * diff[..., :, None] * diff[..., None, :])
-            return n_ab, mean_ab, scatter_ab
-
-        def price(a, b):
-            """Write the costs of the pairs (a, b) that the bound leaves open."""
-            open_ = ~_settled(n, mean, top, penalty_scale, a, b)
-            a, b = a[open_], b[open_]
-            if not len(a):
-                return
-            n_ab, mean_ab, scatter_ab = merged(a, b)
-            pair_log_det[a, b] = stacked_log_det(n_ab, mean_ab, scatter_ab)
-            value = (0.5 * n_ab * pair_log_det[a, b]
-                     - 0.5 * n[a] * log_det[a]
-                     - 0.5 * n[b] * log_det[b]
-                     - penalty_scale * np.log(n_ab))
-            if counter is not None:
-                counter.merge_cost_count += len(value)
-            # a NaN cost (-inf log-determinants on both sides) never attracts
-            costs[a, b] = np.where(np.isnan(value), np.inf, value)
-
-        rows_a, rows_b = np.triu_indices(k, 1)
-        for lo in range(0, len(rows_a), PAIR_BATCH):
-            price(rows_a[lo:lo + PAIR_BATCH], rows_b[lo:lo + PAIR_BATCH])
-
-        while True:
-            # first minimum in row-major order: the lowest (a, b) among ties
-            a, b = divmod(int(np.argmin(costs)), k)
-            best_cost = float(costs[a, b])
-            if not best_cost < 0.0:
-                break
-            members[a] = members[a] + members.pop(b)
-            n[a], mean[a], scatter[a] = merged(a, b)
-            log_det[a] = pair_log_det[a, b]
-            top[a] = _top_eigenvalues(n[a:a + 1], mean[a:a + 1], scatter[a:a + 1])[0]
-            costs[b, :] = costs[:, b] = np.inf
-            trace.append((a, b, best_cost))
-            others = np.array([c for c in members if c != a], dtype=np.intp)
-            if not len(others):
-                break
-            lower, upper = np.minimum(others, a), np.maximum(others, a)
-            costs[lower, upper] = np.inf
-            price(lower, upper)
-
-    ordered = sorted(members.values(), key=lambda m: min(m))
-    clusters = [sorted(m) for m in ordered]
-    for label, m in enumerate(clusters):
-        for seg in m:
-            assignments[seg] = label
+    groups, trace = [[p] for p in range(len(eligible))], []
+    if len(eligible) >= 2:
+        stats = [window_stats(segments[i].rows) for i in eligible]
+        if len({mean.shape for _, mean, _ in stats}) > 1:
+            raise InvalidInput("segments differ in feature dimension")
+        n, mean, scatter = map(np.array, zip(*stats))
+        if n.min() < 2:
+            raise InvalidInput("each clustered segment needs >= 2 rows")
+        groups, trace = merge_greedy(n, mean, scatter, cfg or BicConfig(), counter)
+    clusters = [[eligible[p] for p in group] for group in groups]
+    label = {seg: c for c, members in enumerate(clusters) for seg in members}
+    assignments = [label.get(i) for i in range(len(segments))]
     return ClusterSet(clusters=clusters, assignments=assignments, merge_trace=trace)
+
+
+def merge_greedy(n, mean: np.ndarray, scatter: np.ndarray, cfg: BicConfig,
+                 counter: ComputeCounter | None):
+    """The greedy merge of k clusters given as (k,) sizes, (k, d) means and
+    (k, d, d) centred scatters, which it leaves as they are. Returns each
+    final cluster's members as sorted stack positions, ordered by the
+    lowest, and the merge trace of (a, b, cost); the merge keeps id a < b."""
+    n, mean, scatter = (np.array(x, dtype=np.float64) for x in (n, mean, scatter))
+    k = len(n)
+    members, trace = {cid: [cid] for cid in range(k)}, []
+    log_det = stacked_log_det(n, mean, scatter)
+    top = _top_eigenvalues(n, mean, scatter)
+    penalty_scale = 0.5 * cfg.lambda_ * cfg.resolve_delta_k(mean.shape[1])
+    # the upper triangle: each pair's cost, +inf where it is not priced,
+    # and its log|C_ab|, which a merged cluster keeps as its log|C|
+    costs = np.full((k, k), np.inf)
+    pair_log_det = np.empty((k, k))
+
+    def merged(a, b):
+        n_ab = n[a] + n[b]
+        diff = mean[b] - mean[a]
+        mean_ab = mean[a] + (n[b] / n_ab)[..., None] * diff
+        scatter_ab = (scatter[a] + scatter[b]
+                      + (n[a] * n[b] / n_ab)[..., None, None]
+                      * diff[..., :, None] * diff[..., None, :])
+        return n_ab, mean_ab, scatter_ab
+
+    def price(a, b):
+        """Write the costs of the pairs (a, b) that the bound leaves open."""
+        open_ = ~_settled(n, mean, top, penalty_scale, a, b)
+        a, b = a[open_], b[open_]
+        if not len(a):
+            return
+        n_ab, mean_ab, scatter_ab = merged(a, b)
+        pair_log_det[a, b] = stacked_log_det(n_ab, mean_ab, scatter_ab)
+        value = (0.5 * n_ab * pair_log_det[a, b]
+                 - 0.5 * n[a] * log_det[a]
+                 - 0.5 * n[b] * log_det[b]
+                 - penalty_scale * np.log(n_ab))
+        if counter is not None:
+            counter.merge_cost_count += len(value)
+        # a NaN cost (-inf log-determinants on both sides) never attracts
+        costs[a, b] = np.where(np.isnan(value), np.inf, value)
+
+    rows_a, rows_b = np.triu_indices(k, 1)
+    for lo in range(0, len(rows_a), PAIR_BATCH):
+        price(rows_a[lo:lo + PAIR_BATCH], rows_b[lo:lo + PAIR_BATCH])
+
+    while True:
+        # first minimum in row-major order: the lowest (a, b) among ties
+        a, b = divmod(int(np.argmin(costs)), k)
+        best_cost = float(costs[a, b])
+        if not best_cost < 0.0:
+            break
+        members[a] = members[a] + members.pop(b)
+        n[a], mean[a], scatter[a] = merged(a, b)
+        log_det[a] = pair_log_det[a, b]
+        top[a] = _top_eigenvalues(n[a:a + 1], mean[a:a + 1], scatter[a:a + 1])[0]
+        costs[b, :] = costs[:, b] = np.inf
+        trace.append((a, b, best_cost))
+        others = np.array([c for c in members if c != a], dtype=np.intp)
+        if not len(others):
+            break
+        lower, upper = np.minimum(others, a), np.maximum(others, a)
+        costs[lower, upper] = np.inf
+        price(lower, upper)
+    return [sorted(members[c]) for c in sorted(members)], trace
 
 
 def _settled(n, mean, top, penalty_scale, a, b) -> np.ndarray:
@@ -217,20 +224,6 @@ def _top_eigenvalues(n, mean, scatter) -> np.ndarray:
     eig = np.linalg.eigvalsh(cov)
     clear = ~zero_variance & (eig[:, 0] - ridge > BOUND_MARGIN * eig[:, -1])
     return np.where(clear, eig[:, -1], np.inf)
-
-
-def _segment_stats(windows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, mean, centred scatter) stacks of segment feature rows."""
-    rows = [np.asarray(w, dtype=np.float64) for w in windows]
-    rows = [w[:, None] if w.ndim == 1 else w for w in rows]
-    if len({w.shape[1] for w in rows}) > 1:
-        raise InvalidInput("segments differ in feature dimension")
-    if min(len(w) for w in rows) < 2:
-        raise InvalidInput("each clustered segment needs >= 2 rows")
-    n = np.array([len(w) for w in rows], dtype=np.float64)
-    mean = np.stack([w.mean(axis=0) for w in rows])
-    scatter = np.stack([(w - m).T @ (w - m) for w, m in zip(rows, mean)])
-    return n, mean, scatter
 
 
 def cluster_rows(segments: list[Segment], cluster: list[int]) -> np.ndarray:

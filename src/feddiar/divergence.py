@@ -117,6 +117,17 @@ def _cholesky(matrix: np.ndarray) -> tuple[np.ndarray | None, float]:
     return factor, 2.0 * float(np.log(factor.diagonal()).sum())
 
 
+def window_stats(rows) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, mean, centred scatter sum (x - mean)(x - mean)^T) of a window of
+    rows: the one row reduction behind every Gaussian fit."""
+    w = _as_window(rows)
+    # add.reduce / n is w.mean(axis=0) without its Python-level overhead
+    mean = np.add.reduce(w, axis=0) / len(w)
+    centered = w - mean
+    # one operand on both sides, so matmul takes its symmetric kernel
+    return len(w), mean, centered.T @ centered
+
+
 def gaussian_fit(window, counter: ComputeCounter | None = None) -> GaussianStats:
     """Fit mean and MLE covariance to a window of shape (n, d).
 
@@ -134,10 +145,8 @@ def gaussian_fit(window, counter: ComputeCounter | None = None) -> GaussianStats
     if n < 2:
         raise InvalidInput(f"covariance fit needs >= 2 rows, got {n}")
 
-    # add.reduce / n is w.mean(axis=0) without its Python-level overhead
-    mean = np.add.reduce(w, axis=0) / n
-    centered = w - mean
-    cov = (centered.T @ centered) / n
+    _, mean, scatter = window_stats(w)
+    cov = scatter / n
     trace = float(cov.trace())
     # a NaN or inf anywhere in the window reaches the diagonal through the centring
     if not math.isfinite(trace):
@@ -180,10 +189,9 @@ def stacked_ridge(n, mean: np.ndarray,
                   scatter: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """gaussian_fit's ridge rule on a stack of sufficient statistics.
 
-    n has shape (k,), mean (k, d) and scatter (k, d, d), where scatter is
-    the centred sum of outer products sum (x - mean)(x - mean)^T of each
-    window. Returns the (k, d, d) MLE covariances, the (k,) ridges and the
-    (k,) zero-variance mask: a zero-variance covariance takes its ridge
+    n has shape (k,), mean (k, d) and scatter (k, d, d), the window_stats of
+    k windows. Returns the (k, d, d) MLE covariances, the (k,) ridges and
+    the (k,) zero-variance mask: a zero-variance covariance takes its ridge
     (REGULARIZATION_EPS) as it is, any other one only if its smallest
     eigenvalue is at most its ridge (REGULARIZATION_EPS * trace / d). The
     mean square of the raw rows is recovered as (tr S + n |mean|^2) / (n d).
@@ -280,7 +288,6 @@ def hotelling_t2(
         raise InvalidInput("pooled covariance has no Cholesky factor")
 
     n_x, n_y, n_s = x.shape[0], y.shape[0], stats.n
-    # add.reduce / n is .mean(axis=0) without its Python-level overhead
     diff = np.add.reduce(x, axis=0) / n_x - np.add.reduce(y, axis=0) / n_y
     z = dtrtrs(stats.factor, diff, lower=1)[0]
 

@@ -205,8 +205,9 @@ class FeatureMatrix:
 def load_wav(path) -> AudioSignal:
     """Read a 16-bit PCM RIFF/WAVE file as a normalized mono signal.
 
-    Stereo input is downmixed by channel mean. Raises InvalidSpec for
-    container problems, naming the file, and for non-PCM-16 payloads.
+    Stereo input is downmixed by channel mean. Raises InvalidSpec, naming
+    the file, for container problems, for non-PCM-16 payloads and for a
+    data chunk that ends inside a frame.
     """
     try:
         with wave.open(str(path), "rb") as wf:
@@ -223,9 +224,13 @@ def load_wav(path) -> AudioSignal:
                           f"({str(exc) or type(exc).__name__})") from exc
 
     if samp_width != 2:
-        raise InvalidSpec(f"expected 16-bit PCM, got {8 * samp_width}-bit")
+        raise InvalidSpec(f"{path}: expected 16-bit PCM, got {8 * samp_width}-bit")
     if n_channels not in (1, 2):
-        raise InvalidSpec(f"expected mono or stereo, got {n_channels} channels")
+        raise InvalidSpec(f"{path}: expected mono or stereo, got {n_channels} channels")
+    # the wave module hands back a data chunk cut inside a frame as it is
+    if len(raw) % (2 * n_channels):
+        raise InvalidSpec(f"{path}: data chunk ends inside a frame "
+                          f"({len(raw)} bytes of {2 * n_channels}-byte frames)")
 
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     if n_channels == 2:

@@ -70,6 +70,9 @@ class PipelineConfig:
     collar_sec: float = DEFAULT_COLLAR_SEC
 
     def __post_init__(self):
+        # a segment of one row has no covariance to cluster on
+        if self.min_segment_frames < 2:
+            raise InvalidConfig("min_segment_frames must be at least 2")
         # report.json holds the config, and JSON has no NaN or Infinity
         if not 0.0 <= self.collar_sec < math.inf:
             raise InvalidConfig("collar_sec must be non-negative and finite")
@@ -321,7 +324,7 @@ def truth_from_dict(d: dict) -> GroundTruth:
             turns=[TurnInterval(speaker_id=int(s), start_sec=float(a), end_sec=float(b))
                    for s, a, b in d["turns"]],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"malformed ground truth: {type(exc).__name__} {exc}") from exc
     for t in [*truth.change_points_sec,
               *(bound for turn in truth.turns for bound in (turn.start_sec, turn.end_sec))]:

@@ -74,6 +74,8 @@ class SilenceConfig:
             raise InvalidConfig("threshold_db must be positive and finite")
         if not 0.0 < self.noise_percentile < 1.0:
             raise InvalidConfig("noise_percentile must lie in (0, 1)")
+        if self.min_region_frames < 1:
+            raise InvalidConfig("min_region_frames must be at least 1")
 
 
 @dataclass(frozen=True)

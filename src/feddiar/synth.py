@@ -267,6 +267,10 @@ def random_conversation_spec(
         raise InvalidSpec("a conversation needs at least two speakers")
     if not 1 <= min_changes <= max_changes:
         raise InvalidSpec("bad change-point range")
+    # the layout draws are numpy int64 draws
+    limit = np.iinfo(np.int64).max
+    if max(num_speakers, max_changes) > limit:
+        raise InvalidSpec(f"speaker and change counts must be at most {limit}")
     rng = substream(seed, "spec")
     n_changes = int(rng.integers(min_changes, max_changes + 1))
     speakers = [int(rng.integers(num_speakers))]

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,7 @@ def bad_inputs(tmp_path_factory):
     (root / "typo.cfg").write_text("treshold_db = 5\n")
     (root / "thr30.cfg").write_text("threshold_db = 30\n")
     (root / "seed.cfg").write_text("seed = 3\n")
+    (root / "negative_region.cfg").write_text("min_region_frames = -3\n")
     # a 10 ms hop rounds to no samples at 1 Hz
     save_wav(root / "rate1.wav", AudioSignal(np.zeros(100), 1))
     # a RIFF/WAVE file of 32-bit IEEE float samples, format tag 3
@@ -211,6 +213,20 @@ def bad_inputs(tmp_path_factory):
         b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(data)) + b"WAVE"
         + b"fmt " + struct.pack("<I", len(fmt)) + fmt
         + b"data" + struct.pack("<I", len(data)) + data)
+    # 16-bit PCM files cut inside a sample (mono) and inside a frame (stereo)
+    for name, channels, size in [("cut_mono.wav", 1, 1001), ("cut_stereo.wav", 2, 1002)]:
+        with wave.open(str(root / name), "wb") as wf:
+            wf.setnchannels(channels)
+            wf.setsampwidth(2)
+            wf.setframerate(16000)
+            wf.writeframes(bytes(4000))
+        (root / name).write_bytes((root / name).read_bytes()[:44 + size])
+    for name, channels, width in [("pcm8.wav", 1, 1), ("three_channels.wav", 3, 2)]:
+        with wave.open(str(root / name), "wb") as wf:
+            wf.setnchannels(channels)
+            wf.setsampwidth(width)
+            wf.setframerate(16000)
+            wf.writeframes(bytes(channels * width * 800))
     return root
 
 
@@ -245,6 +261,13 @@ BAD_INVOCATIONS = {
     "seed key of a command that draws nothing": [
         "segment", "--audio", "{root}/a.wav", "--config", "{root}/seed.cfg"],
     "sample rate too low to frame": ["segment", "--audio", "{root}/rate1.wav"],
+    "speaker count past int64": ["synth", "--num-speakers", str(10**20)],
+    "change count past int64": ["synth", "--min-changes", "1", "--max-changes", str(10**20)],
+    "sweep speaker count past int64": ["sweep", "--num-speakers", str(10**20)],
+    "negative min_region_frames (used to run)": [
+        "cluster", "--audio", "{root}/a.wav", "--config", "{root}/negative_region.cfg"],
+    "one-frame segments (used to run)": ["cluster", "--audio", "{root}/a.wav",
+                                         "--min-seg-frames", "1"],
 }
 
 
@@ -439,6 +462,22 @@ def test_float_wav_is_refused_with_one_error_line_naming_it(bad_inputs, tmp_path
     assert lines == [f"error: {wav}: unknown format: 3"], proc.stderr
 
 
+@pytest.mark.parametrize("name, message", [
+    ("cut_mono.wav", "data chunk ends inside a frame (1001 bytes of 2-byte frames)"),
+    ("cut_stereo.wav", "data chunk ends inside a frame (1002 bytes of 4-byte frames)"),
+    ("pcm8.wav", "expected 16-bit PCM, got 8-bit"),
+    ("three_channels.wav", "expected mono or stereo, got 3 channels"),
+])
+def test_bad_wav_payload_is_refused_with_one_error_line_naming_it(bad_inputs, tmp_path,
+                                                                  name, message) -> None:
+    # a cut data chunk used to end in a numpy traceback, and the payload
+    # checks did not name the file
+    wav = bad_inputs / name
+    proc = run_cli_process(["segment", "--audio", str(wav)], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"error: {wav}: {message}"], proc.stderr
+
+
 def test_segment_runs_no_clustering(bad_inputs, tmp_path, monkeypatch, capsys) -> None:
     # segment writes what the stages up to segmentation give, so a fault in
     # clustering, which cluster reports, cannot fail it
@@ -464,7 +503,8 @@ def test_segment_runs_no_clustering(bad_inputs, tmp_path, monkeypatch, capsys) -
 
 @pytest.mark.parametrize("command", ["diarize", "eval"])
 @pytest.mark.parametrize("truth", ['{"change_points_sec": [NaN], "turns": [[0, 0.0, 1.0]]}',
-                                   '{"change_points_sec": [], "turns": [[0, 0.0, Infinity]]}'])
+                                   '{"change_points_sec": [], "turns": [[0, 0.0, Infinity]]}',
+                                   '{"change_points_sec": [], "turns": [[Infinity, 0.0, 1.0]]}'])
 def test_non_finite_truth_is_refused_with_one_error_line(bad_inputs, tmp_path, command,
                                                          truth) -> None:
     # Python's json reads NaN and Infinity; such a truth used to be scored against

@@ -13,9 +13,10 @@ from feddiar.clustering import (
     cluster_rows,
     cluster_segments,
     merge_cost,
+    merge_greedy,
     write_cluster_csv,
 )
-from feddiar.divergence import BicConfig, ComputeCounter
+from feddiar.divergence import BicConfig, ComputeCounter, gaussian_fit
 from feddiar.errors import InvalidInput
 
 
@@ -131,6 +132,48 @@ def test_cluster_csv_includes_noise_rows(tmp_path) -> None:
     assert lines[0] == "segment_start_sec,segment_end_sec,cluster_id"
     assert len(lines) == 3
     assert lines[2].endswith(",noise")
+
+
+def test_clustering_statistics_are_each_segments_gaussian_fit(monkeypatch) -> None:
+    # one row reduction serves both: each segment's mean and covariance are
+    # those gaussian_fit gives its rows, to the last bit
+    rng = np.random.default_rng(11)
+    segs = [make_segment(start, rng.standard_normal((size, 12)) + shift)
+            for start, size, shift in [(0, 26, 0.0), (30, 97, 5.0), (130, 400, 0.0),
+                                       (540, 1000, 5.0)]]
+    calls = []
+    real = clustering.stacked_log_det
+
+    def spy(n, mean, scatter):
+        calls.append((n.copy(), mean.copy(), scatter.copy()))
+        return real(n, mean, scatter)
+
+    monkeypatch.setattr(clustering, "stacked_log_det", spy)
+    cluster_segments(segs)
+    n, mean, scatter = calls[0]
+    for i, seg in enumerate(segs):
+        fit = gaussian_fit(seg.rows)
+        assert n[i] == fit.n
+        assert np.array_equal(mean[i], fit.mean)
+        assert np.array_equal(scatter[i] / n[i], fit.covariance)
+
+
+def test_merge_greedy_clusters_statistics_given_without_rows() -> None:
+    # clusters handed over as Gaussian models (size, mean, covariance): three
+    # of one model and three of a model far from it
+    d, size = 12, 200.0
+    base = np.random.default_rng(12).standard_normal((d, d))
+    cov = base @ base.T / d + np.eye(d)
+    n = np.full(6, size)
+    mean = np.repeat([np.zeros(d), np.full(d, 8.0)], 3, axis=0)
+    scatter = np.stack([size * cov] * 6)
+    given = [x.copy() for x in (n, mean, scatter)]
+    groups, trace = merge_greedy(n, mean, scatter, BicConfig(), None)
+    assert groups == [[0, 1, 2], [3, 4, 5]]
+    # equal models merge at minus the penalty, the largest merged size first
+    assert [m[:2] for m in trace] == [(0, 1), (0, 2), (3, 4), (3, 5)]
+    assert all(cost < 0.0 for _, _, cost in trace)
+    assert all(np.array_equal(x, y) for x, y in zip((n, mean, scatter), given))
 
 
 def reference_cluster_segments(segments, cfg=None, min_segment_frames=25,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -118,7 +120,8 @@ def test_load_rejects_non_16bit(tmp_path) -> None:
         fh.setsampwidth(1)
         fh.setframerate(16000)
         fh.writeframes(bytes(range(200)))
-    with pytest.raises(InvalidSpec, match="expected 16-bit PCM, got 8-bit"):
+    message = f"^{re.escape(str(path))}: expected 16-bit PCM, got 8-bit$"
+    with pytest.raises(InvalidSpec, match=message):
         load_wav(path)
 
 

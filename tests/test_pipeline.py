@@ -478,6 +478,14 @@ REJECTED_CONFIGS = {
     "gap_sec 1e14": lambda: synth_conversation(
         random_conversation_spec(num_speakers=2, gap_sec=1e14)),
     "seed -1": lambda: random_conversation_spec(num_speakers=2, seed=-1),
+    # past what numpy's int64 draws take (they used to raise ValueError)
+    "num_speakers 1e20": lambda: random_conversation_spec(num_speakers=10**20),
+    "max_changes 1e20": lambda: random_conversation_spec(min_changes=1, max_changes=10**20),
+    "min_region_frames -3": lambda: SilenceConfig(min_region_frames=-3),
+    "min_region_frames 0": lambda: SilenceConfig(min_region_frames=0),
+    # a one-row segment has no covariance
+    "min_segment_frames 1": lambda: PipelineConfig(min_segment_frames=1),
+    "min_segment_frames -4": lambda: PipelineConfig(min_segment_frames=-4),
     "turn duration nan": lambda: synth_bad_first_turn(math.nan),
     "turn duration inf": lambda: synth_bad_first_turn(math.inf),
     "turn duration 1e308": lambda: synth_bad_first_turn(1e308),
