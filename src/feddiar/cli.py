@@ -31,7 +31,7 @@ from .federated import (
 )
 from .frontend import MfccConfig, load_wav, save_wav
 from .identifier import ModelArch, load_checkpoint, save_checkpoint
-from .metrics import corpus_scores, match_change_points, seg_scores
+from .metrics import DEFAULT_COLLAR_SEC, change_point_scores
 from .pipeline import (
     PipelineConfig,
     export_rttm,
@@ -291,12 +291,8 @@ def _cmd_eval(args) -> int:
     bad = [t for t in detected if not math.isfinite(t)]
     if bad:
         raise InvalidSpec(f"{args.detected}: time_sec values must be finite, got {bad[0]}")
-    match = match_change_points(truth.change_points_sec, sorted(detected),
-                                **_given(opts, collar_sec=float))
-    seg = seg_scores(match)
-    corpus = corpus_scores([match])
-    payload = {"fdr": seg.fdr, "mdr": seg.mdr, "f_seg": seg.f_seg,
-               "purity": corpus.purity, "coverage": corpus.coverage}
+    payload = change_point_scores(truth.change_points_sec, sorted(detected),
+                                  _get(opts, "collar_sec", float, DEFAULT_COLLAR_SEC))
     print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
 

@@ -207,7 +207,7 @@ def load_wav(path) -> AudioSignal:
 
     Stereo input is downmixed by channel mean. Raises InvalidSpec, naming
     the file, for container problems, for non-PCM-16 payloads and for a
-    data chunk that ends inside a frame.
+    data chunk that holds fewer bytes than its header declares.
     """
     try:
         with wave.open(str(path), "rb") as wf:
@@ -227,10 +227,11 @@ def load_wav(path) -> AudioSignal:
         raise InvalidSpec(f"{path}: expected 16-bit PCM, got {8 * samp_width}-bit")
     if n_channels not in (1, 2):
         raise InvalidSpec(f"{path}: expected mono or stereo, got {n_channels} channels")
-    # the wave module hands back a data chunk cut inside a frame as it is
-    if len(raw) % (2 * n_channels):
-        raise InvalidSpec(f"{path}: data chunk ends inside a frame "
-                          f"({len(raw)} bytes of {2 * n_channels}-byte frames)")
+    # the wave module hands back what a cut data chunk holds, whole frames or not
+    declared = n_frames * 2 * n_channels
+    if len(raw) != declared:
+        raise InvalidSpec(f"{path}: data chunk holds {len(raw)} bytes, "
+                          f"its header declares {declared}")
 
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     if n_channels == 2:
@@ -338,12 +339,13 @@ def spectrum_chunks(
         else:
             # Indexed frames are gathered (not with np.take: it would first
             # copy a strided view whole) GATHER_ROWS at a time, so that no
-            # copy of a whole chunk adds to each thread's buffers.
+            # copy of a whole chunk adds to each thread's buffers. They are
+            # windowed as _window_span windows its rows.
             step = stop - start if index is None else GATHER_ROWS
             for a in range(start, stop, step):
                 b = min(a + step, stop)
                 block = frames.frames[a:b] if index is None else frames.frames[index[a:b]]
-                np.multiply(block, window, out=x[a - start:b - start, :frame_len])
+                np.einsum("ij,j->ij", block, window, out=x[a - start:b - start, :frame_len])
         sc = np.fft.rfft(x[:stop - start], n=fft_size, axis=1, out=spectrum[:stop - start])
         yield start, np.abs(sc, out=mag[:stop - start])
 

@@ -305,31 +305,31 @@ def evaluate(model: ModelWeights, frames: np.ndarray, labels: np.ndarray) -> tup
     return loss, acc
 
 
-def embed_segment(model: ModelWeights, rows: np.ndarray) -> Embedding:
-    """Mean pre-softmax output over a segment's frames."""
+def _row_logits(model: ModelWeights, rows: np.ndarray, empty: str) -> np.ndarray:
+    """Logits of a segment's or cluster's frames, one row a frame (a 1-D row
+    is one frame); InvalidInput with the message `empty` when there are none."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
         rows = rows[None, :]
     if rows.shape[0] == 0:
-        raise InvalidInput("cannot embed an empty segment")
+        raise InvalidInput(empty)
     if rows.shape[1] != model.arch.input_dim:
         raise InvalidInput(f"rows have dimension {rows.shape[1]}")
-    logits = _forward_batch(model, rows)
+    return _forward_batch(model, rows)
+
+
+def embed_segment(model: ModelWeights, rows: np.ndarray) -> Embedding:
+    """Mean pre-softmax output over a segment's frames."""
+    logits = _row_logits(model, rows, "cannot embed an empty segment")
     return Embedding(values=logits.mean(axis=0))
 
 
-def _embedding_matrix(group) -> np.ndarray:
-    vecs = [e.values if isinstance(e, Embedding) else np.asarray(e, dtype=np.float64)
-            for e in group]
-    if not vecs:
-        raise InvalidInput("similarity needs a non-empty embedding set")
-    return np.vstack(vecs)
-
-
-def cosine_similarity(td, cd) -> float:
+def cosine_similarity(td: list[Embedding], cd: list[Embedding]) -> float:
     """Average pairwise cosine between two embedding sets (banked vs cluster)."""
-    t = _embedding_matrix(td)
-    c = _embedding_matrix(cd)
+    if not td or not cd:
+        raise InvalidInput("similarity needs a non-empty embedding set")
+    t = np.vstack([e.values for e in td])
+    c = np.vstack([e.values for e in cd])
     if t.shape[1] != c.shape[1]:
         raise InvalidInput("embedding dimensions differ")
     t_norm = np.linalg.norm(t, axis=1)
@@ -342,14 +342,7 @@ def cosine_similarity(td, cd) -> float:
 
 def predict_cluster(model: ModelWeights, rows: np.ndarray) -> tuple[int, float]:
     """Speaker id by frame-averaged softmax; ties resolve to the lowest id."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows[None, :]
-    if rows.shape[0] == 0:
-        raise InvalidInput("cannot predict an empty cluster")
-    if rows.shape[1] != model.arch.input_dim:
-        raise InvalidInput(f"rows have dimension {rows.shape[1]}")
-    logits = _forward_batch(model, rows)
+    logits = _row_logits(model, rows, "cannot predict an empty cluster")
     mean_probs = softmax(logits).mean(axis=0)
     speaker = int(np.argmax(mean_probs))
     return speaker, float(mean_probs[speaker])

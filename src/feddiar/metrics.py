@@ -108,6 +108,15 @@ def corpus_scores(results: list[MatchResult]) -> CorpusScores:
     return CorpusScores(purity=purity, coverage=coverage)
 
 
+def change_point_scores(true_points, detected_points, collar_sec: float) -> dict:
+    """fdr, mdr, f_seg, purity and coverage of one conversation's detections,
+    the change-point fields of report.json and of `eval`."""
+    match = match_change_points(true_points, detected_points, collar_sec)
+    seg, corpus = seg_scores(match), corpus_scores([match])
+    return {"fdr": seg.fdr, "mdr": seg.mdr, "f_seg": seg.f_seg,
+            "purity": corpus.purity, "coverage": corpus.coverage}
+
+
 def id_scores(predictions, truths) -> IdScores:
     """Cluster-level identification rates; a None prediction is a rejection.
 

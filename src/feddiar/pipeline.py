@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -36,7 +37,7 @@ from .frontend import (
 from .identifier import ModelWeights, predict_cluster
 from .metrics import (
     DEFAULT_COLLAR_SEC,
-    corpus_scores,
+    change_point_scores,
     f_from_rates,
     id_scores,
     match_change_points,
@@ -77,9 +78,6 @@ class PipelineConfig:
         if not 0.0 <= self.collar_sec < math.inf:
             raise InvalidConfig("collar_sec must be non-negative and finite")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ClusterLabel:
@@ -98,11 +96,11 @@ class DiarizationResult:
     report: dict = field(default_factory=dict)
 
 
-def _stage(name: str, fn, *args, **kwargs):
+@contextmanager
+def _stage(name: str):
+    """Re-raise a failure inside the block as a StageError naming the stage."""
     try:
-        return fn(*args, **kwargs)
-    except StageError:
-        raise
+        yield
     except Exception as exc:
         raise StageError(name, exc) from exc
 
@@ -117,17 +115,13 @@ def frontend_and_silence(
     frames are a view of the samples and every spectral pass is chunked, so
     memory beyond the outputs does not grow with the audio length.
     """
-    def frontend():
+    with _stage("frontend"):
         frames = frame_signal(audio)
-        return frames, compute_mfcc(frames, cfg.mfcc)
-
-    frames, features = _stage("frontend", frontend)
-
-    def silence():
+        features = compute_mfcc(frames, cfg.mfcc)
+    with _stage("silence"):
         noise = estimate_noise_profile(frames, cfg.silence)
-        return find_quasi_silences(frames, noise, cfg.silence)
-
-    return features, _stage("silence", silence)
+        silences = find_quasi_silences(frames, noise, cfg.silence)
+    return features, silences
 
 
 def build_segments(
@@ -158,7 +152,8 @@ def find_change_points(
     """The segmentation stage: segment_bic or segment_t2, as seg_cfg.method
     says. A failure is raised as StageError of stage 'segmentation'."""
     segmenter = segment_bic if seg_cfg.method == METHOD_BIC else segment_t2
-    return _stage("segmentation", segmenter, features, silences, seg_cfg, counter)
+    with _stage("segmentation"):
+        return segmenter(features, silences, seg_cfg, counter)
 
 
 def _identify(model: ModelWeights | None, segments, clusters: ClusterSet):
@@ -215,11 +210,8 @@ def _scores(truth: GroundTruth | None, change_points: ChangePointList,
     scores = dict.fromkeys(("fdr", "mdr", "f_seg", "purity", "coverage", "far", "frr", "f_id"))
     if truth is None:
         return scores
-    match = match_change_points(truth.change_points_sec, change_points.times_sec(),
-                                collar_sec)
-    seg, corpus = seg_scores(match), corpus_scores([match])
-    scores.update(fdr=seg.fdr, mdr=seg.mdr, f_seg=seg.f_seg,
-                  purity=corpus.purity, coverage=corpus.coverage)
+    scores.update(change_point_scores(truth.change_points_sec, change_points.times_sec(),
+                                      collar_sec))
     truths = true_cluster_speakers(segments, clusters, truth, hop_sec) if labels else []
     pairs = [(lab.speaker_id, t) for lab, t in zip(labels, truths) if t is not None]
     if pairs:
@@ -238,22 +230,20 @@ def run_pipeline(
     counter = ComputeCounter()
     features, silences = frontend_and_silence(audio, cfg)
     change_points = find_change_points(features, silences, cfg.seg, counter)
-
-    def clustering_stage():
+    with _stage("clustering"):
         segments = build_segments(features, silences, change_points)
-        return segments, cluster_segments(segments, cfg.bic,
-                                          cfg.min_segment_frames, counter)
-
-    segments, clusters = _stage("clustering", clustering_stage)
-    labels = _stage("identification", _identify, model, segments, clusters)
-    scores = _stage("metrics", _scores, truth, change_points, segments, clusters,
-                    labels, features.hop_sec, cfg.collar_sec)
+        clusters = cluster_segments(segments, cfg.bic, cfg.min_segment_frames, counter)
+    with _stage("identification"):
+        labels = _identify(model, segments, clusters)
+    with _stage("metrics"):
+        scores = _scores(truth, change_points, segments, clusters, labels,
+                         features.hop_sec, cfg.collar_sec)
     report = {**scores,
               "delta_bic_count": counter.delta_bic_count,
               "t2_count": counter.t2_count,
               "covariance_count": counter.covariance_count,
               "merge_cost_count": counter.merge_cost_count,
-              "config": cfg.to_dict()}
+              "config": asdict(cfg)}
     return DiarizationResult(change_points=change_points, segments=segments,
                              clusters=clusters, labels=labels,
                              features=features, report=report)

@@ -79,11 +79,6 @@ class SilenceConfig:
 
 
 @dataclass(frozen=True)
-class NoiseProfile:
-    magnitude_spectrum_estimate: np.ndarray   # per rfft bin, >= 0
-
-
-@dataclass(frozen=True)
 class QuasiSilenceRegion:
     start_frame: int
     end_frame: int        # inclusive
@@ -93,8 +88,10 @@ class QuasiSilenceRegion:
         return self.end_frame - self.start_frame + 1
 
 
-def estimate_noise_profile(frames: FrameSequence, cfg: SilenceConfig) -> NoiseProfile:
-    """Per-bin mean magnitude over the quietest noise_percentile of frames.
+def estimate_noise_profile(frames: FrameSequence, cfg: SilenceConfig) -> np.ndarray:
+    """Per-bin mean magnitude over the quietest noise_percentile of frames:
+    the noise profile, one non-negative value per rfft bin, shape
+    (fft_size // 2 + 1,).
 
     The k quietest frames are those first in a stable sort of the FFT
     energies mean(|rfft|^2), ties going to the lower frame, and their
@@ -137,12 +134,12 @@ def estimate_noise_profile(frames: FrameSequence, cfg: SilenceConfig) -> NoisePr
     for _, spectra in spectrum_chunks(frames, index=quietest):
         for row in spectra:
             total += row
-    return NoiseProfile(magnitude_spectrum_estimate=total / k)
+    return total / k
 
 
 def spectral_subtract(
     frames: FrameSequence,
-    noise: NoiseProfile,
+    noise: np.ndarray,
     index: np.ndarray | None = None,
 ) -> np.ndarray:
     """Residual energy per frame after subtracting the noise magnitude profile.
@@ -151,15 +148,14 @@ def spectral_subtract(
     magnitude of each frame, or of frame index[j] at j when an index is
     given (each row is computed on its own, so the values are the same).
     """
-    profile = noise.magnitude_spectrum_estimate
     bins = frames.fft_size // 2 + 1
-    if profile.shape[0] != bins:
-        raise InvalidInput(f"profile has {profile.shape[0]} bins, frames have {bins}")
+    if noise.shape[0] != bins:
+        raise InvalidInput(f"profile has {noise.shape[0]} bins, frames have {bins}")
     energy = np.empty(len(frames) if index is None else len(index))
 
     def work(chunks):
         for start, spectra in spectrum_chunks(frames, index=index, chunks=chunks):
-            np.subtract(spectra, profile, out=spectra)
+            np.subtract(spectra, noise, out=spectra)
             np.maximum(spectra, 0.0, out=spectra)
             np.square(spectra, out=spectra)
             np.mean(spectra, axis=1, out=energy[start:start + len(spectra)])
@@ -203,7 +199,7 @@ def detect_quasi_silences(energy_track: np.ndarray, cfg: SilenceConfig) -> list[
 
 def find_quasi_silences(
     frames: FrameSequence,
-    noise: NoiseProfile,
+    noise: np.ndarray,
     cfg: SilenceConfig,
 ) -> list[QuasiSilenceRegion]:
     """detect_quasi_silences(spectral_subtract(frames, noise), cfg),
@@ -244,15 +240,14 @@ def find_quasi_silences(
     def every_frame():
         return detect_quasi_silences(spectral_subtract(frames, noise), cfg)
 
-    profile = noise.magnitude_spectrum_estimate
     n = len(frames)
-    if not (profile >= 0.0).all():
+    if not (noise >= 0.0).all():
         return every_frame()
     energies = frames.energies
     if not np.isfinite(energies).all():
         return every_frame()
 
-    noise_rms = math.sqrt(float(np.mean(np.square(profile))))
+    noise_rms = math.sqrt(float(np.mean(np.square(noise))))
     lower = np.sqrt(energies)
     lower *= 1.0 - CANDIDATE_MARGIN
     lower -= noise_rms * (1.0 + CANDIDATE_MARGIN)

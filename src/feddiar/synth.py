@@ -41,6 +41,16 @@ SAME_SPEAKER_PROB = 0.15
 MIN_TURN_SEC = 1.2
 MAX_TURN_SEC = 2.8
 
+# Speaker i's pitch is F0_BASE_HZ + F0_STEP_HZ * i (+-3 Hz), so MAX_SPEAKERS
+# (360) pitches lie below the Nyquist frequency.
+F0_BASE_HZ = 90.0
+F0_STEP_HZ = 22.0
+MAX_SPEAKERS = math.ceil((SAMPLE_RATE_HZ / 2 - F0_BASE_HZ) / F0_STEP_HZ)
+# MAX_CHANGES + 2 turns of MIN_TURN_SEC take more float64 samples than the
+# 2^56 bytes a 64-bit CPU lets a process address (57-bit virtual addresses,
+# half of them the kernel's).
+MAX_CHANGES = 2**56 // (8 * round(MIN_TURN_SEC * SAMPLE_RATE_HZ)) - 1
+
 
 @dataclass(frozen=True)
 class SpeakerProfile:
@@ -77,7 +87,7 @@ def make_profiles(num_speakers: int, seed: int = 0) -> tuple[SpeakerProfile, ...
     profiles = []
     for i in range(num_speakers):
         rng = substream(seed, "profile", i)
-        f0 = 90.0 + 22.0 * i + float(rng.uniform(-3.0, 3.0))
+        f0 = F0_BASE_HZ + F0_STEP_HZ * i + float(rng.uniform(-3.0, 3.0))
         centers = (float(rng.uniform(320.0, 880.0)),
                    float(rng.uniform(950.0, 2100.0)),
                    float(rng.uniform(2300.0, 3400.0)))
@@ -262,15 +272,19 @@ def random_conversation_spec(
 
     About SAME_SPEAKER_PROB of the turn boundaries are non-switching pauses,
     so a detector that fires at every silence pays for it in false detections.
+
+    InvalidSpec, before anything is drawn, for speakers not in
+    2..MAX_SPEAKERS (360; more would reach the Nyquist frequency) and
+    changes not in 1..MAX_CHANGES (about 4.7e11; more could never be
+    allocated, even in the shortest turns).
     """
-    if num_speakers < 2:
-        raise InvalidSpec("a conversation needs at least two speakers")
+    if not 2 <= num_speakers <= MAX_SPEAKERS:
+        raise InvalidSpec(f"a conversation needs 2 to {MAX_SPEAKERS} speakers, "
+                          f"got {num_speakers}")
     if not 1 <= min_changes <= max_changes:
         raise InvalidSpec("bad change-point range")
-    # the layout draws are numpy int64 draws
-    limit = np.iinfo(np.int64).max
-    if max(num_speakers, max_changes) > limit:
-        raise InvalidSpec(f"speaker and change counts must be at most {limit}")
+    if max_changes > MAX_CHANGES:
+        raise InvalidSpec(f"at most {MAX_CHANGES} changes, got {max_changes}")
     rng = substream(seed, "spec")
     n_changes = int(rng.integers(min_changes, max_changes + 1))
     speakers = [int(rng.integers(num_speakers))]

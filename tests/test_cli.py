@@ -213,8 +213,10 @@ def bad_inputs(tmp_path_factory):
         b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(data)) + b"WAVE"
         + b"fmt " + struct.pack("<I", len(fmt)) + fmt
         + b"data" + struct.pack("<I", len(data)) + data)
-    # 16-bit PCM files cut inside a sample (mono) and inside a frame (stereo)
-    for name, channels, size in [("cut_mono.wav", 1, 1001), ("cut_stereo.wav", 2, 1002)]:
+    # 16-bit PCM files of 4000 declared data bytes, cut inside a sample
+    # (mono), inside a frame (stereo) and at a frame boundary (stereo)
+    for name, channels, size in [("cut_mono.wav", 1, 1001), ("cut_stereo.wav", 2, 1002),
+                                 ("short_stereo.wav", 2, 1000)]:
         with wave.open(str(root / name), "wb") as wf:
             wf.setnchannels(channels)
             wf.setsampwidth(2)
@@ -264,6 +266,10 @@ BAD_INVOCATIONS = {
     "speaker count past int64": ["synth", "--num-speakers", str(10**20)],
     "change count past int64": ["synth", "--min-changes", "1", "--max-changes", str(10**20)],
     "sweep speaker count past int64": ["sweep", "--num-speakers", str(10**20)],
+    "speaker count past the pitch ladder (used to hang)": [
+        "synth", "--num-speakers", str(10**12)],
+    "change count past the address space (used to hang)": [
+        "synth", "--min-changes", str(10**12), "--max-changes", str(10**12)],
     "negative min_region_frames (used to run)": [
         "cluster", "--audio", "{root}/a.wav", "--config", "{root}/negative_region.cfg"],
     "one-frame segments (used to run)": ["cluster", "--audio", "{root}/a.wav",
@@ -463,8 +469,9 @@ def test_float_wav_is_refused_with_one_error_line_naming_it(bad_inputs, tmp_path
 
 
 @pytest.mark.parametrize("name, message", [
-    ("cut_mono.wav", "data chunk ends inside a frame (1001 bytes of 2-byte frames)"),
-    ("cut_stereo.wav", "data chunk ends inside a frame (1002 bytes of 4-byte frames)"),
+    ("cut_mono.wav", "data chunk holds 1001 bytes, its header declares 4000"),
+    ("cut_stereo.wav", "data chunk holds 1002 bytes, its header declares 4000"),
+    ("short_stereo.wav", "data chunk holds 1000 bytes, its header declares 4000"),
     ("pcm8.wav", "expected 16-bit PCM, got 8-bit"),
     ("three_channels.wav", "expected mono or stereo, got 3 channels"),
 ])

@@ -261,6 +261,28 @@ def test_frontend_and_silence_names_failing_stage() -> None:
     assert err.value.stage == "silence"
 
 
+@pytest.mark.parametrize("stage, first_call", [
+    ("frontend", "frame_signal"),
+    ("silence", "estimate_noise_profile"),
+    ("segmentation", "segment_t2"),
+    ("clustering", "build_segments"),
+    ("identification", "predict_cluster"),
+    ("metrics", "change_point_scores"),
+])
+def test_every_stage_names_itself(stage, first_call, small_conv, monkeypatch) -> None:
+    audio, truth = small_conv
+    model = init_model(ModelArch(12, (4,), 2), seed=0)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError(f"{first_call} is broken")
+
+    monkeypatch.setattr(pipeline, first_call, broken)
+    with pytest.raises(StageError) as err:
+        run_pipeline(audio, PipelineConfig(), model=model, truth=truth)
+    assert err.value.stage == stage
+    assert str(err.value) == f"stage '{stage}' failed: {first_call} is broken"
+
+
 def test_frontend_and_silence_computes_the_energies_once(monkeypatch, small_conv) -> None:
     # the noise profile and find_quasi_silences both read them
     real = FrameSequence.energies.func

@@ -28,7 +28,6 @@ from feddiar.silence import (
     CANDIDATE_MARGIN,
     ENERGY_FLOOR,
     MIN_FRAMES_FOR_NOISE,
-    NoiseProfile,
     QuasiSilenceRegion,
     SilenceConfig,
     detect_quasi_silences,
@@ -60,11 +59,11 @@ def test_noise_profile_shape() -> None:
     scales = rng.permutation(np.arange(1.0, 21.0))
     rows = scales[:, None] * rng.standard_normal(400)
     prof = estimate_noise_profile(FrameSequence(rows.ravel(), 400, 400, 16000), SilenceConfig())
-    assert prof.magnitude_spectrum_estimate.shape == (257,)
-    assert np.all(prof.magnitude_spectrum_estimate >= 0)
+    assert prof.shape == (257,)
+    assert np.all(prof >= 0)
     quietest = [np.flatnonzero(scales == 1.0)[0], np.flatnonzero(scales == 2.0)[0]]
     want = reference_magnitude_spectra(rows, 512)[quietest].mean(axis=0)
-    np.testing.assert_allclose(prof.magnitude_spectrum_estimate, want, rtol=1e-12)
+    np.testing.assert_allclose(prof, want, rtol=1e-12)
 
 
 def test_silence_transforms_whole_frames() -> None:
@@ -73,7 +72,7 @@ def test_silence_transforms_whole_frames() -> None:
     samples = bursty_signal(60, seed=4).samples
     frames = FrameSequence(samples, 640, 160, 16000)
     noise = estimate_noise_profile(frames, SilenceConfig())
-    assert noise.magnitude_spectrum_estimate.shape == (513,)
+    assert noise.shape == (513,)
     assert frames.fft_size == 1024
     cut = frames.frames.copy()
     cut[:, 600:] = 0.0
@@ -95,7 +94,7 @@ def test_exact_cancellation_gives_zero_energy() -> None:
 def test_zero_profile_keeps_full_spectrum_energy() -> None:
     sig = AudioSignal(0.3 * np.sin(2 * np.pi * 440 * np.arange(8000) / 16000), 16000)
     seq = frame_signal(sig)
-    zero = NoiseProfile(np.zeros(257))
+    zero = np.zeros(257)
     energy = spectral_subtract(seq, zero)
     assert np.all(energy > 0)
 
@@ -104,7 +103,7 @@ def test_profile_dimension_checked() -> None:
     frame = np.random.default_rng(3).standard_normal(400)
     seq = repeated_frame_sequence(frame, 12)
     with pytest.raises(InvalidInput, match="profile has 100 bins, frames have 257"):
-        spectral_subtract(seq, NoiseProfile(np.zeros(100)))
+        spectral_subtract(seq, np.zeros(100))
 
 
 def test_detects_single_quiet_stretch() -> None:
@@ -171,18 +170,18 @@ def reference_magnitude_spectra(frames: np.ndarray, fft_size: int) -> np.ndarray
     return np.abs(np.fft.rfft(windowed, n=fft_size, axis=1))
 
 
-def reference_noise_profile(frames: np.ndarray, cfg: SilenceConfig) -> NoiseProfile:
+def reference_noise_profile(frames: np.ndarray, cfg: SilenceConfig) -> np.ndarray:
     """Noise profile from the full (frames x bins) spectra of a frame matrix."""
     spectra = reference_magnitude_spectra(frames, REFERENCE_FFT_SIZE)
     energies = np.mean(spectra ** 2, axis=1)
     k = max(1, int(np.floor(cfg.noise_percentile * len(frames))))
     quietest = np.argsort(energies, kind="stable")[:k]
-    return NoiseProfile(spectra[quietest].mean(axis=0))
+    return spectra[quietest].mean(axis=0)
 
 
-def reference_spectral_subtract(frames: np.ndarray, noise: NoiseProfile) -> np.ndarray:
+def reference_spectral_subtract(frames: np.ndarray, noise: np.ndarray) -> np.ndarray:
     spectra = reference_magnitude_spectra(frames, REFERENCE_FFT_SIZE)
-    residual = np.maximum(spectra - noise.magnitude_spectrum_estimate, 0.0)
+    residual = np.maximum(spectra - noise, 0.0)
     return np.mean(residual ** 2, axis=1)
 
 
@@ -216,7 +215,7 @@ def check_silence_stage_bit_equal(chunked: FrameSequence, dense: np.ndarray,
                                   cfg: SilenceConfig = SilenceConfig()) -> None:
     noise = estimate_noise_profile(chunked, cfg)
     want_noise = reference_noise_profile(dense, cfg)
-    assert_bits_equal(noise.magnitude_spectrum_estimate, want_noise.magnitude_spectrum_estimate)
+    assert_bits_equal(noise, want_noise)
     energy = spectral_subtract(chunked, noise)
     assert_bits_equal(energy, reference_spectral_subtract(dense, want_noise))
     assert detect_quasi_silences(energy, cfg) == reference_detect_quasi_silences(energy, cfg)
@@ -333,7 +332,7 @@ def test_noise_profile_on_non_finite_frames_matches_old_code(noise_percentile, b
     cfg = SilenceConfig(noise_percentile=noise_percentile)
     noise = estimate_noise_profile(FrameSequence(rows.ravel(), 400, 400, 16000), cfg)
     want = reference_noise_profile(rows, cfg)
-    assert_bits_equal(noise.magnitude_spectrum_estimate, want.magnitude_spectrum_estimate)
+    assert_bits_equal(noise, want)
 
 
 def transformed_rows(monkeypatch, run) -> list[int]:
@@ -401,7 +400,7 @@ def silent_mask(track: np.ndarray, cfg: SilenceConfig) -> np.ndarray:
     return 10.0 * np.log10(peak / np.maximum(track, ENERGY_FLOOR)) >= cfg.threshold_db
 
 
-def check_quasi_silences_exact(frames: FrameSequence, noise: NoiseProfile,
+def check_quasi_silences_exact(frames: FrameSequence, noise: np.ndarray,
                                cfg: SilenceConfig) -> None:
     """Regions equal to the full pass's, and so are the decisions behind them:
     the peak, the silent mask and the silent frames' energies. (A peak one
@@ -424,18 +423,18 @@ def check_quasi_silences_exact(frames: FrameSequence, noise: NoiseProfile,
     assert_bits_equal(track[silent], want_track[silent])
 
 
-def residual_bounds(frames: FrameSequence, noise: NoiseProfile) -> tuple[np.ndarray, np.ndarray]:
+def residual_bounds(frames: FrameSequence, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The widened Parseval bounds on the residual energy, as documented in
     find_quasi_silences."""
     energy = frames.energies
-    noise_rms = math.sqrt(np.mean(noise.magnitude_spectrum_estimate ** 2))
+    noise_rms = math.sqrt(np.mean(noise ** 2))
     root = np.maximum(np.sqrt(energy) * (1 - CANDIDATE_MARGIN)
                       - noise_rms * (1 + CANDIDATE_MARGIN), 0.0)
     lower = root ** 2 * (1 - CANDIDATE_MARGIN) - CANDIDATE_FLOOR
     return lower, energy * (1 + CANDIDATE_MARGIN) + CANDIDATE_FLOOR
 
 
-def percentile_candidates(frames: FrameSequence, noise: NoiseProfile) -> np.ndarray:
+def percentile_candidates(frames: FrameSequence, noise: np.ndarray) -> np.ndarray:
     """Frames whose bounds meet the window of the 95th percentile's ranks."""
     lower, upper = residual_bounds(frames, noise)
     n = len(frames)
@@ -521,7 +520,7 @@ def test_find_quasi_silences_equals_full_subtraction(conversations, seed, start,
     noise = estimate_noise_profile(source, cfg)
     if profile != "estimated":
         factor = {"halved": 0.5, "zero": 0.0, "negative": -30.0}[profile]
-        noise = NoiseProfile(factor * noise.magnitude_spectrum_estimate)
+        noise = factor * noise
     check_quasi_silences_exact(frames, noise, cfg)
 
 
@@ -533,7 +532,7 @@ def test_find_quasi_silences_exact_on_ties_at_the_peak(seed, scale) -> None:
     # peak's ranks, the peak changes.
     frames = frames_with_ties_at_peak(seed, scale)
     noise = estimate_noise_profile(frames, SilenceConfig())
-    assert not noise.magnitude_spectrum_estimate.any()
+    assert not noise.any()
     track = spectral_subtract(frames, noise)
     lower, upper = residual_bounds(frames, noise)
     assert np.all(lower <= track) and np.all(track <= upper)

@@ -4,12 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from feddiar import synth
 from feddiar.errors import InvalidSpec
 from feddiar.seeding import substream
 from feddiar.synth import (
     AM_DEPTH,
     BAND_GAINS,
     ENVELOPE_FLOOR,
+    MAX_CHANGES,
+    MAX_SPEAKERS,
+    SAMPLE_RATE_HZ,
     TURN_RMS,
     SynthSpec,
     TurnInterval,
@@ -143,6 +147,29 @@ def test_random_spec_validation() -> None:
         random_conversation_spec(num_speakers=1, seed=0)
     with pytest.raises(InvalidSpec):
         random_conversation_spec(num_speakers=2, seed=0, min_changes=5, max_changes=4)
+
+
+def test_random_spec_refuses_huge_counts_before_drawing(monkeypatch) -> None:
+    # the top speaker's pitch stays below the Nyquist frequency, jitter
+    # included, and the next rung of the ladder would reach it
+    assert MAX_SPEAKERS == 360
+    top = synth.F0_BASE_HZ + synth.F0_STEP_HZ * (MAX_SPEAKERS - 1)
+    assert top + 3.0 < SAMPLE_RATE_HZ / 2 <= top + synth.F0_STEP_HZ
+    spec = random_conversation_spec(num_speakers=MAX_SPEAKERS)
+    assert len(spec.speaker_profiles) == MAX_SPEAKERS
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew before refusing")
+
+    # 10**12 speakers or changes used to run make_profiles or the layout
+    # loop without end
+    monkeypatch.setattr(synth, "make_profiles", unreachable)
+    monkeypatch.setattr(synth, "substream", unreachable)
+    for kwargs in [dict(num_speakers=MAX_SPEAKERS + 1), dict(num_speakers=10**12),
+                   dict(min_changes=1, max_changes=MAX_CHANGES + 1),
+                   dict(min_changes=10**12, max_changes=10**12)]:
+        with pytest.raises(InvalidSpec):
+            random_conversation_spec(**kwargs)
 
 
 def test_corpus_seeded_and_varied() -> None:
