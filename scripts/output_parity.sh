@@ -73,6 +73,8 @@ run fedsim-centralized fedsim --mode centralized
 run fedsim-centralized-3-clients fedsim --mode centralized --num-clients 3 --group-size 2
 same fedsim-centralized fedsim-centralized-3-clients
 run fedsim-hidden fedsim --hidden 16,8
+# several local epochs carry Adam's moments from step to step within a round
+run fedsim-epochs fedsim --local-epochs 8 --lr0 0.1
 model=fedsim-non_iid/fed_model.npz
 
 cat > tuned.cfg <<CFG

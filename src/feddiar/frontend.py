@@ -30,8 +30,7 @@ Holding the buffers for a whole call also keeps the number of large
 allocations, and with them page faults, independent of the audio length.
 Since no large block is freed here, glibc's dynamic mmap threshold is left
 at its default; code that runs later must not count on a frontend pass
-having raised it (identifier training keeps its own workspace for that
-reason).
+having raised it.
 
 The full-length passes (MFCC and the energies here; the spectral
 subtraction of the silence module) share their chunks out among the

@@ -15,7 +15,6 @@ references across rounds safely.
 from __future__ import annotations
 
 import json
-import math
 import zipfile
 from dataclasses import dataclass
 
@@ -155,91 +154,49 @@ def _check_training_data(model: ModelWeights, frames, labels):
         raise InvalidInput("no training frames")
     if labels.shape != (frames.shape[0],):
         raise InvalidInput("labels must align with frames")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise InvalidInput(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= model.arch.num_classes:
         raise InvalidInput(
             f"labels must lie in [0, {model.arch.num_classes})")
     return frames, labels.astype(np.int64)
 
 
-class _Workspace:
-    """Buffers for batched forward and backward passes, allocated once.
+def _backprop(weights, biases, x: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy gradients on a checked batch (x, labels): the
+    weight and the bias gradients, one list each. In place only on arrays
+    made here, in the operation order of the plain expressions
+    (z = a @ w + b, softmax, delta = (delta @ w.T) * (z > 0))."""
+    acts, pres = [x], []
+    for w, b in zip(weights[:-1], biases[:-1]):
+        z = acts[-1] @ w
+        z += b
+        pres.append(z)
+        acts.append(np.maximum(z, 0.0))
+    delta = acts[-1] @ weights[-1]
+    delta += biases[-1]
 
-    Sized for batches of `rows` frames. Each pass writes every intermediate
-    with `out=` or in place, in the same operation order as the plain
-    expressions (z = a @ w + b, softmax, delta = (delta @ w.T) * (z > 0)),
-    so the results are bit-identical to them while a training step
-    allocates only the small temporaries of the label gather.
+    # softmax in place, then its cross-entropy gradient
+    delta -= np.max(delta, axis=-1, keepdims=True)
+    np.exp(delta, out=delta)
+    delta /= np.sum(delta, axis=-1, keepdims=True)
+    delta[np.arange(x.shape[0]), labels] -= 1.0
+    delta /= x.shape[0]
 
-    All buffers are views of one block. A single large block, once freed,
-    raises glibc's dynamic mmap and trim thresholds above its own size, so
-    the next call reuses heap pages. As many separate buffers, each under
-    the threshold, they would be trimmed and faulted in afresh on every
-    call unless earlier, unrelated code had happened to raise it.
-    """
-
-    def __init__(self, arch: ModelArch, rows: int):
-        hidden = [(rows, h) for h in arch.hidden_sizes]
-        sizes = arch.layer_sizes
-        weights = list(zip(sizes, sizes[1:]))
-        biases = [(o,) for o in sizes[1:]]
-        params = weights + biases
-        (logits, row_stat, self.pres, self.acts, self.deltas, self.masks,
-         self.grad_w, self.grad_b, scratch_a, scratch_b) = _carve(
-            [(rows, arch.num_classes)], [(rows, 1)],
-            hidden, hidden, hidden, hidden, weights, biases, params, params)
-        self.logits, self.row_stat = logits[0], row_stat[0]
-        self.scratch = list(zip(scratch_a, scratch_b))   # Adam temporaries per parameter
-        self.row_ids = np.arange(rows)
-
-    def gradients(self, weights, biases, x: np.ndarray, labels: np.ndarray):
-        """Mean cross-entropy gradients on (x, labels), in the grad buffers."""
-        a = x
-        for layer, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
-            z = np.matmul(a, w, out=self.pres[layer])
-            z += b
-            a = np.maximum(z, 0.0, out=self.acts[layer])
-        delta = np.matmul(a, weights[-1], out=self.logits)
-        delta += biases[-1]
-
-        # softmax in place, then its cross-entropy gradient
-        delta -= np.max(delta, axis=-1, keepdims=True, out=self.row_stat)
-        np.exp(delta, out=delta)
-        delta /= np.sum(delta, axis=-1, keepdims=True, out=self.row_stat)
-        delta[self.row_ids, labels] -= 1.0
-        delta /= x.shape[0]
-
-        for layer in range(len(weights) - 1, -1, -1):
-            a = self.acts[layer - 1] if layer > 0 else x
-            np.matmul(a.T, delta, out=self.grad_w[layer])
-            np.sum(delta, axis=0, out=self.grad_b[layer])
-            if layer > 0:
-                prev = np.matmul(delta, weights[layer].T, out=self.deltas[layer - 1])
-                # a 0/1 float mask multiplies exactly as a cast boolean one
-                prev *= np.greater(self.pres[layer - 1], 0.0, out=self.masks[layer - 1])
-                delta = prev
-        return self.grad_w, self.grad_b
-
-
-def _carve(*groups) -> list[list[np.ndarray]]:
-    """Float64 arrays of the shapes in each group, as views of one block."""
-    counts = [[math.prod(shape) for shape in group] for group in groups]
-    block = np.empty(sum(map(sum, counts)))
-    out, start = [], 0
-    for group, group_counts in zip(groups, counts):
-        out.append([])
-        for shape, count in zip(group, group_counts):
-            out[-1].append(block[start:start + count].reshape(shape))
-            start += count
-    return out
+    grad_w, grad_b = [], []
+    for layer in range(len(weights) - 1, -1, -1):
+        grad_w.insert(0, acts[layer].T @ delta)
+        grad_b.insert(0, delta.sum(axis=0))
+        if layer > 0:
+            delta = delta @ weights[layer].T
+            delta *= pres[layer - 1] > 0.0
+    return grad_w, grad_b
 
 
 def gradients(model: ModelWeights, frames: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy gradients for every weight matrix and bias."""
     frames, labels = _check_training_data(model, frames, labels)
-    work = _Workspace(model.arch, frames.shape[0])
-    grad_w, grad_b = work.gradients(model.weights, model.biases, frames, labels)
-    # copies, so that holding the gradients does not hold the workspace
-    return [g.copy() for g in grad_w], [g.copy() for g in grad_b]
+    return _backprop(model.weights, model.biases, frames, labels)
 
 
 def _adam_step(value, grad, m, v, step, lr, t1, t2):
@@ -274,8 +231,7 @@ def train_local(
     """Full-batch Adam on cross-entropy, one step per epoch.
 
     Bit-reproducible. The parameters are updated in copies owned by this
-    call, and every per-step array lives in one workspace allocated up
-    front, so the number of allocations does not grow with steps.
+    call, with two Adam scratch arrays per parameter allocated once.
     """
     frames, labels = _check_training_data(model, frames, labels)
     frames = np.ascontiguousarray(frames)
@@ -283,12 +239,11 @@ def train_local(
 
     params = [p.copy() for p in (*model.weights, *model.biases)]
     new_w, new_b = params[:len(model.weights)], params[len(model.weights):]
-    work = _Workspace(model.arch, frames.shape[0])
+    scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
     for _ in range(epochs):
-        grad_w, grad_b = work.gradients(new_w, new_b, frames, labels)
+        grad_w, grad_b = _backprop(new_w, new_b, frames, labels)
         opt.step += 1
-        for p, g, m, v, (t1, t2) in zip(params, grad_w + grad_b, opt.m, opt.v,
-                                        work.scratch):
+        for p, g, m, v, (t1, t2) in zip(params, grad_w + grad_b, opt.m, opt.v, scratch):
             _adam_step(p, g, m, v, opt.step, lr, t1, t2)
     return model.bumped(new_w, new_b), opt
 

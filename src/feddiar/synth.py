@@ -327,9 +327,13 @@ def speaker_frame_corpus(
 
     The solo waveforms render on the pool, one speaker per item; their
     MFCCs are taken on this thread in speaker order, since `compute_mfcc`
-    shares out its own chunks."""
+    shares out its own chunks. InvalidSpec, before any profile is drawn,
+    for more than MAX_SPEAKERS speakers."""
     from .frontend import MfccConfig, compute_mfcc, frame_signal
 
+    if num_speakers > MAX_SPEAKERS:
+        raise InvalidSpec(f"a corpus holds at most {MAX_SPEAKERS} speakers, "
+                          f"got {num_speakers}")
     profiles = make_profiles(num_speakers, seed)
     cfg = MfccConfig()
     corpus: dict[int, np.ndarray] = {}

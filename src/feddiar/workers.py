@@ -41,8 +41,9 @@ import numpy as np
 
 # Most threads that one run of work items takes, the calling one included.
 # Each holds its own buffers (about 2.6 MB for chunks of 512-point
-# transforms, about 5 MB for the training workspace of a fedsim client with
-# 1.3k frames, 3.5 times the turn's samples for a turn being synthesised),
+# transforms; about 4 MB for a fedsim client's training step over 1.3k
+# frames, which holds each hidden layer's pre-activations, activations and
+# backprop deltas; 3.5 times the turn's samples for a turn being synthesised),
 # so this cap, not the machine, bounds the memory of a run.
 MAX_WORKERS = 2
 

@@ -268,6 +268,8 @@ BAD_INVOCATIONS = {
     "sweep speaker count past int64": ["sweep", "--num-speakers", str(10**20)],
     "speaker count past the pitch ladder (used to hang)": [
         "synth", "--num-speakers", str(10**12)],
+    "fedsim speaker count past the pitch ladder (used to hang)": [
+        "fedsim", "--num-speakers", str(10**12), "--rounds", "1"],
     "change count past the address space (used to hang)": [
         "synth", "--min-changes", str(10**12), "--max-changes", str(10**12)],
     "negative min_region_frames (used to run)": [

@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,21 @@ def test_train_deterministic_without_rng() -> None:
     b, _ = train_local(model, frames, labels, lr=0.01, epochs=5)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
+
+
+# float labels used to be truncated (0.5, 1.9, 2.99 scored as 0, 1, 2), a NaN
+# one ended in numpy's IndexError after a cast warning, strings in a
+# UFuncTypeError
+@pytest.mark.parametrize("func", [train_local, evaluate, gradients])
+def test_non_integer_labels_refused(func) -> None:
+    model = init_model(ModelArch(12, (8,), 3), seed=8)
+    frames = np.random.default_rng(8).standard_normal((4, 12))
+    for labels in [np.array([0.5, 1.9, 2.99, 0.0]), np.array([0.0, 1.0, np.nan, 2.0]),
+                   np.array(["0", "1", "2", "0"]), np.array([True, False, True, False])]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=f"dtype {labels.dtype}"):
+                func(model, frames, labels)
 
 
 def test_embed_single_frame_is_logits() -> None:
@@ -379,12 +395,13 @@ def test_train_local_bit_equal_to_reference(n, hidden) -> None:
     assert got.version == want.version
 
 
-def test_train_local_leaves_input_model_untouched() -> None:
+@pytest.mark.parametrize("epochs", [2, 0])
+def test_train_local_leaves_input_model_untouched(epochs) -> None:
     arch = ModelArch(12, (8,), 2)
     model = init_model(arch, seed=26)
     before = [p.copy() for p in model.weights + model.biases]
     frames, labels = two_blob_data(n_per=10, seed=26)
-    trained, _ = train_local(model, frames, labels, lr=0.1, epochs=2)
+    trained, _ = train_local(model, frames, labels, lr=0.1, epochs=epochs)
     assert_arrays_bit_equal(model.weights + model.biases, before)
     for p in trained.weights + trained.biases:
         assert not any(np.shares_memory(p, q) for q in model.weights + model.biases)

@@ -19,6 +19,8 @@ KEPT = {
         "perfbench traces it by name, and it is the clustering tests' row oracle",
     "divergence.GaussianStats.covariance":
         "the fit's result; the oracle tests check its ridge bit for bit, which the factor hides",
+    "identifier.gradients":
+        "criterion 11's target: its gradients are checked against finite differences",
     "identifier.online_update":
         "criterion 12's target, to be wired into diarize for online adaptation",
     "identifier.UpdateDecision.similarity":

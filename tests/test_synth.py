@@ -172,6 +172,18 @@ def test_random_spec_refuses_huge_counts_before_drawing(monkeypatch) -> None:
             random_conversation_spec(**kwargs)
 
 
+def test_speaker_corpus_refuses_huge_counts_before_drawing(monkeypatch) -> None:
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew before refusing")
+
+    # fedsim with 10**12 speakers used to run make_profiles without end
+    monkeypatch.setattr(synth, "make_profiles", unreachable)
+    monkeypatch.setattr(synth, "substream", unreachable)
+    for num_speakers in [MAX_SPEAKERS + 1, 10**12]:
+        with pytest.raises(InvalidSpec, match=f"at most {MAX_SPEAKERS} speakers"):
+            speaker_frame_corpus(num_speakers, seed=0)
+
+
 def test_corpus_seeded_and_varied() -> None:
     corpus = synth_corpus(3, 2, seed=5)
     again = synth_corpus(3, 2, seed=5)
